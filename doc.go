@@ -155,4 +155,38 @@
 //	easypap --kernel fire --variant lazy --size 512 --iterations 200 \
 //	        --no-display
 //	easypap --list-json   # machine-readable kernels, same shape as /v1/kernels
+//
+// # Adding a stencil kernel
+//
+// life, fire, sandpile and asandpile are rules for one stencil engine
+// (internal/kernels/stencil.go, DESIGN.md §15). A new cellular
+// automaton supplies its cell type (uint8 or uint32), its seed patterns,
+// a palette and a per-tile rule, and registers from an init function in
+// internal/kernels:
+//
+//	func init() {
+//		(&stencil[uint8]{
+//			name: "heat", description: "heat diffusion",
+//			defaultVariant: "seq", lazyVariant: "lazy",
+//			palette: []img2d.Pixel{img2d.Black, img2d.Red}, // v >= 1 paints red
+//			seed:    heatSeed, // fills b.cur from cfg.Arg and cfg.Seed
+//			rule:    heatStep,
+//		}).register()
+//	}
+//
+//	// heatStep computes the cells [x, x+w) × [y, y+h) of b.next from
+//	// b.cur and reports whether any of them changed.
+//	func heatStep(b *board[uint8], x, y, w, h int) bool { ... }
+//
+// The rule writes every cell of its tile into b.next (tiles the lazy
+// schedule skips rely on it: both buffers stay equal there) and reads
+// neighbours straight from b.cur: b.rowOrZero gives the zero row beyond
+// the world edge, and under MPI the neighbouring bands' boundary rows are
+// already in the board. The engine derives seq, omp_tiled, the lazy
+// frontier schedule, mpi_omp with frontier-aware halo exchange, activity
+// reporting for delta frames, the band-aware refresh and the EZK1
+// checkpoint codec; TestRegistryDeterminism covers the new variants
+// without further code. A rule that updates b.cur in place sets inPlace:
+// its parallel schedules then run the tiles in four parity phases, which
+// needs tiles of at least 2x2 cells, and it gets no mpi_omp variant.
 package easypap

@@ -46,9 +46,10 @@ var testKernelOnce = func() bool {
 				})
 			},
 			"converge2": func(ctx *Ctx, nbIter int) int {
-				// Converges after 2 iterations.
-				return ctx.ForIterations(nbIter, func(it int) bool {
-					return it < 2
+				// Converges after 2 iterations (absolute, so also when
+				// the run loop calls one iteration at a time).
+				return ctx.ForIterations(nbIter, func(int) bool {
+					return ctx.Iter() < 2
 				})
 			},
 		},
@@ -184,6 +185,32 @@ func TestRunEarlyConvergence(t *testing.T) {
 	}
 	if out.Iterations != 2 {
 		t.Errorf("iterations = %d, want 2 (early convergence)", out.Iterations)
+	}
+}
+
+// TestRunStopsAtConvergenceInEveryMode: the run loop ends at the
+// iteration ForIterations flagged steady, whether it computes in one
+// bulk call or one iteration per frame.
+func TestRunStopsAtConvergenceInEveryMode(t *testing.T) {
+	dir := t.TempDir()
+	for _, cfg := range []Config{
+		{Kernel: "testgrad", Variant: "converge2", Dim: 64, Iterations: 50, NoDisplay: true},
+		{Kernel: "testgrad", Variant: "converge2", Dim: 64, Iterations: 50, OutputDir: dir},
+	} {
+		out, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Iterations != 2 {
+			t.Errorf("display=%v: iterations = %d, want 2", !cfg.NoDisplay, out.Iterations)
+		}
+	}
+	frames, err := filepath.Glob(filepath.Join(dir, "main_*.png"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frames) != 2 {
+		t.Errorf("display mode wrote %d main frames, want 2", len(frames))
 	}
 }
 

@@ -32,7 +32,8 @@ type Ctx struct {
 	rec     *trace.Recorder
 	instr   bool // mon != nil || rec != nil, precomputed for the hot path
 	curIter atomic.Int32
-	iters   int // completed iterations (run loop bookkeeping)
+	iters   int  // completed iterations (run loop bookkeeping)
+	steady  bool // a ForIterations body returned false: the run converged
 	priv    any
 	goCtx   context.Context // run cancellation (never nil inside a run)
 
@@ -205,7 +206,9 @@ func (ctx *Ctx) EndTask(x, y, w, h, worker int) {
 // ForIterations is the kernel-side iteration loop: it brackets every
 // iteration for the monitor and the tracer and honours early convergence.
 // body returns false to stop iterating (steady state); ForIterations
-// returns the number of iterations actually executed.
+// returns the number of iterations actually executed, the steady one
+// included, and records the convergence on the Ctx so the run loop stops
+// there too, whatever the length of the call.
 //
 // A typical variant reads:
 //
@@ -236,6 +239,7 @@ func (ctx *Ctx) ForIterations(nbIter int, body func(it int) bool) int {
 		}
 		done = it
 		if !cont {
+			ctx.steady = true
 			break
 		}
 	}

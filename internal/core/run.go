@@ -403,7 +403,6 @@ func runRank(goCtx context.Context, cfg Config, k *Kernel, compute ComputeFunc, 
 	}
 	// snapshot checkpoints the state after the iteration whose absolute
 	// index is ctx.iters, when that index falls on a cadence boundary.
-	// The final iteration is skipped: its value is the finished result.
 	snapshot := func() error {
 		if !ck.active() || ctx.iters <= resumedFrom || ctx.iters%ck.every != 0 {
 			return nil
@@ -416,55 +415,42 @@ func runRank(goCtx context.Context, cfg Config, k *Kernel, compute ComputeFunc, 
 		return nil
 	}
 
+	// One loop for every mode. Each call computes up to the next stop:
+	// the next iteration when displaying (the framework regains control
+	// to refresh the windows, like the interactive SDL loop; frames are
+	// numbered by absolute iteration, so a resumed stream picks up where
+	// the checkpoint left off), the next absolute snapshot boundary when
+	// checkpointing, the end otherwise (one bulk call; ForIterations
+	// still brackets iterations for the monitor and the tracer and checks
+	// goCtx at every boundary). The loop stops when the kernel converged:
+	// the steady iteration counts and is displayed, but is not
+	// snapshotted — the finished entry covers it, and a deeper run
+	// resumed from it would count a second steady iteration. A call that
+	// comes back short (cancellation, or a kernel that signals
+	// convergence by its return value alone) stops it as well.
 	start := time.Now()
-	total := 0
-	remaining := cfg.Iterations - resumedFrom
-	if displaying {
-		// Display mode: the framework regains control after every
-		// iteration to refresh the windows, exactly like the interactive
-		// SDL loop. Frames are numbered by absolute iteration, so a
-		// resumed job's stream picks up where the checkpoint left off.
-		for total < remaining && goCtx.Err() == nil {
-			n := compute(ctx, 1)
-			if n < 1 {
-				break // converged
-			}
-			ctx.iters += n
-			total += n
+	for ctx.iters < cfg.Iterations && goCtx.Err() == nil {
+		step := cfg.Iterations - ctx.iters
+		if displaying {
+			step = 1
+		} else if ck.active() {
+			step = min(step, ck.every-ctx.iters%ck.every)
+		}
+		n := compute(ctx, step)
+		ctx.iters += n
+		if displaying && n > 0 {
 			if err := refreshDisplay(ctx, k, sink, ctx.iters); err != nil {
 				return err
 			}
-			if err := snapshot(); err != nil {
-				return err
-			}
 		}
-	} else if ck.active() {
-		// Performance mode with checkpointing: compute in chunks ending on
-		// absolute cadence boundaries, snapshotting between chunks. A
-		// chunk that comes back short means convergence (or cancellation,
-		// caught below) — no snapshot then; the finished entry covers it.
-		for total < remaining && goCtx.Err() == nil {
-			chunk := ck.every - ctx.iters%ck.every
-			if rem := remaining - total; chunk > rem {
-				chunk = rem
-			}
-			n := compute(ctx, chunk)
-			ctx.iters += n
-			total += n
-			if n < chunk {
-				break // converged (or canceled at an iteration boundary)
-			}
-			if err := snapshot(); err != nil {
-				return err
-			}
+		if n < step || ctx.steady {
+			break
 		}
-	} else {
-		// Performance mode: one bulk call; ForIterations inside the kernel
-		// still brackets iterations for the monitor and the tracer (and
-		// checks goCtx at every iteration boundary).
-		total = compute(ctx, remaining)
-		ctx.iters += total
+		if err := snapshot(); err != nil {
+			return err
+		}
 	}
+	total := ctx.iters - resumedFrom
 	wall := time.Since(start)
 
 	// A canceled run returns promptly with the context's error instead of a

@@ -5,197 +5,51 @@ package kernels
 // grains immediately sends one grain to each 4-neighbour. The Abelian
 // property guarantees that the *stable* configuration is independent of
 // the topple order, which makes the kernel a perfect stress test for
-// parallel variants: sequential sweeps, tiled parallel execution with
-// atomic cross-tile grain transfers, and even the synchronous sandpile all
-// converge to the same board. The property tests exploit exactly this.
-
-import (
-	"sync/atomic"
-
-	"easypap/internal/core"
-	"easypap/internal/img2d"
-	"easypap/internal/tilegrid"
-)
+// parallel variants: sequential sweeps, the engine's parity-phased tiled
+// schedules and even the synchronous sandpile all converge to the same
+// board. The property tests exploit exactly this. Mid-run boards depend
+// on the order, which is fixed per variant: seq sweeps the board row by
+// row, the parallel variants sweep tile parity phases (stencil.go), so a
+// variant's board does not depend on the thread count or the schedule.
 
 func init() {
-	core.Register(&core.Kernel{
-		Name:        "asandpile",
-		Description: "asynchronous (in-place) Abelian sandpile",
-		Init:        asandInit,
-		Refresh:     asandRefresh,
-		Variants: map[string]core.ComputeFunc{
-			"seq":       asandSeq,
-			"omp_tiled": asandOmpTiled,
-			"lazy_omp":  asandLazyOmp,
-		},
-		DefaultVariant: "seq",
-		Codec:          asandCodec{},
-	})
+	(&stencil[uint32]{
+		name:           "asandpile",
+		description:    "asynchronous (in-place) Abelian sandpile",
+		defaultVariant: "seq",
+		lazyVariant:    "lazy_omp",
+		inPlace:        true,
+		palette:        sandPalette,
+		seed:           sandSeed,
+		rule:           asandStep,
+	}).register()
 }
 
-// asandState is the grain grid. Parallel variants mutate cells with
-// atomics; the absorbing one-cell border stays at zero. The frontier
-// tracks which tiles may still topple (lazy variant + convergence).
-type asandState struct {
-	dim   int
-	cells []uint32
-	tileW int
-	tileH int
-	fr    *tilegrid.Frontier
-}
-
-func asandInit(ctx *core.Ctx) error {
-	dim := ctx.Dim()
-	st := &asandState{dim: dim, cells: make([]uint32, dim*dim),
-		tileW: ctx.Cfg.TileW, tileH: ctx.Cfg.TileH, fr: tilegrid.New(ctx.Grid)}
-	st.fr.Advance() // first iteration sweeps every tile
-	for y := 1; y < dim-1; y++ {
-		for x := 1; x < dim-1; x++ {
-			st.cells[y*dim+x] = 5
-		}
-	}
-	ctx.SetPriv(st)
-	asandRefresh(ctx)
-	return nil
-}
-
-func asandStateOf(ctx *core.Ctx) *asandState { return ctx.Priv().(*asandState) }
-
-func asandRefresh(ctx *core.Ctx) {
-	st := asandStateOf(ctx)
-	im := ctx.Cur()
-	palette := [4]img2d.Pixel{
-		img2d.Black,
-		img2d.RGB(60, 60, 160),
-		img2d.RGB(80, 160, 220),
-		img2d.RGB(240, 240, 170),
-	}
-	for y := 0; y < st.dim; y++ {
-		row := im.Row(y)
-		for x := 0; x < st.dim; x++ {
-			g := atomic.LoadUint32(&st.cells[y*st.dim+x])
-			if g < 4 {
-				row[x] = palette[g]
-			} else {
-				row[x] = img2d.Red
-			}
-		}
-	}
-}
-
-// asandSeqTile topples every unstable cell of the tile once, in place,
-// without atomics (sequential use only). Returns whether it toppled
-// anything.
-func (s *asandState) asandSeqTile(x, y, w, h int) bool {
+// asandStep topples every unstable cell of the tile once, in place, and
+// reports whether it toppled anything. Grains spill into the one-cell
+// rim around the tile; the engine never runs two tiles whose rims meet
+// at the same time. The absorbing world border is never toppled.
+func asandStep(b *board[uint32], x, y, w, h int) bool {
 	active := false
+	dim, cells := b.dim, b.cur
 	for yy := y; yy < y+h; yy++ {
 		for xx := x; xx < x+w; xx++ {
-			if yy == 0 || yy == s.dim-1 || xx == 0 || xx == s.dim-1 {
+			if yy == 0 || yy == dim-1 || xx == 0 || xx == dim-1 {
 				continue
 			}
-			idx := yy*s.dim + xx
-			v := s.cells[idx]
+			idx := yy*dim + xx
+			v := cells[idx]
 			if v < 4 {
 				continue
 			}
 			spill := v / 4
-			s.cells[idx] = v % 4
-			s.cells[idx-1] += spill
-			s.cells[idx+1] += spill
-			s.cells[idx-s.dim] += spill
-			s.cells[idx+s.dim] += spill
+			cells[idx] = v % 4
+			cells[idx-1] += spill
+			cells[idx+1] += spill
+			cells[idx-dim] += spill
+			cells[idx+dim] += spill
 			active = true
 		}
 	}
 	return active
-}
-
-// asandAtomicTile is the parallel-safe tile topple: grains move with
-// atomic operations so concurrent tiles may exchange grains across their
-// shared borders without losing any (grain conservation is what the
-// property tests check).
-func (s *asandState) asandAtomicTile(x, y, w, h int) bool {
-	active := false
-	for yy := y; yy < y+h; yy++ {
-		for xx := x; xx < x+w; xx++ {
-			if yy == 0 || yy == s.dim-1 || xx == 0 || xx == s.dim-1 {
-				continue
-			}
-			idx := yy*s.dim + xx
-			for {
-				v := atomic.LoadUint32(&s.cells[idx])
-				if v < 4 {
-					break
-				}
-				spill := v / 4
-				if !atomic.CompareAndSwapUint32(&s.cells[idx], v, v%4) {
-					continue // a neighbour pushed grains in; retry
-				}
-				atomic.AddUint32(&s.cells[idx-1], spill)
-				atomic.AddUint32(&s.cells[idx+1], spill)
-				atomic.AddUint32(&s.cells[idx-s.dim], spill)
-				atomic.AddUint32(&s.cells[idx+s.dim], spill)
-				active = true
-				break
-			}
-		}
-	}
-	return active
-}
-
-func asandSeq(ctx *core.Ctx, nbIter int) int {
-	st := asandStateOf(ctx)
-	return ctx.ForIterations(nbIter, func(int) bool {
-		return st.asandSeqTile(0, 0, st.dim, st.dim)
-	})
-}
-
-// asandOmpTiled topples tiles in parallel. In-place asynchronous toppling
-// tolerates any interleaving thanks to the Abelian property; atomics keep
-// grain counts exact across tile borders.
-func asandOmpTiled(ctx *core.Ctx, nbIter int) int {
-	st := asandStateOf(ctx)
-	return ctx.ForIterations(nbIter, func(int) bool {
-		var activeFlag atomic.Bool
-		ctx.Pool.ParallelForTiles(ctx.Grid, ctx.Cfg.Schedule, func(x, y, w, h, worker int) {
-			ctx.StartTile(worker)
-			if st.asandAtomicTile(x, y, w, h) {
-				activeFlag.Store(true)
-			}
-			ctx.EndTile(x, y, w, h, worker)
-		})
-		return activeFlag.Load()
-	})
-}
-
-// asandLazyOmp sweeps only the frontier: a tile that toppled re-enters it
-// together with its 8 neighbours (a topple on a tile edge pushes grains
-// across the border, so the neighbour may have become unstable). A tile
-// that toppled nothing is steady until a neighbour's topple re-marks it —
-// grains only ever arrive through topples, so every unstable tile is
-// always in the frontier. The stable board is byte-identical to every
-// other variant by the Abelian property.
-func asandLazyOmp(ctx *core.Ctx, nbIter int) int {
-	st := asandStateOf(ctx)
-	return ctx.ForIterations(nbIter, func(int) bool {
-		ctx.ReportActivity(st.fr.Count(), st.fr.Total(), st.fr.Active())
-		ctx.Pool.ParallelForActive(ctx.Grid, st.fr.Active(), ctx.Cfg.Schedule, func(x, y, w, h, worker int) {
-			ctx.StartTile(worker)
-			if st.asandAtomicTile(x, y, w, h) {
-				st.fr.MarkChanged(x/st.tileW, y/st.tileH)
-			}
-			ctx.EndTile(x, y, w, h, worker)
-		})
-		return st.fr.Advance() > 0
-	})
-}
-
-// ASandGrainsSnapshot exposes a copy of the grain grid for tests.
-func ASandGrainsSnapshot(ctx *core.Ctx) []uint32 {
-	st := asandStateOf(ctx)
-	out := make([]uint32, len(st.cells))
-	for i := range st.cells {
-		out[i] = atomic.LoadUint32(&st.cells[i])
-	}
-	return out
 }

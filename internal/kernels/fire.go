@@ -6,9 +6,8 @@ package kernels
 // activity lives on the fire front — a one-cell-thick ring expanding
 // through the forest — so the tile frontier starts at the ignition point,
 // grows to the ring's tiles, and collapses to zero when the fire burns
-// out. Unlike life or the sandpiles (which grew lazy variants after the
-// fact), fire was written against internal/tilegrid from the start: the
-// proof that the engine's API generalizes to new stencil kernels.
+// out. The kernel is nothing but a rule for the stencil engine
+// (stencil.go), which derives its lazy, tiled and MPI variants.
 //
 // The density of the (seeded, deterministic) random forest puts the run
 // on either side of the percolation threshold: dense forests burn wall to
@@ -18,29 +17,26 @@ package kernels
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"easypap/internal/core"
 	"easypap/internal/img2d"
-	"easypap/internal/mpi"
-	"easypap/internal/tilegrid"
 )
 
 func init() {
-	core.Register(&core.Kernel{
-		Name:        "fire",
-		Description: "forest-fire percolation on the tile frontier",
-		Init:        fireInit,
-		Refresh:     fireRefresh,
-		Variants: map[string]core.ComputeFunc{
-			"seq":       fireSeq,
-			"omp_tiled": fireOmpTiled,
-			"lazy":      fireLazy,
-			"mpi_omp":   fireMPIOmp,
+	(&stencil[uint8]{
+		name:           "fire",
+		description:    "forest-fire percolation on the tile frontier",
+		defaultVariant: "lazy",
+		lazyVariant:    "lazy",
+		palette: []img2d.Pixel{
+			img2d.RGB(24, 20, 12),   // empty: dark soil
+			img2d.RGB(30, 140, 40),  // tree
+			img2d.RGB(255, 120, 20), // burning
+			img2d.RGB(70, 70, 74),   // ash
 		},
-		DefaultVariant: "lazy",
-		Codec:          fireCodec{},
-	})
+		seed: fireSeed,
+		rule: fireStep,
+	}).register()
 }
 
 // Cell states (uint8).
@@ -51,317 +47,64 @@ const (
 	fireAsh     = 3 // burnt out: never changes again
 )
 
-// fireState is the double-buffered cell grid plus the tile frontier.
-type fireState struct {
-	dim       int
-	cur, next []uint8
-	tileW     int
-	tileH     int
-	fr        *tilegrid.Frontier
-
-	// MPI mode: the rank's band, exchanged ghost rows and the
-	// frontier-aware halo engine (nil otherwise).
-	band       mpi.Band
-	ghostAbove []uint8
-	ghostBelow []uint8
-	halo       *mpi.Halo
-}
-
-// fireInit seeds the forest according to cfg.Arg:
+// fireSeed grows the forest according to cfg.Arg:
 //
 //	"forest" — random trees at 65% density (above the percolation
 //	           threshold), center tree ignited (default)
 //	"sparse" — 45% density: the fire starves quickly
 //	"full"   — every cell a tree, center ignited: the frontier is a
 //	           clean expanding diamond
-func fireInit(ctx *core.Ctx) error {
-	dim := ctx.Dim()
-	st := &fireState{
-		dim:   dim,
-		cur:   make([]uint8, dim*dim),
-		next:  make([]uint8, dim*dim),
-		tileW: ctx.Cfg.TileW,
-		tileH: ctx.Cfg.TileH,
-		fr:    tilegrid.New(ctx.Grid),
-		band:  mpi.Band{Lo: 0, Hi: dim, Dim: dim},
-	}
-	if ctx.Comm != nil {
-		st.band = ctx.Band
-		if st.band.Rows()%st.tileH != 0 {
-			return fmt.Errorf("fire: band of %d rows not divisible by tile height %d",
-				st.band.Rows(), st.tileH)
-		}
-		st.fr.Restrict(st.band.Lo/st.tileH, st.band.Hi/st.tileH)
-	}
-	st.fr.Advance() // first iteration scans the whole (owned) forest
-
-	pattern := ctx.Cfg.Arg
-	if pattern == "" {
-		pattern = "forest"
-	}
+func fireSeed(ctx *core.Ctx, b *board[uint8]) error {
 	density := 0.0
-	switch pattern {
-	case "forest":
+	switch ctx.Cfg.Arg {
+	case "forest", "":
 		density = 0.65
 	case "sparse":
 		density = 0.45
 	case "full":
 		density = 1.0
 	default:
-		return fmt.Errorf("fire: unknown pattern %q (have forest, sparse, full)", pattern)
+		return fmt.Errorf("fire: unknown pattern %q (have forest, sparse, full)", ctx.Cfg.Arg)
 	}
 	rng := rand.New(rand.NewSource(ctx.Cfg.Seed + 7))
-	for i := range st.cur {
+	for i := range b.cur {
 		// Always draw so the forest layout for a given seed does not
 		// depend on the density.
 		if rng.Float64() < density {
-			st.cur[i] = fireTree
+			b.cur[i] = fireTree
 		}
 	}
-	c := dim / 2
-	st.cur[c*dim+c] = fireBurning
-	copy(st.next, st.cur)
-	ctx.SetPriv(st)
-	fireRefresh(ctx)
+	c := b.dim / 2
+	b.cur[c*b.dim+c] = fireBurning
 	return nil
 }
 
-func fireStateOf(ctx *core.Ctx) *fireState { return ctx.Priv().(*fireState) }
-
-func fireRefresh(ctx *core.Ctx) {
-	st := fireStateOf(ctx)
-	palette := [4]img2d.Pixel{
-		img2d.RGB(24, 20, 12),   // empty: dark soil
-		img2d.RGB(30, 140, 40),  // tree
-		img2d.RGB(255, 120, 20), // burning
-		img2d.RGB(70, 70, 74),   // ash
-	}
-	if ctx.Comm == nil {
-		im := ctx.Cur()
-		for y := 0; y < st.dim; y++ {
-			row := im.Row(y)
-			for x := 0; x < st.dim; x++ {
-				row[x] = palette[st.cur[y*st.dim+x]&3]
-			}
-		}
-		return
-	}
-	// Collective: each rank contributes its painted band; master copies.
-	pixels := make([]uint32, st.band.Rows()*st.dim)
-	for y := st.band.Lo; y < st.band.Hi; y++ {
-		for x := 0; x < st.dim; x++ {
-			pixels[(y-st.band.Lo)*st.dim+x] = uint32(palette[st.cur[y*st.dim+x]&3])
-		}
-	}
-	full, err := ctx.Comm.GatherBands(0, st.band, pixels)
-	if err != nil || full == nil {
-		return
-	}
-	copy(ctx.Cur().Pixels(), full)
-}
-
-// fireStepCell computes a cell's next state: burning → ash; a tree with a
-// burning 4-neighbour ignites; everything else is inert.
-func (s *fireState) fireStepCell(y, x int) uint8 {
-	v := s.cur[y*s.dim+x]
-	switch v {
-	case fireBurning:
-		return fireAsh
-	case fireTree:
-		if (x > 0 && s.cur[y*s.dim+x-1] == fireBurning) ||
-			(x < s.dim-1 && s.cur[y*s.dim+x+1] == fireBurning) ||
-			(y > 0 && s.cur[(y-1)*s.dim+x] == fireBurning) ||
-			(y < s.dim-1 && s.cur[(y+1)*s.dim+x] == fireBurning) {
-			return fireBurning
-		}
-	}
-	return v
-}
-
-// fireStepTile advances every cell of the tile, returning whether any cell
-// changed. Every cell is written, maintaining the tilegrid no-copy
-// invariant for skipped tiles.
-func (s *fireState) fireStepTile(x, y, w, h int) bool {
+// fireStep advances every cell of the tile: burning → ash; a tree with a
+// burning 4-neighbour ignites; everything else is inert. Beyond the world
+// edge lies bare ground.
+func fireStep(b *board[uint8], x, y, w, h int) bool {
 	changed := false
+	last := b.dim - 1
 	for yy := y; yy < y+h; yy++ {
+		up, mid, dn := b.rowOrZero(b.cur, yy-1), b.row(b.cur, yy), b.rowOrZero(b.cur, yy+1)
+		out := b.row(b.next, yy)
 		for xx := x; xx < x+w; xx++ {
-			v := s.fireStepCell(yy, xx)
-			if v != s.cur[yy*s.dim+xx] {
+			v := mid[xx]
+			switch v {
+			case fireBurning:
+				v = fireAsh
+			case fireTree:
+				if up[xx] == fireBurning || dn[xx] == fireBurning ||
+					(xx > 0 && mid[xx-1] == fireBurning) ||
+					(xx < last && mid[xx+1] == fireBurning) {
+					v = fireBurning
+				}
+			}
+			if v != mid[xx] {
 				changed = true
 			}
-			s.next[yy*s.dim+xx] = v
+			out[xx] = v
 		}
 	}
 	return changed
-}
-
-func (s *fireState) swap() { s.cur, s.next = s.next, s.cur }
-
-func fireSeq(ctx *core.Ctx, nbIter int) int {
-	st := fireStateOf(ctx)
-	return ctx.ForIterations(nbIter, func(int) bool {
-		changed := st.fireStepTile(0, 0, st.dim, st.dim)
-		st.swap()
-		return changed
-	})
-}
-
-func fireOmpTiled(ctx *core.Ctx, nbIter int) int {
-	st := fireStateOf(ctx)
-	return ctx.ForIterations(nbIter, func(int) bool {
-		ctx.Pool.ParallelForTiles(ctx.Grid, ctx.Cfg.Schedule, func(x, y, w, h, worker int) {
-			ctx.StartTile(worker)
-			if st.fireStepTile(x, y, w, h) {
-				st.fr.MarkChanged(x/st.tileW, y/st.tileH)
-			}
-			ctx.EndTile(x, y, w, h, worker)
-		})
-		st.swap()
-		return st.fr.Advance() > 0
-	})
-}
-
-// fireLazy is the frontier-native variant: only tiles touching the fire
-// front are dispatched, so per-iteration cost tracks the front's length,
-// not the forest's area.
-func fireLazy(ctx *core.Ctx, nbIter int) int {
-	st := fireStateOf(ctx)
-	return ctx.ForIterations(nbIter, func(int) bool {
-		ctx.ReportActivity(st.fr.Count(), st.fr.Total(), st.fr.Active())
-		ctx.Pool.ParallelForActive(ctx.Grid, st.fr.Active(), ctx.Cfg.Schedule, func(x, y, w, h, worker int) {
-			ctx.StartTile(worker)
-			if st.fireStepTile(x, y, w, h) {
-				st.fr.MarkChanged(x/st.tileW, y/st.tileH)
-			}
-			ctx.EndTile(x, y, w, h, worker)
-		})
-		st.swap()
-		return st.fr.Advance() > 0
-	})
-}
-
-// curAt reads a cell with ghost-row support: the rows just outside the
-// rank's band are served from the exchanged ghost rows; outside the world
-// everything is bare ground (the existing bounds guards never ignite
-// across the world edge, so fireEmpty is the exact equivalent).
-func (s *fireState) curAt(y, x int) uint8 {
-	if x < 0 || x >= s.dim || y < 0 || y >= s.dim {
-		return fireEmpty
-	}
-	if y < s.band.Lo {
-		if s.ghostAbove != nil && y == s.band.Lo-1 {
-			return s.ghostAbove[x]
-		}
-		return fireEmpty
-	}
-	if y >= s.band.Hi {
-		if s.ghostBelow != nil && y == s.band.Hi {
-			return s.ghostBelow[x]
-		}
-		return fireEmpty
-	}
-	return s.cur[y*s.dim+x]
-}
-
-// fireStepCellGhost is fireStepCell reading through curAt — same rule,
-// band-boundary rows see the neighbour rank's cells.
-func (s *fireState) fireStepCellGhost(y, x int) uint8 {
-	v := s.cur[y*s.dim+x]
-	switch v {
-	case fireBurning:
-		return fireAsh
-	case fireTree:
-		if s.curAt(y, x-1) == fireBurning || s.curAt(y, x+1) == fireBurning ||
-			s.curAt(y-1, x) == fireBurning || s.curAt(y+1, x) == fireBurning {
-			return fireBurning
-		}
-	}
-	return v
-}
-
-// fireStepTileGhost advances a tile through the ghost-aware rule.
-func (s *fireState) fireStepTileGhost(x, y, w, h int) bool {
-	changed := false
-	for yy := y; yy < y+h; yy++ {
-		for xx := x; xx < x+w; xx++ {
-			v := s.fireStepCellGhost(yy, xx)
-			if v != s.cur[yy*s.dim+xx] {
-				changed = true
-			}
-			s.next[yy*s.dim+xx] = v
-		}
-	}
-	return changed
-}
-
-// fireHalo builds the frontier-aware halo engine for a rank: boundary rows
-// travel as raw byte rows (four states need the full byte), frontier flags
-// ride in the same packet, quiet edges are skipped — on a burnt-out or
-// not-yet-reached band edge the exchange costs nothing.
-func fireHalo(ctx *core.Ctx, st *fireState) *mpi.Halo {
-	return &mpi.Halo{
-		C: ctx.Comm, Band: st.band, Fr: st.fr, TileH: st.tileH,
-		EncodeRow: func(y int) []byte {
-			return append([]byte(nil), st.cur[y*st.dim:(y+1)*st.dim]...)
-		},
-		SetGhost: func(side int, row []byte) {
-			if side < 0 {
-				if st.ghostAbove == nil {
-					st.ghostAbove = make([]uint8, st.dim)
-				}
-				copy(st.ghostAbove, row)
-			} else {
-				if st.ghostBelow == nil {
-					st.ghostBelow = make([]uint8, st.dim)
-				}
-				copy(st.ghostBelow, row)
-			}
-		},
-		OnStep: ctx.ReportHalo,
-	}
-}
-
-// fireMPIOmp distributes row bands across ranks: sparse dispatch of the
-// local fire front, one frontier-aware halo exchange per iteration. The
-// fire front is the best case for halo skipping — a band the front has not
-// reached (or has burnt through) never touches its edges, so most
-// iterations move zero boundary bytes.
-func fireMPIOmp(ctx *core.Ctx, nbIter int) int {
-	st := fireStateOf(ctx)
-	if ctx.Comm == nil {
-		return 0 // mpi variant requires --mpirun
-	}
-	if st.halo == nil {
-		st.halo = fireHalo(ctx, st)
-		if err := st.halo.Prime(); err != nil {
-			return 0
-		}
-	}
-	var marked atomic.Bool
-	return ctx.ForIterations(nbIter, func(int) bool {
-		marked.Store(false)
-		ctx.ReportActivity(st.fr.Count(), st.fr.Total(), st.fr.Active())
-		ctx.Pool.ParallelForActive(ctx.Grid, st.fr.Active(), ctx.Cfg.Schedule, func(x, y, w, h, worker int) {
-			ctx.StartTile(worker)
-			if st.fireStepTileGhost(x, y, w, h) {
-				st.fr.MarkChanged(x/st.tileW, y/st.tileH)
-				marked.Store(true)
-			}
-			ctx.EndTile(x, y, w, h, worker)
-		})
-		st.swap()
-		cont, err := st.halo.Step(marked.Load())
-		if err != nil {
-			return false // distributed session aborted by the world
-		}
-		return cont
-	})
-}
-
-// FireCellsSnapshot exposes a copy of the cell grid for tests.
-func FireCellsSnapshot(ctx *core.Ctx) []uint8 {
-	st := fireStateOf(ctx)
-	out := make([]uint8, len(st.cur))
-	copy(out, st.cur)
-	return out
 }

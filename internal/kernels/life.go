@@ -5,163 +5,71 @@ package kernels
 // touched on graphical refresh), a lazy evaluation algorithm that skips
 // tiles whose neighbourhood was steady at the previous iteration, and an
 // MPI+OpenMP variant exchanging ghost-cell rows plus per-tile steadiness
-// meta-information between processes (Fig. 13).
+// meta-information between processes (Fig. 13). The stencil engine
+// (stencil.go) derives all of that from the rule below; only the
+// bit-packed variant (life_bitpack.go) has its own compute function.
 
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"easypap/internal/core"
 	"easypap/internal/img2d"
-	"easypap/internal/mpi"
-	"easypap/internal/tilegrid"
 )
 
 func init() {
-	core.Register(&core.Kernel{
-		Name:        "life",
-		Description: "Conway's Game of Life with lazy tile evaluation",
-		Init:        lifeInit,
-		Refresh:     lifeRefresh,
-		Variants: map[string]core.ComputeFunc{
-			"seq":       lifeSeq,
-			"omp_tiled": lifeOmpTiled,
-			"lazy":      lifeLazy,
-			"bitpack":   lifeBitpack,
-			"mpi_omp":   lifeMPIOmp,
-		},
-		DefaultVariant: "seq",
-		Codec:          lifeCodec{},
-	})
+	(&stencil[uint8]{
+		name:           "life",
+		description:    "Conway's Game of Life with lazy tile evaluation",
+		defaultVariant: "seq",
+		lazyVariant:    "lazy",
+		palette:        []img2d.Pixel{img2d.Black, img2d.Yellow},
+		seed:           lifeSeed,
+		rule:           lifeStep,
+		rows:           bitRows, // halos ship one bit per cell
+		extra:          map[string]core.ComputeFunc{"bitpack": lifeBitpack},
+	}).register()
 }
 
-// lifeState is the kernel-private board: two byte grids (cur/next) instead
-// of pixel buffers — the "own, low memory footprint data structures"
-// requirement of §III-D — plus the shared tile-activity frontier
-// (internal/tilegrid) that replaces the changed[]/prevChange[] arrays this
-// kernel used to maintain privately.
-type lifeState struct {
-	dim       int
-	cur, next []uint8
-	tilesX    int
-	tilesY    int
-	tileW     int
-	tileH     int
-
-	// fr tracks which tiles must be computed next iteration. Thanks to
-	// the frontier's no-copy invariant (tilegrid package doc), skipped
-	// tiles need no cur→next copy: their cells are already identical in
-	// both buffers.
-	fr *tilegrid.Frontier
-
-	// MPI mode: the rank's band, ghost rows (one above, one below), and
-	// the frontier-aware halo engine driving the boundary protocol.
-	band       mpi.Band
-	ghostAbove []uint8
-	ghostBelow []uint8
-	halo       *mpi.Halo
-
-	// bits is the packed double buffer of the "bitpack" variant, created
-	// lazily on first use (life_bitpack.go).
-	bits *lifeBits
-}
-
-func (s *lifeState) at(y, x int) uint8     { return s.cur[y*s.dim+x] }
-func (s *lifeState) set(y, x int, v uint8) { s.next[y*s.dim+x] = v }
-func (s *lifeState) swap()                 { s.cur, s.next = s.next, s.cur }
-
-// curAt reads a cell with ghost-row support: y == band.Lo-1 and y ==
-// band.Hi are served from the exchanged ghost rows in MPI mode; outside
-// the world everything is dead.
-func (s *lifeState) curAt(y, x int) uint8 {
-	if x < 0 || x >= s.dim || y < 0 || y >= s.dim {
-		return 0
-	}
-	if y < s.band.Lo {
-		if s.ghostAbove != nil && y == s.band.Lo-1 {
-			return s.ghostAbove[x]
-		}
-		return 0
-	}
-	if y >= s.band.Hi {
-		if s.ghostBelow != nil && y == s.band.Hi {
-			return s.ghostBelow[x]
-		}
-		return 0
-	}
-	return s.at(y, x)
-}
-
-// lifeInit seeds the board according to cfg.Arg:
+// lifeSeed seeds the board according to cfg.Arg:
 //
 //	"random"  — 25% alive, deterministic from cfg.Seed (default)
 //	"diag"    — gliders marching along both diagonals, the sparse
 //	            "planers" dataset of Fig. 13
 //	"blinker" — a single period-2 oscillator in the center
 //	"empty"   — all dead (steady immediately: exercises early convergence)
-func lifeInit(ctx *core.Ctx) error {
-	dim := ctx.Dim()
-	st := &lifeState{
-		dim:    dim,
-		cur:    make([]uint8, dim*dim),
-		next:   make([]uint8, dim*dim),
-		tileW:  ctx.Cfg.TileW,
-		tileH:  ctx.Cfg.TileH,
-		tilesX: dim / ctx.Cfg.TileW,
-		tilesY: dim / ctx.Cfg.TileH,
-		band:   mpi.Band{Lo: 0, Hi: dim, Dim: dim},
-	}
-	st.fr = tilegrid.New(ctx.Grid)
-
-	if ctx.Comm != nil {
-		st.band = ctx.Band
-		if st.band.Rows()%st.tileH != 0 {
-			return fmt.Errorf("life: band of %d rows not divisible by tile height %d",
-				st.band.Rows(), st.tileH)
-		}
-		st.fr.Restrict(st.band.Lo/st.tileH, st.band.Hi/st.tileH)
-	}
-	// Promote the initial all-active marking: the first iteration computes
-	// every (owned) tile, subsequent ones only the frontier.
-	st.fr.Advance()
-
-	pattern := ctx.Cfg.Arg
-	if pattern == "" {
-		pattern = "random"
-	}
-	switch pattern {
-	case "random":
+func lifeSeed(ctx *core.Ctx, b *board[uint8]) error {
+	dim := b.dim
+	switch ctx.Cfg.Arg {
+	case "random", "":
 		rng := rand.New(rand.NewSource(ctx.Cfg.Seed + 1))
-		for i := range st.cur {
+		for i := range b.cur {
 			if rng.Intn(4) == 0 {
-				st.cur[i] = 1
+				b.cur[i] = 1
 			}
 		}
 	case "diag":
 		// Gliders every 16 cells along both diagonals, moving outward.
 		for d := 8; d < dim-8; d += 16 {
-			placeGlider(st, d, d, false)
-			placeGlider(st, d, dim-1-d, true)
+			placeGlider(b, d, d, false)
+			placeGlider(b, d, dim-1-d, true)
 		}
 	case "blinker":
 		c := dim / 2
 		for dx := -1; dx <= 1; dx++ {
-			st.cur[c*dim+c+dx] = 1
+			b.cur[c*dim+c+dx] = 1
 		}
 	case "empty":
 		// all dead
 	default:
-		return fmt.Errorf("life: unknown pattern %q (have random, diag, blinker, empty)", pattern)
+		return fmt.Errorf("life: unknown pattern %q (have random, diag, blinker, empty)", ctx.Cfg.Arg)
 	}
-	ctx.SetPriv(st)
-	lifeRefresh(ctx)
 	return nil
 }
 
 // placeGlider stamps a down-right glider at (y, x); mirrored horizontally
 // when mirror is set (down-left).
-func placeGlider(st *lifeState, y, x int, mirror bool) {
+func placeGlider(b *board[uint8], y, x int, mirror bool) {
 	shape := [3][3]uint8{
 		{0, 1, 0},
 		{0, 0, 1},
@@ -174,223 +82,39 @@ func placeGlider(st *lifeState, y, x int, mirror bool) {
 				xx = x + 2 - dx
 			}
 			yy := y + dy
-			if yy >= 0 && yy < st.dim && xx >= 0 && xx < st.dim {
-				st.cur[yy*st.dim+xx] = shape[dy][dx]
+			if yy >= 0 && yy < b.dim && xx >= 0 && xx < b.dim {
+				b.cur[yy*b.dim+xx] = shape[dy][dx]
 			}
 		}
 	}
 }
 
-func lifeStateOf(ctx *core.Ctx) *lifeState { return ctx.Priv().(*lifeState) }
-
-// lifeRefresh paints the board into the current image — the only moment
-// the kernel touches pixels. Under MPI, bands are gathered at the master.
-func lifeRefresh(ctx *core.Ctx) {
-	st := lifeStateOf(ctx)
-	if ctx.Comm == nil {
-		paintBoard(ctx.Cur(), st.cur, st.dim, 0, st.dim)
-		return
-	}
-	// Collective: every rank contributes its band; master paints.
-	pixels := make([]uint32, st.band.Rows()*st.dim)
-	for y := st.band.Lo; y < st.band.Hi; y++ {
-		for x := 0; x < st.dim; x++ {
-			if st.at(y, x) != 0 {
-				pixels[(y-st.band.Lo)*st.dim+x] = uint32(img2d.Yellow)
-			} else {
-				pixels[(y-st.band.Lo)*st.dim+x] = uint32(img2d.Black)
-			}
-		}
-	}
-	full, err := ctx.Comm.GatherBands(0, st.band, pixels)
-	if err != nil || full == nil {
-		return
-	}
-	copy(ctx.Cur().Pixels(), full)
-}
-
-// paintBoard colors alive cells yellow on black for rows [lo, hi).
-func paintBoard(im *img2d.Image, cells []uint8, dim, lo, hi int) {
-	for y := lo; y < hi; y++ {
-		row := im.Row(y)
-		for x := 0; x < dim; x++ {
-			if cells[y*dim+x] != 0 {
-				row[x] = img2d.Yellow
-			} else {
-				row[x] = img2d.Black
-			}
-		}
-	}
-}
-
-// lifeStepCell applies the B3/S23 rule to one cell using curAt (ghost-row
-// aware).
-func (s *lifeState) lifeStepCell(y, x int) uint8 {
-	n := s.curAt(y-1, x-1) + s.curAt(y-1, x) + s.curAt(y-1, x+1) +
-		s.curAt(y, x-1) + s.curAt(y, x+1) +
-		s.curAt(y+1, x-1) + s.curAt(y+1, x) + s.curAt(y+1, x+1)
-	alive := s.curAt(y, x)
-	if alive != 0 {
-		if n == 2 || n == 3 {
-			return 1
-		}
-		return 0
-	}
-	if n == 3 {
-		return 1
-	}
-	return 0
-}
-
-// lifeComputeTile steps every cell of the tile, returning whether anything
-// changed.
-func (s *lifeState) lifeComputeTile(x, y, w, h int) bool {
+// lifeStep applies the B3/S23 rule to every cell of the tile. Rows
+// beyond the world edge read as dead; a band's ghost rows are ordinary
+// board rows.
+func lifeStep(b *board[uint8], x, y, w, h int) bool {
 	changed := false
+	last := b.dim - 1
 	for yy := y; yy < y+h; yy++ {
+		up, mid, dn := b.rowOrZero(b.cur, yy-1), b.row(b.cur, yy), b.rowOrZero(b.cur, yy+1)
+		out := b.row(b.next, yy)
 		for xx := x; xx < x+w; xx++ {
-			v := s.lifeStepCell(yy, xx)
-			if v != s.at(yy, xx) {
+			n := up[xx] + dn[xx]
+			if xx > 0 {
+				n += up[xx-1] + mid[xx-1] + dn[xx-1]
+			}
+			if xx < last {
+				n += up[xx+1] + mid[xx+1] + dn[xx+1]
+			}
+			v := uint8(0)
+			if n == 3 || n == 2 && mid[xx] != 0 {
+				v = 1
+			}
+			if v != mid[xx] {
 				changed = true
 			}
-			s.set(yy, xx, v)
+			out[xx] = v
 		}
 	}
 	return changed
-}
-
-func lifeSeq(ctx *core.Ctx, nbIter int) int {
-	st := lifeStateOf(ctx)
-	return ctx.ForIterations(nbIter, func(int) bool {
-		anyChange := st.lifeComputeTile(0, 0, st.dim, st.dim)
-		st.swap()
-		return anyChange
-	})
-}
-
-func lifeOmpTiled(ctx *core.Ctx, nbIter int) int {
-	st := lifeStateOf(ctx)
-	return ctx.ForIterations(nbIter, func(int) bool {
-		ctx.Pool.ParallelForTiles(ctx.Grid, ctx.Cfg.Schedule, func(x, y, w, h, worker int) {
-			ctx.StartTile(worker)
-			if st.lifeComputeTile(x, y, w, h) {
-				st.fr.MarkChanged(x/st.tileW, y/st.tileH)
-			}
-			ctx.EndTile(x, y, w, h, worker)
-		})
-		st.swap()
-		// Eager variant: the frontier is consulted only for convergence
-		// (any change anywhere?), never to skip work.
-		return st.fr.Advance() > 0
-	})
-}
-
-// lifeLazy dispatches only the frontier: tiles whose 3x3 tile
-// neighbourhood changed at the previous iteration. Skipped tiles are not
-// visited at all — sparse dispatch costs O(active), not O(grid) — and are
-// NOT instrumented, so the tiling window shows exactly which areas are
-// being computed, the visual check of §III-D ("areas where nothing
-// changes are not computed"). No copy-tile fallback is needed: see the
-// tilegrid no-copy invariant.
-func lifeLazy(ctx *core.Ctx, nbIter int) int {
-	st := lifeStateOf(ctx)
-	return ctx.ForIterations(nbIter, func(int) bool {
-		ctx.ReportActivity(st.fr.Count(), st.fr.Total(), st.fr.Active())
-		ctx.Pool.ParallelForActive(ctx.Grid, st.fr.Active(), ctx.Cfg.Schedule, func(x, y, w, h, worker int) {
-			ctx.StartTile(worker)
-			if st.lifeComputeTile(x, y, w, h) {
-				st.fr.MarkChanged(x/st.tileW, y/st.tileH)
-			}
-			ctx.EndTile(x, y, w, h, worker)
-		})
-		st.swap()
-		return st.fr.Advance() > 0
-	})
-}
-
-// lifeHalo builds the frontier-aware halo engine for a rank: boundary
-// rows travel bit-packed (binary cells, 8 per byte — the life_bitpack
-// layout lifted to the wire, ~8x smaller halos), frontier flags ride in
-// the same packet, and quiet edges are skipped entirely. The engine is
-// identical in-process and across cluster nodes (internal/serve shards).
-func lifeHalo(ctx *core.Ctx, st *lifeState) *mpi.Halo {
-	return &mpi.Halo{
-		C: ctx.Comm, Band: st.band, Fr: st.fr, TileH: st.tileH,
-		EncodeRow: func(y int) []byte {
-			return mpi.PackRowBits(st.cur[y*st.dim : (y+1)*st.dim])
-		},
-		SetGhost: func(side int, row []byte) {
-			if side < 0 {
-				if st.ghostAbove == nil {
-					st.ghostAbove = make([]uint8, st.dim)
-				}
-				mpi.UnpackRowBits(st.ghostAbove, row)
-			} else {
-				if st.ghostBelow == nil {
-					st.ghostBelow = make([]uint8, st.dim)
-				}
-				mpi.UnpackRowBits(st.ghostBelow, row)
-			}
-		},
-		OnStep: ctx.ReportHalo,
-	}
-}
-
-// lifeMPIOmp distributes row bands across ranks; each iteration computes
-// the local band's tile frontier with sparse dispatch, then runs one
-// frontier-aware halo exchange (mpi.Halo): boundary rows and frontier
-// flags ship in one bit-packed packet per *active* edge, quiet edges cost
-// nothing, and the convergence vote doubles as the edge-activity
-// agreement. The structure is the <150-line MPI+OpenMP solution the
-// paper's students produce — now on the shared tile-activity engine, and
-// the same code path cluster shards execute across nodes.
-func lifeMPIOmp(ctx *core.Ctx, nbIter int) int {
-	st := lifeStateOf(ctx)
-	if ctx.Comm == nil {
-		return 0 // mpi variant requires --mpirun
-	}
-	if st.halo == nil {
-		st.halo = lifeHalo(ctx, st)
-		// Initial ghost rows: every edge carries its boundary once so
-		// iteration 1 computes against real neighbour values.
-		if err := st.halo.Prime(); err != nil {
-			return 0
-		}
-	}
-	var marked atomic.Bool
-	return ctx.ForIterations(nbIter, func(int) bool {
-		// Sparse computation of the local band: the frontier holds only
-		// owned tiles; changes mark the 3x3 neighbourhood, possibly
-		// spilling into the halo tile rows tyLo-1/tyHi owned by the
-		// neighbouring ranks.
-		marked.Store(false)
-		ctx.ReportActivity(st.fr.Count(), st.fr.Total(), st.fr.Active())
-		ctx.Pool.ParallelForActive(ctx.Grid, st.fr.Active(), ctx.Cfg.Schedule, func(x, y, w, h, worker int) {
-			ctx.StartTile(worker)
-			if st.lifeComputeTile(x, y, w, h) {
-				st.fr.MarkChanged(x/st.tileW, y/st.tileH)
-				marked.Store(true)
-			}
-			ctx.EndTile(x, y, w, h, worker)
-		})
-		st.swap()
-
-		// One halo step: active edges exchange (row + flags), the vote
-		// settles both convergence and which edges were active, and the
-		// frontier advances with the merged neighbour flags.
-		cont, err := st.halo.Step(marked.Load())
-		if err != nil {
-			return false // a distributed session is aborted by the world
-		}
-		return cont
-	})
-}
-
-// LifeBoardSnapshot exposes the current board for tests and benchmarks:
-// a copy of the cell array (row-major, 1 = alive). Under MPI each rank
-// returns only its own band rows (other rows are zero).
-func LifeBoardSnapshot(ctx *core.Ctx) []uint8 {
-	st := lifeStateOf(ctx)
-	out := make([]uint8, len(st.cur))
-	copy(out, st.cur)
-	return out
 }

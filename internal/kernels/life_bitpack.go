@@ -18,8 +18,7 @@ import (
 // lifeBits is the packed double buffer. Rows are wpr words long; bit i of
 // word k in a row is the cell at x = k*64 + i. Cells beyond dim in the
 // last word are masked dead, and the world border is dead, matching the
-// byte kernel's curAt semantics (without MPI ghost rows — this is a
-// single-rank variant).
+// byte rule (this is a single-rank variant: no ghost rows).
 type lifeBits struct {
 	dim, wpr  int
 	cur, next []uint64
@@ -154,27 +153,23 @@ func (bb *lifeBits) stepRows(lo, hi int) bool {
 	return diff != 0
 }
 
-// lifeBitpack is the "bitpack" variant: it packs the byte board once per
-// compute call, iterates fully packed with the configured schedule over
-// row bands, and unpacks on exit so refresh and snapshots see the regular
-// board. It is not MPI-aware (full-board only).
+// lifeBitpack is the "bitpack" variant: it iterates fully packed with the
+// configured schedule over row bands, and unpacks on exit so refresh and
+// snapshots see the regular board. It is not MPI-aware (full-board only;
+// Config.Normalize rejects MPI runs of non-mpi variants).
 func lifeBitpack(ctx *core.Ctx, nbIter int) int {
-	st := lifeStateOf(ctx)
-	if ctx.Comm != nil {
-		// Unreachable through core.Run: Config.Normalize rejects MPI runs
-		// of non-mpi variants. Kept as a guard for direct callers.
-		return 0
+	b := boardOf[uint8](ctx)
+	bb, ok := b.aux.(*lifeBits)
+	if !ok {
+		// One pack per run (and per restored checkpoint): every compute
+		// call ends with an unpack, so the packed buffer and the byte
+		// board stay in lockstep across calls and display mode does not
+		// pay an O(dim^2) repack per frame.
+		bb = newLifeBits(b.dim)
+		bb.pack(b.cur)
+		b.aux = bb
 	}
-	if st.bits == nil {
-		// One pack per run: every compute call ends with an unpack, so
-		// the packed buffer and the byte board stay in lockstep across
-		// calls (nothing else mutates the board mid-run) and display
-		// mode does not pay an O(dim^2) repack per frame.
-		st.bits = newLifeBits(st.dim)
-		st.bits.pack(st.cur)
-	}
-	bb := st.bits
-	dim := st.dim
+	dim := b.dim
 	done := ctx.ForIterations(nbIter, func(int) bool {
 		bb.changed.Store(false)
 		ctx.Pool.ParallelForRanges(dim, ctx.Cfg.Schedule, func(lo, hi, worker int) {
@@ -187,6 +182,6 @@ func lifeBitpack(ctx *core.Ctx, nbIter int) int {
 		bb.swap()
 		return bb.changed.Load()
 	})
-	bb.unpack(st.cur)
+	bb.unpack(b.cur)
 	return done
 }

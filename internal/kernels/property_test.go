@@ -11,6 +11,7 @@ import (
 	"easypap/internal/core"
 	"easypap/internal/img2d"
 	"easypap/internal/sched"
+	"easypap/internal/tilegrid"
 )
 
 // randomImage fills a dim x dim image with seeded noise.
@@ -179,40 +180,63 @@ func pixelsAsGrains(im *img2d.Image) []uint32 {
 
 // TestASandpileGrainConservation: until grains start falling off the
 // absorbing border, toppling conserves the total grain count. With a small
-// interior pile the first iterations keep everything inside.
+// interior pile the first iterations keep everything inside. Both the
+// whole-board sweep of seq and the engine's parity-phased parallel sweep
+// (4 workers, plain adds across tile rims) must conserve.
 func TestASandpileGrainConservation(t *testing.T) {
-	// Use the exported snapshot on a hand-driven context via core.Run with
-	// 0 iterations (snapshot of the initial board) vs 1 iteration board
-	// painted back. Instead drive the tile function directly.
 	const dim = 16
-	st := &asandState{dim: dim, cells: make([]uint32, dim*dim)}
-	st.cells[8*dim+8] = 40 // one tall central pile
-	total := func() (sum uint32) {
-		for _, v := range st.cells {
+	grid := sched.MustTileGrid(dim, 4, 4)
+	pile := func() *board[uint32] {
+		b := &board[uint32]{dim: dim, cur: make([]uint32, dim*dim), tileW: 4, tileH: 4,
+			fr: tilegrid.New(grid)}
+		b.cur[8*dim+8] = 40 // one tall central pile
+		return b
+	}
+	total := func(b *board[uint32]) (sum uint32) {
+		for _, v := range b.cur {
 			sum += v
 		}
 		return
 	}
-	before := total()
+	seq := pile()
+	before := total(seq)
 	for i := 0; i < 3; i++ {
-		st.asandSeqTile(0, 0, dim, dim)
-		if got := total(); got != before {
+		asandStep(seq, 0, 0, dim, dim)
+		if got := total(seq); got != before {
 			t.Fatalf("grains not conserved: %d -> %d", before, got)
 		}
 	}
-	// Atomic variant conserves as well.
-	st2 := &asandState{dim: dim, cells: make([]uint32, dim*dim)}
-	st2.cells[8*dim+8] = 40
+
+	pool := sched.NewPool(4)
+	defer pool.Close()
+	ctx := &core.Ctx{Pool: pool, Grid: grid, Cfg: core.Config{Schedule: sched.DynamicPolicy(1)}}
+	s := &stencil[uint32]{inPlace: true, rule: asandStep}
+	par := pile()
+	body := s.tileBody(ctx, par, nil)
 	for i := 0; i < 3; i++ {
-		st2.asandAtomicTile(0, 0, dim, dim)
+		s.sweep(ctx, par, nil, body)
+		if got := total(par); got != before {
+			t.Fatalf("parallel sweep %d lost grains: %d -> %d", i+1, before, got)
+		}
 	}
-	sum2 := uint32(0)
-	for _, v := range st2.cells {
-		sum2 += v
+}
+
+// TestASandpileRejectsOneCellTiles: two same-phase tiles one cell wide
+// (or high) would add into the one cell between them at once, so the
+// parallel variants refuse such tilings; seq, which never splits the
+// board, accepts them.
+func TestASandpileRejectsOneCellTiles(t *testing.T) {
+	for _, tile := range [][2]int{{1, 4}, {4, 1}} {
+		for _, variant := range []string{"omp_tiled", "lazy_omp"} {
+			_, err := core.Run(core.Config{Kernel: "asandpile", Variant: variant, Dim: 8,
+				TileW: tile[0], TileH: tile[1], Iterations: 1, Threads: 2, NoDisplay: true})
+			if err == nil {
+				t.Errorf("asandpile/%s accepted %dx%d tiles", variant, tile[0], tile[1])
+			}
+		}
 	}
-	if sum2 != before {
-		t.Fatalf("atomic topple lost grains: %d -> %d", before, sum2)
-	}
+	runKernel(t, core.Config{Kernel: "asandpile", Variant: "seq", Dim: 8, TileW: 1, TileH: 1,
+		Iterations: 1})
 }
 
 func TestScrollupVariantsMatchSeq(t *testing.T) {

@@ -7,305 +7,66 @@ package kernels
 // order-independent, so all variants produce identical boards.
 
 import (
-	"encoding/binary"
-	"fmt"
-	"sync/atomic"
-
 	"easypap/internal/core"
 	"easypap/internal/img2d"
-	"easypap/internal/mpi"
-	"easypap/internal/tilegrid"
 )
 
+// sandPalette maps 0..3 grains to a dark ramp and 4+ (still unstable) to
+// bright red.
+var sandPalette = []img2d.Pixel{
+	img2d.Black,
+	img2d.RGB(60, 60, 160),
+	img2d.RGB(80, 160, 220),
+	img2d.RGB(240, 240, 170),
+	img2d.Red,
+}
+
 func init() {
-	core.Register(&core.Kernel{
-		Name:        "sandpile",
-		Description: "synchronous Abelian sandpile",
-		Init:        sandInit,
-		Refresh:     sandRefresh,
-		Variants: map[string]core.ComputeFunc{
-			"seq":       sandSeq,
-			"omp_tiled": sandOmpTiled,
-			"lazy_omp":  sandLazyOmp,
-			"mpi_omp":   sandMPIOmp,
-		},
-		DefaultVariant: "seq",
-		Codec:          sandCodec{},
-	})
+	(&stencil[uint32]{
+		name:           "sandpile",
+		description:    "synchronous Abelian sandpile",
+		defaultVariant: "seq",
+		lazyVariant:    "lazy_omp",
+		palette:        sandPalette,
+		seed:           sandSeed,
+		rule:           sandStep,
+	}).register()
 }
 
-// sandState is the kernel-private grain grid (uint32 per cell; counts can
-// exceed 255 transiently with large initial piles) plus the shared
-// tile-activity frontier for the lazy variant and convergence tracking.
-type sandState struct {
-	dim       int
-	cur, next []uint32
-	tileW     int
-	tileH     int
-	fr        *tilegrid.Frontier
-
-	// MPI mode: the rank's band, exchanged ghost rows and the
-	// frontier-aware halo engine (nil otherwise).
-	band       mpi.Band
-	ghostAbove []uint32
-	ghostBelow []uint32
-	halo       *mpi.Halo
-}
-
-func sandInit(ctx *core.Ctx) error {
-	dim := ctx.Dim()
-	st := &sandState{dim: dim, cur: make([]uint32, dim*dim), next: make([]uint32, dim*dim),
-		tileW: ctx.Cfg.TileW, tileH: ctx.Cfg.TileH, fr: tilegrid.New(ctx.Grid),
-		band: mpi.Band{Lo: 0, Hi: dim, Dim: dim}}
-	if ctx.Comm != nil {
-		st.band = ctx.Band
-		if st.band.Rows()%st.tileH != 0 {
-			return fmt.Errorf("sandpile: band of %d rows not divisible by tile height %d",
-				st.band.Rows(), st.tileH)
-		}
-		st.fr.Restrict(st.band.Lo/st.tileH, st.band.Hi/st.tileH)
-	}
-	st.fr.Advance() // first iteration computes every (owned) tile
-	// EASYPAP's classic setup: every interior cell starts with 5 grains
-	// (unstable), the one-cell border stays empty and absorbs grains.
-	for y := 1; y < dim-1; y++ {
-		for x := 1; x < dim-1; x++ {
-			st.cur[y*dim+x] = 5
+// sandSeed is EASYPAP's classic setup: every interior cell starts with 5
+// grains (unstable), the one-cell border stays empty and absorbs grains.
+// Grain counts are uint32: they can exceed 255 transiently with large
+// initial piles.
+func sandSeed(_ *core.Ctx, b *board[uint32]) error {
+	for y := 1; y < b.dim-1; y++ {
+		for x := 1; x < b.dim-1; x++ {
+			b.cur[y*b.dim+x] = 5
 		}
 	}
-	ctx.SetPriv(st)
-	sandRefresh(ctx)
 	return nil
 }
 
-func sandStateOf(ctx *core.Ctx) *sandState { return ctx.Priv().(*sandState) }
-
-// sandRefresh maps grain counts to colors (0..3 grains: dark ramp; 4+:
-// bright red — still unstable).
-func sandRefresh(ctx *core.Ctx) {
-	st := sandStateOf(ctx)
-	palette := [4]img2d.Pixel{
-		img2d.Black,
-		img2d.RGB(60, 60, 160),
-		img2d.RGB(80, 160, 220),
-		img2d.RGB(240, 240, 170),
-	}
-	grain := func(g uint32) img2d.Pixel {
-		if g < 4 {
-			return palette[g]
-		}
-		return img2d.Red
-	}
-	if ctx.Comm == nil {
-		im := ctx.Cur()
-		for y := 0; y < st.dim; y++ {
-			row := im.Row(y)
-			for x := 0; x < st.dim; x++ {
-				row[x] = grain(st.cur[y*st.dim+x])
-			}
-		}
-		return
-	}
-	// Collective: each rank contributes its painted band; master copies.
-	pixels := make([]uint32, st.band.Rows()*st.dim)
-	for y := st.band.Lo; y < st.band.Hi; y++ {
-		for x := 0; x < st.dim; x++ {
-			pixels[(y-st.band.Lo)*st.dim+x] = uint32(grain(st.cur[y*st.dim+x]))
-		}
-	}
-	full, err := ctx.Comm.GatherBands(0, st.band, pixels)
-	if err != nil || full == nil {
-		return
-	}
-	copy(ctx.Cur().Pixels(), full)
-}
-
-// sandStepTile computes the synchronous topple step for a tile, returning
-// whether any cell in the tile is still unstable or changed. Border cells
-// (the absorbing rim) always stay zero.
-func (s *sandState) sandStepTile(x, y, w, h int) bool {
+// sandStep computes the synchronous topple step for a tile, returning
+// whether any cell in the tile is still unstable or changed — so a tile
+// re-enters the lazy frontier exactly when the eager variants would keep
+// iterating. Border cells (the absorbing rim) always stay zero.
+func sandStep(b *board[uint32], x, y, w, h int) bool {
 	active := false
+	dim := b.dim
 	for yy := y; yy < y+h; yy++ {
 		for xx := x; xx < x+w; xx++ {
-			idx := yy*s.dim + xx
-			if yy == 0 || yy == s.dim-1 || xx == 0 || xx == s.dim-1 {
-				s.next[idx] = 0
+			idx := yy*dim + xx
+			if yy == 0 || yy == dim-1 || xx == 0 || xx == dim-1 {
+				b.next[idx] = 0
 				continue
 			}
-			v := s.cur[idx] % 4
-			v += s.cur[idx-1]/4 + s.cur[idx+1]/4 + s.cur[idx-s.dim]/4 + s.cur[idx+s.dim]/4
-			s.next[idx] = v
-			if v != s.cur[idx] || v >= 4 {
+			v := b.cur[idx] % 4
+			v += b.cur[idx-1]/4 + b.cur[idx+1]/4 + b.cur[idx-dim]/4 + b.cur[idx+dim]/4
+			b.next[idx] = v
+			if v != b.cur[idx] || v >= 4 {
 				active = true
 			}
 		}
 	}
 	return active
-}
-
-func sandSeq(ctx *core.Ctx, nbIter int) int {
-	st := sandStateOf(ctx)
-	return ctx.ForIterations(nbIter, func(int) bool {
-		active := st.sandStepTile(0, 0, st.dim, st.dim)
-		st.cur, st.next = st.next, st.cur
-		return active
-	})
-}
-
-func sandOmpTiled(ctx *core.Ctx, nbIter int) int {
-	st := sandStateOf(ctx)
-	return ctx.ForIterations(nbIter, func(int) bool {
-		ctx.Pool.ParallelForTiles(ctx.Grid, ctx.Cfg.Schedule, func(x, y, w, h, worker int) {
-			ctx.StartTile(worker)
-			if st.sandStepTile(x, y, w, h) {
-				st.fr.MarkChanged(x/st.tileW, y/st.tileH)
-			}
-			ctx.EndTile(x, y, w, h, worker)
-		})
-		st.cur, st.next = st.next, st.cur
-		// Frontier used for convergence only (and without the []bool the
-		// old implementation allocated per iteration).
-		return st.fr.Advance() > 0
-	})
-}
-
-// sandLazyOmp dispatches only the active tiles: a tile re-enters the
-// frontier when it (or an 8-neighbour) changed or still holds an unstable
-// cell — the exact continuation criterion of the eager variants, so
-// iteration counts and final boards match them byte for byte. Skipped
-// tiles need no copy: see the tilegrid no-copy invariant (a skipped tile
-// was computed-and-steady, so both grain buffers already agree on it).
-func sandLazyOmp(ctx *core.Ctx, nbIter int) int {
-	st := sandStateOf(ctx)
-	return ctx.ForIterations(nbIter, func(int) bool {
-		ctx.ReportActivity(st.fr.Count(), st.fr.Total(), st.fr.Active())
-		ctx.Pool.ParallelForActive(ctx.Grid, st.fr.Active(), ctx.Cfg.Schedule, func(x, y, w, h, worker int) {
-			ctx.StartTile(worker)
-			if st.sandStepTile(x, y, w, h) {
-				st.fr.MarkChanged(x/st.tileW, y/st.tileH)
-			}
-			ctx.EndTile(x, y, w, h, worker)
-		})
-		st.cur, st.next = st.next, st.cur
-		return st.fr.Advance() > 0
-	})
-}
-
-// curAt reads a grain count with ghost-row support: the rows just outside
-// the rank's band come from the exchanged ghost rows. The world border is
-// absorbing (always zero), so out-of-world reads are zero — the mpi step
-// never actually performs them because border cells short-circuit.
-func (s *sandState) curAt(y, x int) uint32 {
-	if y < s.band.Lo {
-		if s.ghostAbove != nil && y == s.band.Lo-1 {
-			return s.ghostAbove[x]
-		}
-		return 0
-	}
-	if y >= s.band.Hi {
-		if s.ghostBelow != nil && y == s.band.Hi {
-			return s.ghostBelow[x]
-		}
-		return 0
-	}
-	return s.cur[y*s.dim+x]
-}
-
-// sandStepTileGhost is sandStepTile reading vertical neighbours through
-// curAt — same arithmetic, band-boundary rows see the neighbour rank's
-// grains.
-func (s *sandState) sandStepTileGhost(x, y, w, h int) bool {
-	active := false
-	for yy := y; yy < y+h; yy++ {
-		for xx := x; xx < x+w; xx++ {
-			idx := yy*s.dim + xx
-			if yy == 0 || yy == s.dim-1 || xx == 0 || xx == s.dim-1 {
-				s.next[idx] = 0
-				continue
-			}
-			v := s.cur[idx] % 4
-			v += s.cur[idx-1]/4 + s.cur[idx+1]/4 + s.curAt(yy-1, xx)/4 + s.curAt(yy+1, xx)/4
-			s.next[idx] = v
-			if v != s.cur[idx] || v >= 4 {
-				active = true
-			}
-		}
-	}
-	return active
-}
-
-// sandHalo builds the frontier-aware halo engine for a rank: boundary rows
-// travel as little-endian uint32 grain counts (4 bytes per cell — counts
-// can transiently exceed 255), frontier flags ride in the same packet, and
-// quiet edges are skipped. A converged band region stops exchanging even
-// while distant avalanches continue.
-func sandHalo(ctx *core.Ctx, st *sandState) *mpi.Halo {
-	return &mpi.Halo{
-		C: ctx.Comm, Band: st.band, Fr: st.fr, TileH: st.tileH,
-		EncodeRow: func(y int) []byte {
-			row := make([]byte, 4*st.dim)
-			for x := 0; x < st.dim; x++ {
-				binary.LittleEndian.PutUint32(row[4*x:], st.cur[y*st.dim+x])
-			}
-			return row
-		},
-		SetGhost: func(side int, row []byte) {
-			ghost := &st.ghostAbove
-			if side >= 0 {
-				ghost = &st.ghostBelow
-			}
-			if *ghost == nil {
-				*ghost = make([]uint32, st.dim)
-			}
-			for x := 0; x < st.dim && 4*x+4 <= len(row); x++ {
-				(*ghost)[x] = binary.LittleEndian.Uint32(row[4*x:])
-			}
-		},
-		OnStep: ctx.ReportHalo,
-	}
-}
-
-// sandMPIOmp distributes row bands across ranks: sparse dispatch of the
-// active avalanche tiles, one frontier-aware halo exchange per iteration.
-// Dense phases (the initial all-unstable pile) exchange every edge every
-// iteration — the honest comms tax — while the late sparse phase skips
-// most of them.
-func sandMPIOmp(ctx *core.Ctx, nbIter int) int {
-	st := sandStateOf(ctx)
-	if ctx.Comm == nil {
-		return 0 // mpi variant requires --mpirun
-	}
-	if st.halo == nil {
-		st.halo = sandHalo(ctx, st)
-		if err := st.halo.Prime(); err != nil {
-			return 0
-		}
-	}
-	var marked atomic.Bool
-	return ctx.ForIterations(nbIter, func(int) bool {
-		marked.Store(false)
-		ctx.ReportActivity(st.fr.Count(), st.fr.Total(), st.fr.Active())
-		ctx.Pool.ParallelForActive(ctx.Grid, st.fr.Active(), ctx.Cfg.Schedule, func(x, y, w, h, worker int) {
-			ctx.StartTile(worker)
-			if st.sandStepTileGhost(x, y, w, h) {
-				st.fr.MarkChanged(x/st.tileW, y/st.tileH)
-				marked.Store(true)
-			}
-			ctx.EndTile(x, y, w, h, worker)
-		})
-		st.cur, st.next = st.next, st.cur
-		cont, err := st.halo.Step(marked.Load())
-		if err != nil {
-			return false // distributed session aborted by the world
-		}
-		return cont
-	})
-}
-
-// SandGrainsSnapshot exposes a copy of the grain grid for tests.
-func SandGrainsSnapshot(ctx *core.Ctx) []uint32 {
-	st := sandStateOf(ctx)
-	out := make([]uint32, len(st.cur))
-	copy(out, st.cur)
-	return out
 }

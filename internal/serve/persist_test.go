@@ -259,8 +259,12 @@ func TestGracefulShutdownPreservesRecoverySet(t *testing.T) {
 	}
 	m := NewManager(Options{Workers: 1, Store: s})
 
+	// In flight at Close, yet short enough that the recovered run ends
+	// well inside the Wait deadline below. The mandel zoom deepens, so
+	// later iterations cost more: on a 2-vCPU machine 500 iterations took
+	// 33 s, 50 about 2.4 s.
 	slow := testCfg(256)
-	slow.Iterations = 500
+	slow.Iterations = 50
 	st, err := m.Submit(slow, false)
 	if err != nil {
 		t.Fatal(err)
