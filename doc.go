@@ -37,7 +37,7 @@
 // (DESIGN.md §13): a bounded broadcast hub (ring of records + periodic
 // keyframes) fans one encoded stream out to any number of viewers, a
 // slow viewer skips ahead to the newest keyframe instead of stalling
-// the run, and lazy kernels can ship dirty-tile deltas (~5x smaller at
+// the run, and lazy kernels can ship dirty-tile deltas (~6x smaller at
 // steady state) instead of full PNGs:
 //
 //	curl -s -X POST localhost:8080/v1/jobs -d '{"config":{"kernel":"life",

@@ -9,6 +9,7 @@ import (
 	"easypap/internal/monitor"
 	"easypap/internal/mpi"
 	"easypap/internal/sched"
+	"easypap/internal/tilegrid"
 	"easypap/internal/trace"
 )
 
@@ -45,9 +46,10 @@ type Ctx struct {
 	// dirtyTiles — the caller's slice is only valid until the frontier's
 	// next Advance, but refreshDisplay runs after the swap.
 	wantDirty  bool
-	dirtyTiles []int32 // copy of the latest reported active set (reused)
-	dirtyIter  int     // iteration dirtyTiles belongs to
-	dirtyOK    bool    // a tile list was reported for dirtyIter
+	dirtyTiles []int32            // copy of the latest reported active set (reused)
+	dirtyIter  int                // iteration dirtyTiles belongs to
+	dirtyOK    bool               // a tile list was reported for dirtyIter
+	dirtyRim   *tilegrid.Frontier // widens dirtyTiles for WidenDirty (reused)
 
 	halosSent    int64                                             // boundary messages this rank sent
 	halosSkipped int64                                             // quiet edges this rank skipped
@@ -152,6 +154,26 @@ func (ctx *Ctx) ReportActivity(active, total int, tiles []int32) {
 		ctx.dirtyOK = tiles != nil
 		ctx.dirtyTiles = append(ctx.dirtyTiles[:0], tiles...)
 	}
+}
+
+// WidenDirty adds the eight neighbours of every tile in this iteration's
+// reported active set to the tiles the frame's delta patches. In-place
+// rules call it after ReportActivity: they add into the rim of tiles they
+// did not dispatch, so those tiles change too. Result.Activity, the
+// monitor and the activity observer keep the dispatch frontier.
+func (ctx *Ctx) WidenDirty() {
+	if !ctx.wantDirty || !ctx.dirtyOK {
+		return
+	}
+	if ctx.dirtyRim == nil {
+		ctx.dirtyRim = tilegrid.New(ctx.Grid)
+		ctx.dirtyRim.Advance() // drop New's all-tiles marking
+	}
+	for _, t := range ctx.dirtyTiles {
+		ctx.dirtyRim.MarkChanged(int(t)%ctx.Grid.TilesX, int(t)/ctx.Grid.TilesX)
+	}
+	ctx.dirtyRim.Advance()
+	ctx.dirtyTiles = append(ctx.dirtyTiles[:0], ctx.dirtyRim.Active()...)
 }
 
 // Activity returns the per-iteration frontier series reported so far (nil

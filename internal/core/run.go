@@ -495,15 +495,17 @@ func runRank(goCtx context.Context, cfg Config, k *Kernel, compute ComputeFunc, 
 }
 
 // imageChecksum computes the hex SHA-256 of an image's pixels
-// (little-endian), the Result.Checksum byte-identity probe.
+// (little-endian), the Result.Checksum byte-identity probe. The pixel
+// bytes are hashed in one call: feeding SHA-256 four bytes at a time
+// costs more than twice as much.
 func imageChecksum(im *img2d.Image) string {
-	h := sha256.New()
-	var buf [4]byte
-	for _, p := range im.Pixels() {
-		binary.LittleEndian.PutUint32(buf[:], p)
-		h.Write(buf[:])
+	px := im.Pixels()
+	buf := make([]byte, 4*len(px))
+	for i, p := range px {
+		binary.LittleEndian.PutUint32(buf[4*i:], p)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // refreshDisplay pushes the main window frame (master only) plus the

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 
 	"easypap/internal/img2d"
 )
@@ -22,26 +23,31 @@ import (
 //
 // Payload layout (little-endian):
 //
-//	u16 version   (deltaVersion = 2)
+//	u16 version   (deltaVersion = 3)
 //	u32 dim       image side length
 //	u16 tileW     tile width in pixels
 //	u16 tileH     tile height in pixels
-//	u32 ntiles    number of tile patches that follow
-//	DEFLATE-compressed tile stream of ntiles ×:
-//	  u32 tile    tile index (row-major: ty*tilesX + tx)
-//	  u8  enc     0 = raw, 1 = bitplane2
-//	  raw:        tileW*tileH u32 pixels, row-major within the tile
-//	  bitplane2:  u32 c0, u32 c1, ceil(tileW*tileH/8) bytes of bits
-//	              (LSB-first; bit set → c1, clear → c0)
+//	u32 ntiles    number of tile patches
+//	DEFLATE-compressed stream of:
+//	  u8  depth   bits per pixel: 1, 2, 4 or 8 (palette indices), 32 (raw)
+//	  u16 npal    palette size: 1..2^depth, 0 for depth 32 or no tiles
+//	  npal × u32  palette colours
+//	  ntiles × u32 tile indices (row-major: ty*tilesX + tx)
+//	  ntiles × tile body, tileW*tileH pixels row-major within the tile:
+//	    depth 32: u32 pixels
+//	    else:     palette indices packed LSB-first, each tile starting
+//	              on a byte boundary (ceil(tileW*tileH*depth/8) bytes)
 //
-// bitplane2 is the life_bitpack trick: binary-state kernels (life, fire
-// fronts, toppled/untoppled sandpile cells) render tiles with at most two
-// distinct colors, which compress 32x over raw pixels. The encoder picks
-// bitplane2 per tile whenever the tile has ≤ 2 distinct colors. The tile
-// stream is then DEFLATE-compressed, because the competing EZFRAME
+// One palette covers every tile of a record, at the smallest depth that
+// holds it. Stencil kernels paint from 2–5 colours (life's two pack at one
+// bit per pixel, fire's four at two, sandpile's five at four), so a tile
+// costs 1–4 bits per pixel before compression instead of 32. Raw pixels
+// are the fallback for records whose dirty tiles hold more than 256
+// colours. The stream is DEFLATE-compressed because the competing EZFRAME
 // keyframe is a PNG — itself DEFLATE over the whole frame — and an
 // uncompressed patch would lose to it on the sparse near-uniform images
-// lazy kernels produce.
+// lazy kernels produce. The tile indices come first, apart from the
+// bodies, so their run of small near-equal numbers compresses as one.
 //
 // The tile grid is uniform (sched.TileGrid requires dim divisible by the
 // tile dimensions), so every patch is exactly tileW x tileH.
@@ -50,12 +56,14 @@ import (
 const deltaMagic = "EZDELTA"
 
 // deltaVersion is the current delta payload version.
-const deltaVersion = 2
+const deltaVersion = 3
 
-// Tile patch encodings.
 const (
-	deltaEncRaw       = 0
-	deltaEncBitplane2 = 1
+	deltaHeaderLen = 14
+	// maxPalette is the most colours a palette-indexed record holds.
+	maxPalette = 256
+	// rawDepth marks a record of raw 32-bit pixels.
+	rawDepth = 32
 )
 
 // TileSet describes which tiles of a frame changed this iteration, in the
@@ -77,6 +85,57 @@ type DirtySink interface {
 	FrameDirty(window string, iter int, img *img2d.Image, dirty *TileSet) error
 }
 
+// deltaEncoder is the scratch state of one EncodeDelta call. A fresh
+// BestCompression flate.Writer allocates ~0.8 MB before a byte is
+// compressed, so encoders are pooled and reset instead.
+type deltaEncoder struct {
+	zw   *flate.Writer
+	out  bytes.Buffer  // header + compressed stream
+	body []byte        // the uncompressed stream
+	idx  []uint8       // palette index of every dirty pixel, tile by tile
+	pal  []img2d.Pixel // colours in order of first appearance
+}
+
+var deltaEncoders = sync.Pool{New: func() any {
+	zw, _ := flate.NewWriter(nil, flate.BestCompression) // a valid level never errors
+	return &deltaEncoder{zw: zw}
+}}
+
+// paletteIndex returns p's palette index, adding p if it is new, or false
+// when the palette is full. The palettes delta frames meet hold 2–5
+// colours (the stencil kernels'), where a scan beats a map.
+func (e *deltaEncoder) paletteIndex(p img2d.Pixel) (uint8, bool) {
+	for i, c := range e.pal {
+		if c == p {
+			return uint8(i), true
+		}
+	}
+	if len(e.pal) == maxPalette {
+		return 0, false
+	}
+	e.pal = append(e.pal, p)
+	return uint8(len(e.pal) - 1), true
+}
+
+// paletteDepth is the smallest index width that holds n colours.
+func paletteDepth(n int) int {
+	switch {
+	case n <= 2:
+		return 1
+	case n <= 4:
+		return 2
+	case n <= 16:
+		return 4
+	default:
+		return 8
+	}
+}
+
+// origin returns the top-left pixel of tile t.
+func (s *TileSet) origin(t int32) (x0, y0 int) {
+	return int(t) % s.TilesX * s.TileW, int(t) / s.TilesX * s.TileH
+}
+
 // EncodeDelta builds a delta payload patching the dirty tiles of img.
 // The caller guarantees every pixel outside dirty's tiles is unchanged
 // since the window's previous frame (the frontier no-copy invariant).
@@ -87,86 +146,85 @@ func EncodeDelta(img *img2d.Image, dirty *TileSet) ([]byte, error) {
 		return nil, fmt.Errorf("gfx: tile set %dx%d tiles of %dx%d does not cover dim %d",
 			dirty.TilesX, dirty.TilesY, dirty.TileW, dirty.TileH, dim)
 	}
-	var buf bytes.Buffer
-	npix := dirty.TileW * dirty.TileH
-	bits := make([]byte, (npix+7)/8)
-	var word [4]byte
 	for _, t := range dirty.Tiles {
 		if t < 0 || int(t) >= dirty.TilesX*dirty.TilesY {
 			return nil, fmt.Errorf("gfx: tile index %d out of range [0,%d)", t, dirty.TilesX*dirty.TilesY)
 		}
-		tx, ty := int(t)%dirty.TilesX, int(t)/dirty.TilesX
-		x0, y0 := tx*dirty.TileW, ty*dirty.TileH
+	}
+	e := deltaEncoders.Get().(*deltaEncoder)
+	defer deltaEncoders.Put(e)
+	e.idx, e.pal = e.idx[:0], e.pal[:0]
 
-		// One scan decides the encoding: collect up to two distinct colors.
-		var c0, c1 img2d.Pixel
-		ncolors := 0
-		for y := y0; y < y0+dirty.TileH && ncolors <= 2; y++ {
-			row := img.Row(y)[x0 : x0+dirty.TileW]
-			for _, p := range row {
-				switch {
-				case ncolors == 0:
-					c0, ncolors = p, 1
-				case ncolors == 1 && p != c0:
-					c1, ncolors = p, 2
-				case ncolors == 2 && p != c0 && p != c1:
-					ncolors = 3
+	depth := 0
+scan:
+	for _, t := range dirty.Tiles {
+		x0, y0 := dirty.origin(t)
+		for y := y0; y < y0+dirty.TileH; y++ {
+			for _, p := range img.Row(y)[x0 : x0+dirty.TileW] {
+				i, ok := e.paletteIndex(p)
+				if !ok {
+					depth = rawDepth
+					break scan
 				}
-			}
-		}
-
-		binary.LittleEndian.PutUint32(word[:], uint32(t))
-		buf.Write(word[:])
-		if ncolors <= 2 {
-			buf.WriteByte(deltaEncBitplane2)
-			binary.LittleEndian.PutUint32(word[:], c0)
-			buf.Write(word[:])
-			binary.LittleEndian.PutUint32(word[:], c1)
-			buf.Write(word[:])
-			for i := range bits {
-				bits[i] = 0
-			}
-			i := 0
-			for y := y0; y < y0+dirty.TileH; y++ {
-				row := img.Row(y)[x0 : x0+dirty.TileW]
-				for _, p := range row {
-					if p == c1 {
-						bits[i>>3] |= 1 << (i & 7)
-					}
-					i++
-				}
-			}
-			buf.Write(bits)
-		} else {
-			buf.WriteByte(deltaEncRaw)
-			for y := y0; y < y0+dirty.TileH; y++ {
-				row := img.Row(y)[x0 : x0+dirty.TileW]
-				for _, p := range row {
-					binary.LittleEndian.PutUint32(word[:], p)
-					buf.Write(word[:])
-				}
+				e.idx = append(e.idx, i)
 			}
 		}
 	}
+	npal := len(e.pal)
+	if depth == rawDepth {
+		npal = 0
+	} else {
+		depth = paletteDepth(npal)
+	}
 
-	out := make([]byte, 14, 14+buf.Len()/2)
-	binary.LittleEndian.PutUint16(out[0:], deltaVersion)
-	binary.LittleEndian.PutUint32(out[2:], uint32(dim))
-	binary.LittleEndian.PutUint16(out[6:], uint16(dirty.TileW))
-	binary.LittleEndian.PutUint16(out[8:], uint16(dirty.TileH))
-	binary.LittleEndian.PutUint32(out[10:], uint32(len(dirty.Tiles)))
-	zbuf := bytes.NewBuffer(out)
-	zw, err := flate.NewWriter(zbuf, flate.BestCompression)
-	if err != nil {
+	b := append(e.body[:0], byte(depth))
+	b = binary.LittleEndian.AppendUint16(b, uint16(npal))
+	for _, c := range e.pal[:npal] {
+		b = binary.LittleEndian.AppendUint32(b, c)
+	}
+	for _, t := range dirty.Tiles {
+		b = binary.LittleEndian.AppendUint32(b, uint32(t))
+	}
+	if depth == rawDepth {
+		for _, t := range dirty.Tiles {
+			x0, y0 := dirty.origin(t)
+			for y := y0; y < y0+dirty.TileH; y++ {
+				for _, p := range img.Row(y)[x0 : x0+dirty.TileW] {
+					b = binary.LittleEndian.AppendUint32(b, p)
+				}
+			}
+		}
+	} else {
+		npix, perByte := dirty.TileW*dirty.TileH, 8/depth
+		for k := range dirty.Tiles {
+			idx := e.idx[k*npix : (k+1)*npix]
+			for i := 0; i < npix; i += perByte {
+				var packed byte
+				for j, v := range idx[i:min(i+perByte, npix)] {
+					packed |= v << (j * depth)
+				}
+				b = append(b, packed)
+			}
+		}
+	}
+	e.body = b
+
+	e.out.Reset()
+	var hdr [deltaHeaderLen]byte
+	binary.LittleEndian.PutUint16(hdr[0:], deltaVersion)
+	binary.LittleEndian.PutUint32(hdr[2:], uint32(dim))
+	binary.LittleEndian.PutUint16(hdr[6:], uint16(dirty.TileW))
+	binary.LittleEndian.PutUint16(hdr[8:], uint16(dirty.TileH))
+	binary.LittleEndian.PutUint32(hdr[10:], uint32(len(dirty.Tiles)))
+	e.out.Write(hdr[:])
+	e.zw.Reset(&e.out)
+	if _, err := e.zw.Write(b); err != nil {
 		return nil, err
 	}
-	if _, err := zw.Write(buf.Bytes()); err != nil {
+	if err := e.zw.Close(); err != nil {
 		return nil, err
 	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	return zbuf.Bytes(), nil
+	return bytes.Clone(e.out.Bytes()), nil
 }
 
 // ApplyDelta patches img in place with the tile patches of a delta
@@ -174,7 +232,7 @@ func EncodeDelta(img *img2d.Image, dirty *TileSet) ([]byte, error) {
 // geometry. Every structural field is validated so a corrupt or malicious
 // payload errors out instead of panicking or writing out of bounds.
 func ApplyDelta(img *img2d.Image, payload []byte) error {
-	if len(payload) < 14 {
+	if len(payload) < deltaHeaderLen {
 		return fmt.Errorf("gfx: delta payload truncated (%d bytes)", len(payload))
 	}
 	version := binary.LittleEndian.Uint16(payload[0:])
@@ -195,65 +253,83 @@ func ApplyDelta(img *img2d.Image, payload []byte) error {
 	if ntiles > tilesX*tilesY {
 		return fmt.Errorf("gfx: delta claims %d tiles, grid has %d", ntiles, tilesX*tilesY)
 	}
-	// The tile stream is DEFLATE-compressed; read it tile by tile so a
-	// corrupt ntiles or a decompression bomb can at most make us read the
-	// bounded per-tile sizes below, never allocate from attacker data.
-	br := bytes.NewReader(payload[14:])
+	// Every read below is sized by a field already checked against the
+	// image's own geometry, so a corrupt stream or a decompression bomb
+	// can at most make us read what a legitimate full patch would.
+	br := bytes.NewReader(payload[deltaHeaderLen:])
 	// bytes.Reader is an io.ByteReader, so flate reads it unbuffered and
 	// br.Len() is exact once the stream's final block ends.
 	zr := flate.NewReader(br)
 	defer zr.Close()
-	npix := tileW * tileH
-	nbits := (npix + 7) / 8
-	thdr := make([]byte, 5)
-	body := make([]byte, max(4*npix, 8+nbits))
-	for k := 0; k < ntiles; k++ {
-		if _, err := io.ReadFull(zr, thdr); err != nil {
-			return fmt.Errorf("gfx: delta payload truncated in tile %d header: %w", k, err)
+	read := func(p []byte, what string) error {
+		if _, err := io.ReadFull(zr, p); err != nil {
+			return fmt.Errorf("gfx: delta payload truncated in %s: %w", what, err)
 		}
-		t := int(binary.LittleEndian.Uint32(thdr[0:]))
-		enc := thdr[4]
-		if t >= tilesX*tilesY {
+		return nil
+	}
+
+	var head [3]byte
+	if err := read(head[:], "depth"); err != nil {
+		return err
+	}
+	depth, npal := int(head[0]), int(binary.LittleEndian.Uint16(head[1:]))
+	switch depth {
+	case 1, 2, 4, 8:
+		if npal > 1<<depth {
+			return fmt.Errorf("gfx: delta palette of %d colours exceeds depth %d", npal, depth)
+		}
+		if npal == 0 && ntiles > 0 {
+			return fmt.Errorf("gfx: delta has %d tiles and an empty palette", ntiles)
+		}
+	case rawDepth:
+		if npal != 0 {
+			return fmt.Errorf("gfx: raw delta carries a palette of %d colours", npal)
+		}
+	default:
+		return fmt.Errorf("gfx: unknown delta depth %d", depth)
+	}
+	palBytes := make([]byte, 4*npal)
+	if err := read(palBytes, "palette"); err != nil {
+		return err
+	}
+	tiles := make([]byte, 4*ntiles)
+	if err := read(tiles, "tile indices"); err != nil {
+		return err
+	}
+	for k := 0; k < ntiles; k++ {
+		if t := binary.LittleEndian.Uint32(tiles[4*k:]); t >= uint32(tilesX*tilesY) {
 			return fmt.Errorf("gfx: delta tile index %d out of range [0,%d)", t, tilesX*tilesY)
 		}
-		tx, ty := t%tilesX, t/tilesX
-		x0, y0 := tx*tileW, ty*tileH
-		switch enc {
-		case deltaEncRaw:
-			p := body[:4*npix]
-			if _, err := io.ReadFull(zr, p); err != nil {
-				return fmt.Errorf("gfx: delta payload truncated in tile %d pixels: %w", k, err)
-			}
-			i := 0
-			for y := y0; y < y0+tileH; y++ {
-				row := img.Row(y)[x0 : x0+tileW]
-				for x := range row {
-					row[x] = binary.LittleEndian.Uint32(p[i:])
-					i += 4
-				}
-			}
-		case deltaEncBitplane2:
-			p := body[:8+nbits]
-			if _, err := io.ReadFull(zr, p); err != nil {
-				return fmt.Errorf("gfx: delta payload truncated in tile %d bitplane: %w", k, err)
-			}
-			c0 := img2d.Pixel(binary.LittleEndian.Uint32(p[0:]))
-			c1 := img2d.Pixel(binary.LittleEndian.Uint32(p[4:]))
-			bits := p[8 : 8+nbits]
-			i := 0
-			for y := y0; y < y0+tileH; y++ {
-				row := img.Row(y)[x0 : x0+tileW]
-				for x := range row {
-					if bits[i>>3]&(1<<(i&7)) != 0 {
-						row[x] = c1
-					} else {
-						row[x] = c0
+	}
+	pal := make([]img2d.Pixel, npal)
+	for i := range pal {
+		pal[i] = binary.LittleEndian.Uint32(palBytes[4*i:])
+	}
+
+	grid := TileSet{TilesX: tilesX, TilesY: tilesY, TileW: tileW, TileH: tileH}
+	body := make([]byte, (tileW*tileH*depth+7)/8)
+	mask := byte(1<<depth - 1) // all ones for depth 8; unused for depth 32
+	for k := 0; k < ntiles; k++ {
+		if _, err := io.ReadFull(zr, body); err != nil {
+			return fmt.Errorf("gfx: delta payload truncated in tile %d: %w", k, err)
+		}
+		x0, y0 := grid.origin(int32(binary.LittleEndian.Uint32(tiles[4*k:])))
+		i := 0
+		for y := y0; y < y0+tileH; y++ {
+			row := img.Row(y)[x0 : x0+tileW]
+			for x := range row {
+				if depth == rawDepth {
+					row[x] = binary.LittleEndian.Uint32(body[4*i:])
+				} else {
+					bit := i * depth
+					v := int(body[bit>>3] >> (bit & 7) & mask)
+					if v >= npal {
+						return fmt.Errorf("gfx: delta tile %d palette index %d out of range [0,%d)", k, v, npal)
 					}
-					i++
+					row[x] = pal[v]
 				}
+				i++
 			}
-		default:
-			return fmt.Errorf("gfx: unknown delta tile encoding %d", enc)
 		}
 	}
 	var one [1]byte

@@ -10,7 +10,7 @@ package gfx_test
 // The golden stream has two sections: the original EZFRAME-only
 // sequence (the default full format, unchanged since PR 2), followed by
 // a delta-format sub-sequence — one keyframe plus EZDELTA dirty-tile
-// records covering both tile encodings (bitplane2 and raw). Extending
+// records at two palette depths (1 and 4 bits per pixel). Extending
 // the file instead of adding a second golden keeps the "full prefix
 // unchanged" property visible in the diff whenever it is regenerated.
 //
@@ -102,8 +102,8 @@ func encodeGoldenSequence(t *testing.T) []byte {
 
 // goldenDeltaSequence builds the delta-format section: a 16x16 two-color
 // keyframe (iter 3) and two EZDELTA records — iter 4 patches one
-// two-color tile (bitplane2 encoding), iter 5 patches one gradient tile
-// (raw encoding). Returns the wire bytes plus the three expected full
+// two-color tile (depth 1), iter 5 patches one 16-colour gradient tile
+// (depth 4). Returns the wire bytes plus the three expected full
 // images in stream order.
 func goldenDeltaSequence(t *testing.T) ([]byte, []*img2d.Image) {
 	t.Helper()
@@ -119,10 +119,11 @@ func goldenDeltaSequence(t *testing.T) ([]byte, []*img2d.Image) {
 		}
 	}
 	// Iter 4: tile 5 (tx=1, ty=1) flips to solid green — two colors in
-	// the tile, so the encoder packs it as bitplane2.
+	// the tile, so the encoder packs it at one bit per pixel.
 	f4 := base.Clone()
 	f4.FillRect(1*tile, 1*tile, tile, tile, img2d.RGB(0, 255, 0))
-	// Iter 5: tile 10 (tx=2, ty=2) becomes a gradient — >2 colors, raw.
+	// Iter 5: tile 10 (tx=2, ty=2) becomes a gradient — 16 colours, four
+	// bits per pixel.
 	f5 := f4.Clone()
 	for y := 2 * tile; y < 3*tile; y++ {
 		for x := 2 * tile; x < 3*tile; x++ {
@@ -221,7 +222,7 @@ func TestStreamGolden(t *testing.T) {
 	}
 
 	// The delta section reads with ReadRecord and reassembles to the
-	// expected full images: keyframe, bitplane2 patch, raw patch.
+	// expected full images: keyframe, 1-bit patch, 4-bit patch.
 	ra := gfx.NewReassembler()
 	wantKinds := []gfx.RecordKind{gfx.RecordFull, gfx.RecordDelta, gfx.RecordDelta}
 	for i, kind := range wantKinds {

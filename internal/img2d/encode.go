@@ -7,27 +7,33 @@ package img2d
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"image"
-	"image/color"
 	"image/png"
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 )
 
 // ToNRGBA converts the image into a standard library image.NRGBA, sharing
 // no storage.
 func (im *Image) ToNRGBA() *image.NRGBA {
 	out := image.NewNRGBA(image.Rect(0, 0, im.dim, im.dim))
+	im.fillNRGBA(out)
+	return out
+}
+
+// fillNRGBA writes the pixels into dst, a dim x dim NRGBA image. A Pixel
+// is R<<24|G<<16|B<<8|A, so its big-endian bytes are the NRGBA bytes.
+func (im *Image) fillNRGBA(dst *image.NRGBA) {
 	for y := 0; y < im.dim; y++ {
-		row := im.Row(y)
-		for x, p := range row {
-			r, g, b, a := Channels(p)
-			out.SetNRGBA(x, y, color.NRGBA{R: r, G: g, B: b, A: a})
+		out := dst.Pix[y*dst.Stride : y*dst.Stride+4*im.dim]
+		for x, p := range im.Row(y) {
+			binary.BigEndian.PutUint32(out[4*x:], p)
 		}
 	}
-	return out
 }
 
 // FromNRGBA converts a standard library NRGBA image into an Image. The
@@ -47,9 +53,37 @@ func FromNRGBA(src *image.NRGBA) (*Image, error) {
 	return im, nil
 }
 
+// pngEncoder is the one PNG encoder every image goes through. Its
+// BufferPool hands each encode the zlib compressor, row buffers and
+// bufio.Writer of an earlier one, reset instead of rebuilt: a fresh zlib
+// compressor alone allocates ~0.8 MB before a byte is compressed. The
+// output is png.Encode's, byte for byte.
+var pngEncoder = png.Encoder{BufferPool: &pngBuffers{}}
+
+// pngBuffers is a png.EncoderBufferPool backed by a sync.Pool.
+type pngBuffers struct{ p sync.Pool }
+
+func (b *pngBuffers) Get() *png.EncoderBuffer {
+	buf, _ := b.p.Get().(*png.EncoderBuffer)
+	return buf // nil when empty: the encoder then allocates
+}
+
+func (b *pngBuffers) Put(buf *png.EncoderBuffer) { b.p.Put(buf) }
+
+// staging recycles the NRGBA images EncodePNG converts into. One of
+// another size than the image being encoded is dropped.
+var staging sync.Pool
+
 // EncodePNG writes the image as PNG.
 func (im *Image) EncodePNG(w io.Writer) error {
-	return png.Encode(w, im.ToNRGBA())
+	m, _ := staging.Get().(*image.NRGBA)
+	if m == nil || m.Rect.Dx() != im.dim || m.Rect.Dy() != im.dim {
+		m = image.NewNRGBA(image.Rect(0, 0, im.dim, im.dim))
+	}
+	im.fillNRGBA(m)
+	err := pngEncoder.Encode(w, m)
+	staging.Put(m)
+	return err
 }
 
 // SavePNG writes the image to path as PNG, creating parent directories.

@@ -2,8 +2,10 @@ package img2d
 
 import (
 	"bytes"
+	"image/png"
 	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -255,6 +257,39 @@ func TestPNGRoundTrip(t *testing.T) {
 	if !im.Equal(back) {
 		t.Error("PNG round trip altered pixels")
 	}
+}
+
+// EncodePNG reuses encoder state and staging images across calls and
+// goroutines; its bytes must stay png.Encode's, whatever ran before.
+func TestEncodePNGPooledMatchesStdlib(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 20; i++ {
+				im := New(8 << (i % 3)) // sizes alternate: staging images get dropped
+				for j := range im.Pixels() {
+					im.Pixels()[j] = RGBA(uint8(rng.Intn(4)), uint8(rng.Intn(256)), 9, uint8(255-rng.Intn(2)))
+				}
+				var got, want bytes.Buffer
+				if err := im.EncodePNG(&got); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := png.Encode(&want, im.ToNRGBA()); err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Errorf("goroutine %d encode %d: pooled PNG differs from png.Encode", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestNRGBARoundTrip(t *testing.T) {

@@ -224,6 +224,9 @@ func (s *stencil[C]) lazy(ctx *core.Ctx, nbIter int) int {
 	return ctx.ForIterations(nbIter, func(int) bool {
 		marked.Store(false)
 		ctx.ReportActivity(b.fr.Count(), b.fr.Total(), b.fr.Active())
+		if s.inPlace {
+			ctx.WidenDirty() // the rule adds into undispatched neighbours' rims
+		}
 		s.sweep(ctx, b, b.fr.Active(), body)
 		if b.halo == nil {
 			return b.fr.Advance() > 0

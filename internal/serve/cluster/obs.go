@@ -7,6 +7,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"sync"
@@ -104,7 +105,9 @@ func (n *Node) observeSpan(h *metrics.Histogram, traceID, stage, peer string, st
 // TraceJob resolves a cluster job id to its merged span tree: the trace
 // id comes from the job's record (locally, or from the owning node named
 // by the id prefix), then every non-dead member is asked for its spans
-// for that id and the union is nested into one TraceDoc.
+// for that id and the union is nested into one TraceDoc. When the owner
+// contributes no spans (it died or became unreachable meanwhile), the
+// answer is ErrUnknownJob rather than a tree of the hops alone.
 func (n *Node) TraceJob(ctx context.Context, id string) (*serve.TraceDoc, error) {
 	node, local, prefixed := SplitJobID(id)
 	var traceID string
@@ -117,6 +120,7 @@ func (n *Node) TraceJob(ctx context.Context, id string) (*serve.TraceDoc, error)
 		return nil, serve.ErrUnknownJob
 	}
 	spans := n.mgr.SpansForTrace(traceID)
+	ownerSeen := !prefixed || node == n.id
 	_, ms := n.snapshot()
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -130,10 +134,17 @@ func (n *Node) TraceJob(ctx context.Context, id string) (*serve.TraceDoc, error)
 			remote := n.remoteSpans(ctx, m, traceID)
 			mu.Lock()
 			spans = append(spans, remote...)
+			ownerSeen = ownerSeen || (m.id == node && len(remote) > 0)
 			mu.Unlock()
 		}(m)
 	}
 	wg.Wait()
+	// The owner holds the job's own spans (admit, compute or a cache
+	// tier). Without them the tree would be only the hops that led to
+	// it: the job's trace state died with the owner.
+	if !ownerSeen {
+		return nil, fmt.Errorf("%w: owner %s of %s contributed no spans", serve.ErrUnknownJob, node, id)
+	}
 	return serve.BuildTraceDoc(traceID, id, dedupeSpans(spans)), nil
 }
 

@@ -118,7 +118,7 @@ func (r *Ring) Shares() map[string]float64 {
 	if len(r.points) == 0 {
 		return shares
 	}
-	const whole = float64(1 << 63) * 2 // 2^64 as float64
+	const whole = float64(1<<63) * 2 // 2^64 as float64
 	for i, p := range r.points {
 		// The arc (previous point, p] belongs to p's node.
 		var arc uint64

@@ -47,6 +47,14 @@ func TestDeltaStreamEquivalence(t *testing.T) {
 			TileW: 8, TileH: 8, Iterations: 40, Threads: 2, Seed: 7}},
 		{"sandpile lazy_omp", core.Config{Kernel: "sandpile", Variant: "lazy_omp", Dim: 64,
 			TileW: 8, TileH: 8, Iterations: 40, Threads: 2}},
+		// asandpile topples in place and adds grains into the rim of
+		// tiles it did not dispatch: with 4x4 tiles those rims change
+		// pixels from iteration 76 on, which the dispatch frontier alone
+		// would leave out of the delta.
+		{"asandpile lazy_omp 4x4", core.Config{Kernel: "asandpile", Variant: "lazy_omp", Dim: 64,
+			TileW: 4, TileH: 4, Iterations: 120, Threads: 2}},
+		{"asandpile lazy_omp 8x8", core.Config{Kernel: "asandpile", Variant: "lazy_omp", Dim: 64,
+			TileW: 8, TileH: 8, Iterations: 120, Threads: 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

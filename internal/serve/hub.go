@@ -306,6 +306,8 @@ func (r *HubReader) Close() error {
 // Most visited tiles end up unchanged, so the sink keeps the previously
 // published image per window and narrows the patch to tiles whose pixels
 // actually differ (the diff only scans the dispatched tiles, O(active)).
+// Each window's previous-frame buffer is allocated once and overwritten
+// after every publish.
 type hubSink struct {
 	h *FrameHub
 
@@ -339,12 +341,12 @@ func (s *hubSink) frame(window string, iter int, img *img2d.Image, dirty *gfx.Ti
 		return err
 	}
 
+	// The lock spans the diff against prev and the copy into it.
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	n := s.counts[window]
 	s.counts[window]++
 	prev := s.prev[window]
-	s.prev[window] = img.Clone()
-	s.mu.Unlock()
 
 	every := s.h.opts.KeyframeEvery
 	key := dirty == nil || prev == nil || n == 0 || n%every == 0
@@ -364,6 +366,11 @@ func (s *hubSink) frame(window string, iter int, img *img2d.Image, dirty *gfx.Ti
 		} else {
 			key = true // the patch is no cheaper; keyframe instead
 		}
+	}
+	if prev == nil {
+		s.prev[window] = img.Clone()
+	} else {
+		copy(prev.Pixels(), img.Pixels())
 	}
 	return s.h.Publish(window, key, full, delta)
 }

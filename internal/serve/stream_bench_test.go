@@ -2,8 +2,8 @@ package serve
 
 // Frame-path encoding cost: what one published frame costs the run loop
 // with the full-PNG path versus the dirty-tile delta path, and what the
-// hub's publish fan-out costs per subscriber. BENCH_stream.json records
-// the numbers together with the byte-shrink measurement from
+// hub's publish fan-out costs per subscriber. EXPERIMENTS.md records the
+// numbers together with the byte-shrink measurement from
 // TestDeltaStreamShrinksBytes.
 
 import (

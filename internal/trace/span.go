@@ -58,10 +58,10 @@ func NewTraceID() string {
 // far off the tile dispatch hot path, so a mutex is the right tool: the
 // ring stays readable while jobs run and old spans age out naturally.
 type SpanRing struct {
-	mu    sync.Mutex
-	buf   []Span
-	next  int  // next write position
-	wrap  bool // buf has wrapped at least once
+	mu   sync.Mutex
+	buf  []Span
+	next int  // next write position
+	wrap bool // buf has wrapped at least once
 }
 
 // DefaultSpanRingSize holds a few hundred jobs' worth of service spans
