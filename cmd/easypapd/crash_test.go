@@ -8,8 +8,9 @@ package main
 //   - the journaled in-flight jobs are re-run under their original ids,
 //   - every pre-crash result is served from disk without recompute
 //     (stats: disk_hits > 0, computed == 0 for the replayed set),
-//   - the disk entries — result AND frames bytes — are byte-identical
-//     to what the pre-crash daemon wrote.
+//   - the disk entries are byte-identical to what the pre-crash daemon
+//     wrote, and each decodes to the result (Checksum, Iterations) the
+//     daemon serves for its config.
 //
 // Skipped under -short: it builds a binary and kills processes, which
 // is meaningful only as a non-race integration step (CI runs it in a
@@ -24,13 +25,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"easypap/internal/core"
 	"easypap/internal/serve"
+	"easypap/internal/serve/store"
 )
 
 // daemonProc is one generation of the real daemon.
@@ -155,6 +156,17 @@ func entryBytes(t *testing.T, dataDir, hash string) []byte {
 	return raw
 }
 
+// decodeEntry parses a raw disk entry with the store's own decoder, so
+// the CRC is checked and the result comes back typed.
+func decodeEntry(t *testing.T, raw []byte) *store.Entry {
+	t.Helper()
+	e, err := store.DecodeEntry(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("decoding disk entry: %v", err)
+	}
+	return e
+}
+
 func TestCrashRestartRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-process crash test; skipped under -short")
@@ -239,7 +251,7 @@ func TestCrashRestartRecovery(t *testing.T) {
 	}
 
 	// Replay the pre-crash sweep: every config must be served from disk
-	// — computed stays frozen, disk_hits counts every replay, frames
+	// — computed stays frozen, disk_hits counts every replay, entries
 	// are byte-identical to what generation 1 wrote.
 	for i, cfg := range fast {
 		st, err := d2.submit(cfg)
@@ -260,8 +272,11 @@ func TestCrashRestartRecovery(t *testing.T) {
 		if got := entryBytes(t, dataDir, st.Hash); !bytes.Equal(got, preCrash[i]) {
 			t.Fatalf("disk entry %d changed across the crash (%d vs %d bytes)", i, len(got), len(preCrash[i]))
 		}
-		if !strings.Contains(string(preCrash[i]), "EZFRAME final ") {
-			t.Fatalf("entry %d carries no frame record", i)
+		ent := decodeEntry(t, preCrash[i])
+		if ent.Result.Checksum == "" || st.Result == nil ||
+			ent.Result.Checksum != st.Result.Checksum || ent.Result.Iterations != st.Result.Iterations {
+			t.Fatalf("entry %d holds result %q after %d iterations, daemon served %+v",
+				i, ent.Result.Checksum, ent.Result.Iterations, st.Result)
 		}
 	}
 	final := d2.stats(t)
@@ -272,19 +287,6 @@ func TestCrashRestartRecovery(t *testing.T) {
 		t.Fatalf("replayed set recomputed: computed went %d -> %d",
 			afterRecovery.Computed, final.Computed)
 	}
-}
-
-// frameTail extracts the frame records from a raw disk entry — the
-// part of the entry that is a pure function of the computed image
-// (the Result JSON ahead of it carries wall-clock timings, which
-// legitimately differ between runs).
-func frameTail(t *testing.T, raw []byte) []byte {
-	t.Helper()
-	i := bytes.Index(raw, []byte("EZFRAME final "))
-	if i < 0 {
-		t.Fatalf("disk entry carries no final frame record (%d bytes)", len(raw))
-	}
-	return raw[i:]
 }
 
 // TestCrashRestartResumesFromCheckpoint: with -snapshot-every the
@@ -363,7 +365,7 @@ func TestCrashRestartResumesFromCheckpoint(t *testing.T) {
 	for d2.stats(t).Spills < 1 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
 	}
-	resumed := entryBytes(t, dataDir, done.Hash)
+	resumed := decodeEntry(t, entryBytes(t, dataDir, done.Hash)).Result
 
 	// --- reference: the same config, never interrupted ----------------
 	refDir := t.TempDir()
@@ -385,9 +387,13 @@ func TestCrashRestartResumesFromCheckpoint(t *testing.T) {
 	if refSt.Hash != done.Hash {
 		t.Fatalf("reference hashed %s, recovered job %s", refSt.Hash, done.Hash)
 	}
-	ref := entryBytes(t, refDir, refSt.Hash)
-	if !bytes.Equal(frameTail(t, resumed), frameTail(t, ref)) {
-		t.Fatal("resumed result differs from the uninterrupted run — the checkpoint corrupted the board")
+	// Checksum and Iterations are the part of the result that is a pure
+	// function of the computed board (wall-clock timings legitimately
+	// differ between runs).
+	ref := decodeEntry(t, entryBytes(t, refDir, refSt.Hash)).Result
+	if resumed.Checksum == "" || resumed.Checksum != ref.Checksum || resumed.Iterations != ref.Iterations {
+		t.Fatalf("resumed result (checksum %q, %d iterations) differs from the uninterrupted run (%q, %d) — the checkpoint corrupted the board",
+			resumed.Checksum, resumed.Iterations, ref.Checksum, ref.Iterations)
 	}
 }
 

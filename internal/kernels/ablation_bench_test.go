@@ -89,7 +89,7 @@ func BenchmarkAblationLifeLazy(b *testing.B) {
 // BenchmarkLazyEngineKernels measures the tilegrid engine's eager-vs-lazy
 // gain for every kernel pair sharing it: life on the sparse diag dataset,
 // the synchronous sandpile mid-avalanche, and the fire front sweeping a
-// full forest. These are the BENCH_lazy.json rows.
+// full forest. These are EXPERIMENTS.md's lazy-speedup numbers.
 func BenchmarkLazyEngineKernels(b *testing.B) {
 	cases := []struct {
 		name  string

@@ -2,9 +2,10 @@ package kernels
 
 // Checkpointing economics: what does snapshotting cost while a run is
 // in flight, and what does resuming buy compared to recomputing the
-// shared prefix? Recorded in BENCH_ckpt.json. life is the subject: a
-// stateful kernel whose codec serializes both board generations, so
-// the snapshot is the full restartable state, not a derived image.
+// shared prefix? Recorded in EXPERIMENTS.md's checkpointing row. life is
+// the subject: a stateful kernel whose codec serializes both board
+// generations, so the snapshot is the full restartable state, not a
+// derived image.
 
 import (
 	"context"

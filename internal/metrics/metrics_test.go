@@ -155,8 +155,8 @@ func TestConcurrentObserve(t *testing.T) {
 }
 
 // BenchmarkHistogramObserve pins the hot-path cost of one observation —
-// the number the tentpole's "~ns on the dispatch hot path" claim rests
-// on (recorded in BENCH_obs.json).
+// the number the "~ns on the dispatch hot path" claim rests on
+// (EXPERIMENTS.md's observability-overhead row).
 func BenchmarkHistogramObserve(b *testing.B) {
 	r := NewRegistry()
 	h := r.Histogram("lat_ns", "Latency.", nil)

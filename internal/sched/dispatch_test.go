@@ -19,7 +19,7 @@ import (
 // the dispatch machinery is on the clock. The acceptance bar for the
 // epoch-broadcast refactor is 0 allocs/op (the old channel dispatch paid a
 // closure, a channel send per worker and a WaitGroup per loop; see
-// BENCH_sched.json for the recorded before/after).
+// EXPERIMENTS.md's dispatch-overhead row).
 func BenchmarkDispatchOverhead(b *testing.B) {
 	pool := NewPool(0)
 	defer pool.Close()

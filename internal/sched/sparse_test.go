@@ -119,7 +119,7 @@ func TestParallelForActiveSingleWorkerInline(t *testing.T) {
 // BenchmarkLazyDispatch measures sparse dispatch of a small frontier on a
 // warm pool — the steady-state cost ParallelForActive adds per iteration.
 // Must report 0 allocs/op: the descriptor, adapters and list are all
-// pre-allocated (BENCH_lazy.json's zero-steady-state-allocation claim).
+// pre-allocated (EXPERIMENTS.md's lazy-speedup row).
 func BenchmarkLazyDispatch(b *testing.B) {
 	p := NewPool(4)
 	defer p.Close()

@@ -1,7 +1,8 @@
 package serve_test
 
 // Serving throughput: warm-pool leasing vs per-run pool construction, and
-// the cache-hit fast path. BENCH_serve.json records these numbers.
+// the cache-hit fast path. EXPERIMENTS.md's serving-throughput row
+// records these numbers.
 
 import (
 	"context"

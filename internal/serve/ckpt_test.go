@@ -9,7 +9,6 @@ package serve
 // TestFramesJobAlwaysInterrupted in persist_test.go).
 
 import (
-	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -110,8 +109,8 @@ func TestSweepComputesEachIterationOnce(t *testing.T) {
 	}
 
 	// Byte-identity: the spilled entry of every resumed run matches the
-	// cold run's — same frames, same iteration count, and no resume
-	// provenance leaked into the content-addressed record.
+	// cold run's — same final pixels (Checksum), same iteration count,
+	// and no resume provenance leaked into the content-addressed record.
 	for i, n := range depths {
 		entA, ok := sA.Cache.Get(hashes[i])
 		if !ok {
@@ -121,9 +120,9 @@ func TestSweepComputesEachIterationOnce(t *testing.T) {
 		if !ok {
 			t.Fatalf("cold step %d entry not on disk", n)
 		}
-		if !bytes.Equal(entA.Frames, entB.Frames) {
-			t.Errorf("step %d: resumed frames differ from cold run (%d vs %d bytes)",
-				n, len(entA.Frames), len(entB.Frames))
+		if entA.Result.Checksum == "" || entA.Result.Checksum != entB.Result.Checksum {
+			t.Errorf("step %d: resumed checksum %q differs from cold run's %q",
+				n, entA.Result.Checksum, entB.Result.Checksum)
 		}
 		if entA.Result.Iterations != entB.Result.Iterations || entA.Result.ResumedFrom != 0 {
 			t.Errorf("step %d: cached result %+v not canonical (cold: %+v)",
@@ -230,14 +229,17 @@ func TestRecoveryResumesFromCheckpoint(t *testing.T) {
 	if !ok {
 		t.Fatal("recovered job's entry not on disk")
 	}
-	if !bytes.Equal(ent.Frames, coldFrames(t, cfg)) {
-		t.Error("resumed result not byte-identical to cold run")
+	cold := coldResult(t, cfg)
+	if ent.Result.Checksum == "" || ent.Result.Checksum != cold.Checksum ||
+		ent.Result.Iterations != cold.Iterations {
+		t.Errorf("resumed result (checksum %q, %d iterations) not identical to cold run (%q, %d)",
+			ent.Result.Checksum, ent.Result.Iterations, cold.Checksum, cold.Iterations)
 	}
 }
 
-// coldFrames computes the reference final-frame bytes for cfg through a
+// coldResult computes the reference spilled result for cfg through a
 // snapshot-free manager with its own store.
-func coldFrames(t *testing.T, cfg core.Config) []byte {
+func coldResult(t *testing.T, cfg core.Config) core.Result {
 	t.Helper()
 	s, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -252,7 +254,7 @@ func coldFrames(t *testing.T, cfg core.Config) []byte {
 	if !ok {
 		t.Fatal("reference entry not on disk")
 	}
-	return ent.Frames
+	return ent.Result
 }
 
 // TestFramesJobWithCheckpointRequeued pins the frames carve-out: a

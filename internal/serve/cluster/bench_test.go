@@ -1,11 +1,11 @@
 package cluster_test
 
-// Routing-overhead benchmarks behind BENCH_cluster.json: what one proxy
-// hop costs a submission, and what a cluster-wide cache hit costs when
-// it is served by the owner directly vs. through a non-owner node. All
-// nodes are in-process (httptest), so the numbers isolate the software
-// overhead — HTTP round-trip, routing decision, hop — from network
-// latency.
+// Routing-overhead benchmarks behind EXPERIMENTS.md's cluster-routing
+// row: what one proxy hop costs a submission, and what a cluster-wide
+// cache hit costs when it is served by the owner directly vs. through a
+// non-owner node. All nodes are in-process (httptest), so the numbers
+// isolate the software overhead — HTTP round-trip, routing decision,
+// hop — from network latency.
 
 import (
 	"context"

@@ -1,12 +1,13 @@
 package cluster_test
 
-// The replicated-read ladder (BENCH_elastic.json): what a result costs
-// depending on where it survives — the local disk entry (owner or
-// replica answering from its own store), a remote replica fetch over
-// HTTP with full CRC+hash verification (the owner-miss failover path),
-// and the wire encode/decode alone (what the rebalancer pays per
-// migrated entry on top of bandwidth). Recompute, the ladder's top rung
-// when no replica survives, is in BENCH_serve.json (~1.5 ms for even
+// The replicated-read ladder (EXPERIMENTS.md's elastic-replication
+// row): what a result costs depending on where it survives — the local
+// disk entry (owner or replica answering from its own store), a remote
+// replica fetch over HTTP with full CRC+hash verification (the
+// owner-miss failover path), and the wire encode/decode alone (what the
+// rebalancer pays per migrated entry on top of bandwidth). Recompute,
+// the ladder's top rung when no replica survives, is
+// BenchmarkServeJobWarmPool in internal/serve (milliseconds for even
 // the small reference job).
 
 import (

@@ -1,9 +1,10 @@
 package cluster_test
 
-// Benchmarks behind BENCH_dist.json: what a distributed single-job run
-// actually costs. Three questions, all answered with real sharded runs
-// over in-process httptest daemons (so numbers isolate protocol +
-// software overhead from physical network latency):
+// Benchmarks behind EXPERIMENTS.md's distributed-execution row: what a
+// distributed single-job run actually costs. Three questions, all
+// answered with real sharded runs over in-process httptest daemons (so
+// numbers isolate protocol + software overhead from physical network
+// latency):
 //
 //   - halo step cost: mean ns per per-iteration halo exchange, read from
 //     the easypapd_stage_ns{stage="halo"} histogram each node exports —

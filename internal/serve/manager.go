@@ -29,7 +29,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -41,7 +40,6 @@ import (
 
 	"easypap/internal/core"
 	"easypap/internal/gfx"
-	"easypap/internal/img2d"
 	"easypap/internal/sched"
 	"easypap/internal/serve/store"
 	"easypap/internal/trace"
@@ -104,7 +102,7 @@ type Options struct {
 	// its own pool, which is what the serving benchmark compares against.
 	MaxIdlePools int
 	// DisableWarmPools turns pool reuse off even with a nonzero
-	// MaxIdlePools (the cold baseline of BENCH_serve.json).
+	// MaxIdlePools (the cold baseline of BenchmarkServe*ColdPool).
 	DisableWarmPools bool
 	// RecvTimeout bounds the MPI receive watchdog for distributed jobs
 	// (zero keeps mpi.DefaultRecvTimeout).
@@ -244,7 +242,7 @@ type job struct {
 	shards  int         // requested shard count (0/1: plain local run)
 	cancel  context.CancelFunc
 	ctx     context.Context
-	done    chan struct{} // closed when the job reaches a terminal state
+	done    chan struct{} // closed by retire, once the job is terminal and in the history
 
 	mu        sync.Mutex
 	state     JobState
@@ -410,22 +408,22 @@ func NewManager(opts Options) *Manager {
 }
 
 // spillReq is one completed result — or one mid-run checkpoint — on its
-// way to the disk tier. Exactly one of (hash, result, final) and snap is
+// way to the disk tier. Exactly one of (hash, result) and snap is
 // populated.
 type spillReq struct {
 	hash    string
 	job     string
 	traceID string
 	result  core.Result
-	final   *img2d.Image
-	snap    *store.Snapshot // checkpoint write (hash/result/final unused)
+	snap    *store.Snapshot // checkpoint write (hash/result unused)
 }
 
-// spiller is the write-behind worker of the disk tier: it encodes the
-// final image as a gfx frame-stream record and persists the entry.
-// Spilling at completion (not at memory eviction) is what makes a crash
-// lose nothing — an entry that never got evicted must still be on disk
-// when the daemon dies.
+// spiller is the write-behind worker of the disk tier: it persists the
+// entry — the result JSON alone, whose Checksum pins the final pixels;
+// no endpoint serves a cached run's image, so none is encoded — and
+// the periodic checkpoints. Spilling at completion (not at memory
+// eviction) is what makes a crash lose nothing — an entry that never
+// got evicted must still be on disk when the daemon dies.
 func (m *Manager) spiller() {
 	defer m.spillWg.Done()
 	for req := range m.spill {
@@ -454,12 +452,6 @@ func (m *Manager) spiller() {
 			continue
 		}
 		e := &store.Entry{Hash: req.hash, Result: req.result}
-		if req.final != nil {
-			var buf bytes.Buffer
-			if err := gfx.WriteFrame(&buf, "final", req.result.Iterations, req.final); err == nil {
-				e.Frames = buf.Bytes()
-			}
-		}
 		err := m.store.Cache.Put(e)
 		m.span(m.obs.spill, req.traceID, req.job, StageSpill, begin, time.Now(), err)
 		if err != nil {
@@ -575,9 +567,8 @@ func (m *Manager) recoverJournal() {
 		j.state = JobInterrupted
 		j.errMsg = "daemon restarted while the job was queued or running"
 		j.started, j.finished = now, now
-		close(j.done)
 		m.jobs[j.id] = j
-		m.retireLocked(j.id)
+		m.retireLocked(j)
 		m.mu.Unlock()
 		m.submitted.Add(1)
 		m.interrupted.Add(1)
@@ -806,9 +797,8 @@ func (m *Manager) finishCachedLocked(j *job, r core.Result, tier cacheTier) {
 	j.remoteHit = tier == tierRemote
 	j.result = &r
 	j.started, j.finished = now, now
-	close(j.done)
 	m.jobs[j.id] = j
-	m.retireLocked(j.id)
+	m.retireLocked(j)
 	m.submitted.Add(1)
 	m.completed.Add(1)
 }
@@ -832,7 +822,7 @@ func (m *Manager) runJob(j *job) {
 		// Canceled (or manager shut down) while still queued.
 		m.finish(j, nil, err)
 		j.mu.Unlock()
-		m.retire(j.id)
+		m.retire(j)
 		return
 	}
 	j.state = JobRunning
@@ -895,7 +885,7 @@ func (m *Manager) runJob(j *job) {
 	j.mu.Lock()
 	m.finish(j, out, err)
 	j.mu.Unlock()
-	m.retire(j.id)
+	m.retire(j)
 }
 
 // setupCheckpointing wires iteration-prefix checkpointing into a run:
@@ -943,8 +933,7 @@ func (m *Manager) setupCheckpointing(j *job, opts *core.RunOptions) {
 }
 
 // finish moves a job to its terminal state and publishes the result.
-// Callers hold j.mu (except for never-started cache hits, which finish
-// inside Submit).
+// Callers hold j.mu, and retire the job once they have released it.
 func (m *Manager) finish(j *job, out *core.RunOutput, err error) {
 	now := time.Now()
 	if j.started.IsZero() {
@@ -981,7 +970,7 @@ func (m *Manager) finish(j *job, out *core.RunOutput, err error) {
 				// queue is safe — the entry is merely not durable yet and a
 				// resubmission would recompute it.
 				select {
-				case m.spill <- spillReq{hash: j.hash, job: j.id, traceID: j.traceID, result: cached, final: out.Final}:
+				case m.spill <- spillReq{hash: j.hash, job: j.id, traceID: j.traceID, result: cached}:
 				default:
 					m.spillDrops.Add(1)
 				}
@@ -1009,26 +998,29 @@ func (m *Manager) finish(j *job, out *core.RunOutput, err error) {
 	if j.cancel != nil {
 		j.cancel()
 	}
-	close(j.done)
 }
 
 // retire records a terminal job in the bounded history, evicting the
 // oldest finished jobs beyond MaxJobHistory (active jobs are never in
-// doneOrder, so they are never evicted). Frame buffers go with the job
-// record, which is what keeps a long-lived daemon's memory bounded.
-func (m *Manager) retire(id string) {
+// doneOrder, so they are never evicted), and only then closes j.done:
+// whoever Wait wakes finds the history already holding the job. Frame
+// buffers go with the job record, which is what keeps a long-lived
+// daemon's memory bounded. Callers must not hold j.mu (lock order is
+// never j.mu → m.mu).
+func (m *Manager) retire(j *job) {
 	m.mu.Lock()
-	m.retireLocked(id)
+	m.retireLocked(j)
 	m.mu.Unlock()
 }
 
 // retireLocked is retire with m.mu held.
-func (m *Manager) retireLocked(id string) {
-	m.doneOrder = append(m.doneOrder, id)
+func (m *Manager) retireLocked(j *job) {
+	m.doneOrder = append(m.doneOrder, j.id)
 	for len(m.doneOrder) > m.opts.MaxJobHistory {
 		delete(m.jobs, m.doneOrder[0])
 		m.doneOrder = m.doneOrder[1:]
 	}
+	close(j.done)
 }
 
 // recordKernel accumulates per-kernel throughput counters.
@@ -1096,7 +1088,7 @@ func (m *Manager) Cancel(id string) (*JobStatus, error) {
 		}
 		j.mu.Unlock()
 		if finished {
-			m.retire(j.id)
+			m.retire(j)
 		}
 	}
 	return j.snapshot(), nil

@@ -1,9 +1,9 @@
 package serve_test
 
 // The persistence latency ladder: memory hit < disk hit < recompute.
-// BENCH_persist.json records these numbers — the disk tier only earns
-// its place if a warm-disk restart really is orders of magnitude
-// cheaper than recomputing (and barely worse than RAM).
+// EXPERIMENTS.md's persistence row records these numbers — the disk
+// tier only earns its place if a warm-disk restart really is orders of
+// magnitude cheaper than recomputing (and barely worse than RAM).
 
 import (
 	"context"

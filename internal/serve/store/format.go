@@ -24,7 +24,7 @@ import (
 //
 //	EZSTORE1 <hash> <resultLen> <framesLen> <payloadCRC>\n
 //	<resultLen bytes: JSON core.Result>
-//	<framesLen bytes: gfx frame-stream records (EZFRAME ...)>
+//	<framesLen bytes: gfx frame-stream records (EZFRAME ...); see Entry>
 //
 // Index record (cache.idx) — append-only log of the live entry set:
 //
@@ -100,10 +100,13 @@ func validToken(s string) bool {
 
 // --- entry files ------------------------------------------------------
 
-// Entry is one cached computation: the performance result plus the
-// run's rendered frames in the gfx frame-stream wire format (for cached
-// runs, a single "final" EZFRAME record of the finished image; empty
-// when the run produced no image).
+// Entry is one cached computation: the performance result, whose
+// Checksum pins the final image's pixels, plus a frames section in the
+// gfx frame-stream wire format. The daemon writes that section empty:
+// no endpoint serves a cached run's image. Entries written by older
+// daemons, or pushed by older peers, hold a single "final" EZFRAME
+// record of the finished image there; they decode and CRC-check like
+// any other, and replication carries their bytes along unread.
 type Entry struct {
 	Hash   string
 	Result core.Result
