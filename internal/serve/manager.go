@@ -40,7 +40,6 @@ import (
 
 	"easypap/internal/core"
 	"easypap/internal/gfx"
-	"easypap/internal/sched"
 	"easypap/internal/serve/store"
 	"easypap/internal/trace"
 )
@@ -278,15 +277,6 @@ func (j *job) snapshot() *JobStatus {
 	return s
 }
 
-// kernelStats accumulates per-kernel serving throughput.
-type kernelStats struct {
-	jobs       int64
-	iterations int64
-	wallNS     int64
-	dispatched int64 // lazy frontier tiles actually computed
-	skipped    int64 // tiles the frontier let the kernel skip
-}
-
 // Manager is the job service. Create with NewManager, shut down with
 // Close. All methods are safe for concurrent use.
 type Manager struct {
@@ -407,66 +397,6 @@ func NewManager(opts Options) *Manager {
 	return m
 }
 
-// spillReq is one completed result — or one mid-run checkpoint — on its
-// way to the disk tier. Exactly one of (hash, result) and snap is
-// populated.
-type spillReq struct {
-	hash    string
-	job     string
-	traceID string
-	result  core.Result
-	snap    *store.Snapshot // checkpoint write (hash/result unused)
-}
-
-// spiller is the write-behind worker of the disk tier: it persists the
-// entry — the result JSON alone, whose Checksum pins the final pixels;
-// no endpoint serves a cached run's image, so none is encoded — and
-// the periodic checkpoints. Spilling at completion (not at memory
-// eviction) is what makes a crash lose nothing — an entry that never
-// got evicted must still be on disk when the daemon dies.
-func (m *Manager) spiller() {
-	defer m.spillWg.Done()
-	for req := range m.spill {
-		begin := time.Now()
-		if req.snap != nil {
-			// Checkpoint write-behind: persist the snapshot, then journal
-			// "job has a checkpoint at iter" so a crash resumes it there.
-			// A snap error for an already-finished job (its open record is
-			// gone) is harmless — the snapshot itself is still usable by
-			// any future submission sharing the iteration prefix.
-			err := m.store.Cache.PutSnapshot(req.snap)
-			if err == nil && req.job != "" {
-				_ = m.store.Journal.Snap(req.job, req.snap.Iter)
-			}
-			m.span(m.obs.snapshot, req.traceID, req.job, StageSnapshot, begin, time.Now(), err)
-			if err != nil {
-				m.spillErrs.Add(1)
-				continue
-			}
-			m.snapsWritten.Add(1)
-			if hook := m.snapHook.Load(); hook != nil {
-				// Snapshot replication rides the spill exactly like entries:
-				// durable locally first, then pushed to the ring successors.
-				(*hook)(req.snap, req.traceID)
-			}
-			continue
-		}
-		e := &store.Entry{Hash: req.hash, Result: req.result}
-		err := m.store.Cache.Put(e)
-		m.span(m.obs.spill, req.traceID, req.job, StageSpill, begin, time.Now(), err)
-		if err != nil {
-			m.spillErrs.Add(1)
-			continue
-		}
-		m.spills.Add(1)
-		if hook := m.spillHook.Load(); hook != nil {
-			// Replication rides the spill: the entry is durable locally,
-			// now the cluster layer pushes it to the ring successors.
-			(*hook)(e, req.traceID)
-		}
-	}
-}
-
 // SetSpillHook registers a function invoked with every entry after it
 // is durably written to the disk tier — the cluster layer's replication
 // push point. The second argument is the trace id of the job whose
@@ -507,73 +437,6 @@ func (m *Manager) SetEntrySource(f func(hash, traceID string) *store.Entry) {
 		return
 	}
 	m.entrySource.Store(&f)
-}
-
-// recoverJournal replays the write-ahead journal: every job that was
-// queued or running when the previous daemon died is re-admitted under
-// its ORIGINAL id — a client that submitted before the crash keeps
-// polling the same id across the restart, and keeps its original
-// submission time (the journal persists it, so recovered jobs do not
-// jump the queue-age ordering). Non-frames jobs are re-enqueued
-// (RecoverRequeue) or marked interrupted (RecoverInterrupt); frames
-// jobs re-enqueue only when a checkpoint was journaled — the runner
-// will resume from it and new subscribers attach at the resume
-// keyframe — and are interrupted otherwise, since replaying the whole
-// stream from zero for subscribers that did not survive is pure waste.
-// The id sequence resumes past every journaled id so new submissions
-// never collide with recovered ones.
-func (m *Manager) recoverJournal() {
-	recs := m.store.Journal.Recovered()
-	if max := m.store.Journal.MaxID(); max > m.nextID.Load() {
-		m.nextID.Store(max)
-	}
-	for _, rec := range recs {
-		submitted := time.Now()
-		if rec.Submitted > 0 {
-			submitted = time.Unix(0, rec.Submitted)
-		}
-		j := &job{
-			id:        rec.ID,
-			hash:      rec.Hash,
-			traceID:   trace.NewTraceID(), // pre-crash spans did not survive
-			cfg:       rec.Config,
-			state:     JobQueued,
-			recovered: true,
-			submitted: submitted,
-			done:      make(chan struct{}),
-		}
-		requeue := m.opts.Recover != RecoverInterrupt && (!rec.Frames || rec.SnapIter > 0)
-		if requeue && rec.Frames {
-			j.frames = NewFrameHub(HubOptions{Stats: &m.frameStats})
-		}
-		m.mu.Lock()
-		if requeue {
-			j.ctx, j.cancel = context.WithCancel(m.baseCtx)
-			select {
-			case m.queue <- j:
-				m.jobs[j.id] = j
-				m.mu.Unlock()
-				m.submitted.Add(1)
-				m.recovered.Add(1)
-				continue
-			default:
-				// Recovery outgrew the queue; fall through to interrupt so
-				// the journal does not replay this job forever.
-				j.cancel()
-				j.ctx, j.cancel = nil, nil
-			}
-		}
-		now := time.Now()
-		j.state = JobInterrupted
-		j.errMsg = "daemon restarted while the job was queued or running"
-		j.started, j.finished = now, now
-		m.jobs[j.id] = j
-		m.retireLocked(j)
-		m.mu.Unlock()
-		m.submitted.Add(1)
-		m.interrupted.Add(1)
-		_ = m.store.Journal.End(j.id, string(JobInterrupted))
-	}
 }
 
 // NormalizeSubmission applies the daemon's submission discipline to a
@@ -803,247 +666,6 @@ func (m *Manager) finishCachedLocked(j *job, r core.Result, tier cacheTier) {
 	m.completed.Add(1)
 }
 
-// runner executes queued jobs until the queue closes.
-func (m *Manager) runner() {
-	defer m.wg.Done()
-	for j := range m.queue {
-		m.runJob(j)
-	}
-}
-
-// runJob drives one job through lease → run → release → publish.
-func (m *Manager) runJob(j *job) {
-	j.mu.Lock()
-	if j.state != JobQueued {
-		j.mu.Unlock()
-		return
-	}
-	if err := j.ctx.Err(); err != nil {
-		// Canceled (or manager shut down) while still queued.
-		m.finish(j, nil, err)
-		j.mu.Unlock()
-		m.retire(j)
-		return
-	}
-	j.state = JobRunning
-	j.started = time.Now()
-	j.mu.Unlock()
-
-	// Queue wait: admission → a runner picked the job up.
-	m.span(m.obs.queue, j.traceID, j.id, StageQueue, j.submitted, j.started, nil)
-
-	m.running.Add(1)
-	defer m.running.Add(-1)
-
-	opts := core.RunOptions{RecvTimeout: m.opts.RecvTimeout}
-	opts.OnActivity = func(a core.IterActivity) {
-		st := &ActivityStatus{Iter: a.Iter, Active: a.Active, Total: a.Total}
-		if a.Total > 0 {
-			st.Ratio = float64(a.Active) / float64(a.Total)
-		}
-		j.mu.Lock()
-		j.activity = st
-		j.mu.Unlock()
-	}
-	m.setupCheckpointing(j, &opts)
-	var leased *sched.Pool
-	if j.cfg.MPIRanks <= 1 {
-		// Distributed jobs own one private pool per rank inside core; only
-		// single-process jobs can lease a warm pool.
-		leaseStart := time.Now()
-		leased = m.pools.lease(j.cfg.Threads)
-		m.span(m.obs.lease, j.traceID, j.id, StageLease, leaseStart, time.Now(), nil)
-		opts.Pool = leased
-	}
-	if j.frames != nil {
-		opts.Sink = newHubSink(j.frames)
-	}
-
-	computeStart := time.Now()
-	var out *core.RunOutput
-	var err error
-	if hook := m.shardRunner.Load(); hook != nil && j.shards > 1 {
-		// Distributed execution: the coordinator hook splits the job into
-		// row bands across the cluster and returns rank 0's stitched
-		// output. The leased pool (if any) goes unused — each rank builds
-		// its own team — but mpi variants carry MPIRanks >= 2, so the
-		// warm-lease branch above already skipped them.
-		m.jobsCoordinated.Add(1)
-		out, err = (*hook)(j.ctx, ShardJob{
-			ID: j.id, TraceID: j.traceID, Config: j.cfg, Shards: j.shards,
-			Frames: j.frames != nil, Sink: opts.Sink, OnActivity: opts.OnActivity,
-		})
-	} else {
-		out, err = core.RunWith(j.ctx, j.cfg, opts)
-	}
-	m.span(m.obs.compute, j.traceID, j.id, StageCompute, computeStart, time.Now(), err)
-
-	if leased != nil {
-		m.pools.release(leased)
-	}
-
-	j.mu.Lock()
-	m.finish(j, out, err)
-	j.mu.Unlock()
-	m.retire(j)
-}
-
-// setupCheckpointing wires iteration-prefix checkpointing into a run:
-// resume from the deepest stored snapshot below the job's target (the
-// shared prefix is never recomputed), and — when SnapshotEvery is on —
-// hand periodic state snapshots to the write-behind spiller. Only
-// single-process runs of codec-capable kernels participate; everything
-// else runs exactly as before. Resumption needs no SnapshotEvery: the
-// snapshots may have been written by an earlier daemon generation or
-// pushed by a ring peer.
-func (m *Manager) setupCheckpointing(j *job, opts *core.RunOptions) {
-	if m.store == nil || j.shards > 1 || j.cfg.MPIRanks > 1 {
-		return
-	}
-	k, err := core.Lookup(j.cfg.Kernel)
-	if err != nil || k.Codec == nil {
-		return
-	}
-	prefixHash, err := j.cfg.PrefixHash()
-	if err != nil {
-		return
-	}
-	// Deepest usable snapshot strictly below the target: a snapshot AT
-	// the target would be the finished result, and that lives in the
-	// entry cache, which Submit already consulted.
-	lookup := time.Now()
-	if s, ok := m.store.Cache.DeepestSnapshot(prefixHash, j.cfg.Iterations-1); ok {
-		opts.Resume = &core.ResumeState{Iter: s.Iter, State: s.State}
-		m.snapsResumed.Add(1)
-		m.span(m.obs.resume, j.traceID, j.id, StageResume, lookup, time.Now(), nil)
-	}
-	if m.opts.SnapshotEvery > 0 {
-		opts.SnapshotEvery = m.opts.SnapshotEvery
-		opts.OnSnapshot = func(iter int, state []byte) {
-			// Same shed rule as result spills: dropping a checkpoint under
-			// a full spill queue only costs recompute, never correctness.
-			select {
-			case m.spill <- spillReq{job: j.id, traceID: j.traceID,
-				snap: &store.Snapshot{PrefixHash: prefixHash, Iter: iter, State: state}}:
-			default:
-				m.spillDrops.Add(1)
-			}
-		}
-	}
-}
-
-// finish moves a job to its terminal state and publishes the result.
-// Callers hold j.mu, and retire the job once they have released it.
-func (m *Manager) finish(j *job, out *core.RunOutput, err error) {
-	now := time.Now()
-	if j.started.IsZero() {
-		j.started = now
-	}
-	j.finished = now
-	switch {
-	case err != nil && errors.Is(err, context.Canceled):
-		j.state = JobCanceled
-		j.errMsg = err.Error()
-		m.canceled.Add(1)
-	case err != nil:
-		j.state = JobFailed
-		j.errMsg = err.Error()
-		if errors.Is(err, ErrShardFailed) {
-			// Typed: the client reads ErrorKind and resubmits unsharded.
-			j.errKind = ErrorKindShardFailed
-		}
-		m.failed.Add(1)
-	default:
-		j.state = JobDone
-		j.result = &out.Result
-		m.completed.Add(1)
-		m.computed.Add(1)
-		if j.frames == nil {
-			// Cache tiers hold the canonical result: ResumedFrom is run
-			// provenance (THIS execution started from a checkpoint), not
-			// part of the content — a later cache hit was not resumed.
-			cached := out.Result
-			cached.ResumedFrom = 0
-			m.cache.put(j.hash, cached)
-			if m.spill != nil {
-				// Write-behind to the disk tier. Dropping under a full spill
-				// queue is safe — the entry is merely not durable yet and a
-				// resubmission would recompute it.
-				select {
-				case m.spill <- spillReq{hash: j.hash, job: j.id, traceID: j.traceID, result: cached}:
-				default:
-					m.spillDrops.Add(1)
-				}
-			}
-		}
-		m.recordKernel(out.Result)
-	}
-	if m.store != nil {
-		if j.state == JobCanceled && m.closing.Load() {
-			// Shutdown-induced cancellation: leave the open record in the
-			// journal so the NEXT daemon generation recovers the job. This
-			// is what makes a rolling deploy (SIGTERM, graceful drain) as
-			// survivable as a crash — writing "canceled" here would erase
-			// the recovery set precisely when the restart is planned.
-		} else {
-			_ = m.store.Journal.End(j.id, string(j.state))
-		}
-	}
-	if j.frames != nil {
-		// Every terminal path must end the stream — a job canceled while
-		// still queued (or drained at shutdown) has subscribers blocked in
-		// HubReader.Read too.
-		j.frames.Close()
-	}
-	if j.cancel != nil {
-		j.cancel()
-	}
-}
-
-// retire records a terminal job in the bounded history, evicting the
-// oldest finished jobs beyond MaxJobHistory (active jobs are never in
-// doneOrder, so they are never evicted), and only then closes j.done:
-// whoever Wait wakes finds the history already holding the job. Frame
-// buffers go with the job record, which is what keeps a long-lived
-// daemon's memory bounded. Callers must not hold j.mu (lock order is
-// never j.mu → m.mu).
-func (m *Manager) retire(j *job) {
-	m.mu.Lock()
-	m.retireLocked(j)
-	m.mu.Unlock()
-}
-
-// retireLocked is retire with m.mu held.
-func (m *Manager) retireLocked(j *job) {
-	m.doneOrder = append(m.doneOrder, j.id)
-	for len(m.doneOrder) > m.opts.MaxJobHistory {
-		delete(m.jobs, m.doneOrder[0])
-		m.doneOrder = m.doneOrder[1:]
-	}
-	close(j.done)
-}
-
-// recordKernel accumulates per-kernel throughput counters.
-func (m *Manager) recordKernel(r core.Result) {
-	m.kmu.Lock()
-	defer m.kmu.Unlock()
-	ks := m.kernels[r.Config.Kernel]
-	if ks == nil {
-		ks = &kernelStats{}
-		m.kernels[r.Config.Kernel] = ks
-	}
-	ks.jobs++
-	// Only iterations computed THIS run count toward throughput: a
-	// resumed job inherited its prefix from a snapshot, and crediting it
-	// with the full depth would let iters_per_sec exceed the hardware.
-	ks.iterations += int64(r.Iterations - r.ResumedFrom)
-	ks.wallNS += r.WallTime.Nanoseconds()
-	for _, a := range r.Activity {
-		ks.dispatched += int64(a.Active)
-		ks.skipped += int64(a.Total - a.Active)
-	}
-}
-
 // lookup finds a job by id.
 func (m *Manager) lookup(id string) (*job, error) {
 	m.mu.Lock()
@@ -1125,156 +747,6 @@ func (m *Manager) FrameStream(ctx context.Context, id string, format gfx.StreamF
 		return nil, fmt.Errorf("%w: %q", ErrNoFrames, id)
 	}
 	return j.frames.Subscribe(ctx, format), nil
-}
-
-// Stats is the GET /v1/stats body.
-type Stats struct {
-	UptimeSec     float64 `json:"uptime_sec"`
-	QueueDepth    int     `json:"queue_depth"`
-	QueueCapacity int     `json:"queue_capacity"`
-	Running       int64   `json:"running"`
-	Workers       int     `json:"workers"`
-
-	Submitted int64 `json:"submitted"`
-	Completed int64 `json:"completed"`
-	// Computed counts jobs that actually ran a kernel — no cache tier
-	// answered. completed - computed is the number of cache-served jobs.
-	Computed int64 `json:"computed"`
-	Failed   int64 `json:"failed"`
-	Canceled int64 `json:"canceled"`
-	Rejected int64 `json:"rejected"`
-
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-	CacheSize   int   `json:"cache_size"`
-
-	// Persistence counters (all zero when the daemon runs without
-	// --data-dir). DiskHits/DiskMisses count second-tier lookups after a
-	// memory miss; Spills counts results written behind to disk;
-	// DiskCorrupt counts entries rejected by CRC and dropped.
-	// Counters never carry omitempty: a client must be able to tell a
-	// true zero ("no spill has ever failed") from a field the daemon
-	// did not report. TestStatsCountersAlwaysPresent pins this.
-	DiskHits   int64 `json:"disk_hits"`
-	DiskMisses int64 `json:"disk_misses"`
-	// RemoteHits counts submissions answered by a replica fetch after
-	// both local tiers missed (cluster mode with replication).
-	RemoteHits      int64 `json:"remote_hits"`
-	Spills          int64 `json:"spills"`
-	SpillErrors     int64 `json:"spill_errors"`
-	SpillDropped    int64 `json:"spill_dropped"`
-	DiskEntries     int   `json:"disk_entries"`
-	DiskBytes       int64 `json:"disk_bytes"`
-	DiskCorrupt     int64 `json:"disk_corrupt"`
-	RecoveredJobs   int64 `json:"recovered_jobs"`
-	InterruptedJobs int64 `json:"interrupted_jobs"`
-	// SnapshotsWritten counts checkpoints durably persisted;
-	// SnapshotsResumed counts jobs that started from a stored checkpoint
-	// instead of iteration zero (both zero without -snapshot-every and
-	// an empty snapshot store).
-	SnapshotsWritten int64 `json:"snapshots_written"`
-	SnapshotsResumed int64 `json:"snapshots_resumed"`
-
-	// Distributed-execution counters (see shard.go). Like every counter
-	// above, no omitempty: zero is a reported value, not an absence.
-	JobsCoordinated int64 `json:"jobs_coordinated"`
-	ShardsExecuted  int64 `json:"shards_executed"`
-	HalosSent       int64 `json:"halos_sent"`
-	HalosSkipped    int64 `json:"halos_skipped"`
-
-	PoolWarmLeases int64 `json:"pool_warm_leases"`
-	PoolColdLeases int64 `json:"pool_cold_leases"`
-	PoolsIdle      int   `json:"pools_idle"`
-
-	// Frame-streaming counters (the broadcast hub; see hub.go). Gauge +
-	// counters, no omitempty like every counter above.
-	FrameSubscribers    int64 `json:"frame_subscribers"`
-	FrameDroppedToKey   int64 `json:"frame_dropped_to_keyframe"`
-	FramePostCloseDrops int64 `json:"frame_post_close_drops"`
-	// FrameFullBytes is what the job hubs published as full-frame
-	// encodings; FrameDeltaBytes is what a delta subscriber receives for
-	// the same records — the spread is the delta savings.
-	FrameFullBytes  int64 `json:"frame_full_bytes"`
-	FrameDeltaBytes int64 `json:"frame_delta_bytes"`
-
-	// Kernels maps kernel name to serving throughput.
-	Kernels map[string]KernelThroughput `json:"kernels"`
-}
-
-// KernelThroughput is the per-kernel serving record.
-type KernelThroughput struct {
-	Jobs        int64   `json:"jobs"`
-	Iterations  int64   `json:"iterations"`
-	WallNS      int64   `json:"wall_ns"`
-	ItersPerSec float64 `json:"iters_per_sec"` // computed iterations per compute-second
-
-	// TilesDispatched/TilesSkipped aggregate lazy-variant frontiers: how
-	// many tiles sparse dispatch actually computed vs. how many the
-	// tile-activity engine proved skippable (both 0 for eager-only load;
-	// no omitempty — zero must be reported as zero).
-	TilesDispatched int64 `json:"tiles_dispatched"`
-	TilesSkipped    int64 `json:"tiles_skipped"`
-}
-
-// Stats returns a consistent snapshot of the service counters.
-func (m *Manager) Stats() Stats {
-	s := Stats{
-		UptimeSec:      time.Since(m.start).Seconds(),
-		QueueDepth:     len(m.queue),
-		QueueCapacity:  cap(m.queue),
-		Running:        m.running.Load(),
-		Workers:        m.opts.Workers,
-		Submitted:      m.submitted.Load(),
-		Completed:      m.completed.Load(),
-		Computed:       m.computed.Load(),
-		Failed:         m.failed.Load(),
-		Canceled:       m.canceled.Load(),
-		Rejected:       m.rejected.Load(),
-		CacheHits:      m.cache.hits.Load(),
-		CacheMisses:    m.cache.misses.Load(),
-		CacheSize:      m.cache.len(),
-		PoolWarmLeases: m.pools.warm.Load(),
-		PoolColdLeases: m.pools.cold.Load(),
-		PoolsIdle:      m.pools.idleCount(),
-		Kernels:        make(map[string]KernelThroughput),
-
-		JobsCoordinated: m.jobsCoordinated.Load(),
-		ShardsExecuted:  m.shardsExecuted.Load(),
-		HalosSent:       m.halosSent.Load(),
-		HalosSkipped:    m.halosSkipped.Load(),
-
-		FrameSubscribers:    m.frameStats.Subscribers.Load(),
-		FrameDroppedToKey:   m.frameStats.DroppedToKey.Load(),
-		FramePostCloseDrops: m.frameStats.PostCloseDrops.Load(),
-		FrameFullBytes:      m.frameStats.FullBytes.Load(),
-		FrameDeltaBytes:     m.frameStats.DeltaBytes.Load(),
-	}
-	s.RemoteHits = m.remoteHits.Load()
-	if m.store != nil {
-		s.DiskHits = m.diskHits.Load()
-		s.DiskMisses = m.diskMisses.Load()
-		s.Spills = m.spills.Load()
-		s.SpillErrors = m.spillErrs.Load()
-		s.SpillDropped = m.spillDrops.Load()
-		s.DiskEntries = m.store.Cache.Len()
-		s.DiskBytes = m.store.Cache.Bytes()
-		s.DiskCorrupt = m.store.Cache.Corrupt()
-		s.RecoveredJobs = m.recovered.Load()
-		s.InterruptedJobs = m.interrupted.Load()
-		s.SnapshotsWritten = m.snapsWritten.Load()
-		s.SnapshotsResumed = m.snapsResumed.Load()
-	}
-	m.kmu.Lock()
-	for name, ks := range m.kernels {
-		kt := KernelThroughput{Jobs: ks.jobs, Iterations: ks.iterations, WallNS: ks.wallNS,
-			TilesDispatched: ks.dispatched, TilesSkipped: ks.skipped}
-		if ks.wallNS > 0 {
-			kt.ItersPerSec = float64(ks.iterations) / (float64(ks.wallNS) / 1e9)
-		}
-		s.Kernels[name] = kt
-	}
-	m.kmu.Unlock()
-	return s
 }
 
 // Close shuts the service down: running jobs are canceled, queued jobs
