@@ -23,6 +23,8 @@ type resultCache struct {
 	order   *list.List               // front = most recently used
 	entries map[string]*list.Element // hash -> element whose Value is *cacheEntry
 
+	// hits and misses are counted by the lookups that answer a job (the
+	// Submit ladder, the runner's re-read), not by get itself.
 	hits   atomic.Int64
 	misses atomic.Int64
 }
@@ -43,17 +45,15 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-// get returns the cached result for hash, counting the hit or miss.
+// get returns the cached result for hash.
 func (c *resultCache) get(hash string) (core.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[hash]
 	if !ok {
-		c.misses.Add(1)
 		return core.Result{}, false
 	}
 	c.order.MoveToFront(el)
-	c.hits.Add(1)
 	return el.Value.(*cacheEntry).result, true
 }
 

@@ -132,17 +132,43 @@ func isStatus(err error, code int) bool {
 	return errors.As(err, &apiErr) && apiErr.StatusCode == code
 }
 
-func (c *Client) getJSON(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
+// do sends one request: in, when non-nil, as its JSON body, and accept,
+// when set, as its Accept header. A status other than 200 or 202 comes
+// back as an APIError.
+func (c *Client) do(ctx context.Context, method, path string, in any, accept string) (*http.Response, error) {
+	var body io.Reader
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return nil, err
+		}
+		body = bytes.NewReader(b)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
 	}
 	resp, err := c.http().Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+		return nil, apiError(resp)
+	}
+	return resp, nil
+}
+
+// callJSON is do with the JSON answer decoded into out.
+func (c *Client) callJSON(ctx context.Context, method, path string, in, out any) error {
+	resp, err := c.do(ctx, method, path, in, "")
+	if err != nil {
+		return err
 	}
 	defer resp.Body.Close()
 	return json.NewDecoder(resp.Body).Decode(out)
@@ -162,25 +188,9 @@ func (c *Client) Submit(ctx context.Context, cfg core.Config, frames bool) (*ser
 // resubmitted unsharded; ShardFailed and RunConfigSharded wrap that
 // protocol.
 func (c *Client) SubmitShards(ctx context.Context, cfg core.Config, frames bool, shards int) (*serve.JobStatus, error) {
-	payload, err := json.Marshal(serve.SubmitRequest{Config: cfg, Frames: frames, Shards: shards})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/v1/jobs", bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		return nil, apiError(resp)
-	}
-	defer resp.Body.Close()
 	var st serve.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	req := serve.SubmitRequest{Config: cfg, Frames: frames, Shards: shards}
+	if err := c.callJSON(ctx, http.MethodPost, "/v1/jobs", req, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -189,7 +199,7 @@ func (c *Client) SubmitShards(ctx context.Context, cfg core.Config, frames bool,
 // Job fetches a job's current status.
 func (c *Client) Job(ctx context.Context, id string) (*serve.JobStatus, error) {
 	var st serve.JobStatus
-	if err := c.getJSON(ctx, "/v1/jobs/"+id, &st); err != nil {
+	if err := c.callJSON(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -197,20 +207,8 @@ func (c *Client) Job(ctx context.Context, id string) (*serve.JobStatus, error) {
 
 // Cancel requests cancellation of a job.
 func (c *Client) Cancel(ctx context.Context, id string) (*serve.JobStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.Base+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
-	defer resp.Body.Close()
 	var st serve.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := c.callJSON(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -239,7 +237,7 @@ func (c *Client) Wait(ctx context.Context, id string) (*serve.JobStatus, error) 
 // Stats fetches the service counters.
 func (c *Client) Stats(ctx context.Context) (*serve.Stats, error) {
 	var s serve.Stats
-	if err := c.getJSON(ctx, "/v1/stats", &s); err != nil {
+	if err := c.callJSON(ctx, http.MethodGet, "/v1/stats", nil, &s); err != nil {
 		return nil, err
 	}
 	return &s, nil
@@ -248,7 +246,7 @@ func (c *Client) Stats(ctx context.Context) (*serve.Stats, error) {
 // Kernels lists the daemon's registered kernels.
 func (c *Client) Kernels(ctx context.Context) ([]serve.KernelInfo, error) {
 	var ks []serve.KernelInfo
-	if err := c.getJSON(ctx, "/v1/kernels", &ks); err != nil {
+	if err := c.callJSON(ctx, http.MethodGet, "/v1/kernels", nil, &ks); err != nil {
 		return nil, err
 	}
 	return ks, nil
@@ -257,16 +255,9 @@ func (c *Client) Kernels(ctx context.Context) ([]serve.KernelInfo, error) {
 // Frames streams the job's frames, invoking fn for each decoded record
 // until the stream ends, fn returns false, or ctx expires.
 func (c *Client) Frames(ctx context.Context, id string, fn func(f *gfx.StreamFrame) bool) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/v1/jobs/"+id+"/frames", nil)
+	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/frames", nil, "")
 	if err != nil {
 		return err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
 	}
 	defer resp.Body.Close()
 	r := bufio.NewReader(resp.Body)
@@ -293,18 +284,10 @@ func (c *Client) Frames(ctx context.Context, id string, fn func(f *gfx.StreamFra
 // windows, same iterations, byte-identical pixels — just cheaper on the
 // wire for sparse kernels.
 func (c *Client) FramesDelta(ctx context.Context, id string, fn func(window string, iter int, img *img2d.Image) bool) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.Base+"/v1/jobs/"+id+"/frames?format="+string(gfx.FormatDelta), nil)
+	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/frames?format="+string(gfx.FormatDelta),
+		nil, serve.FramesDeltaContentType)
 	if err != nil {
 		return err
-	}
-	req.Header.Set("Accept", serve.FramesDeltaContentType)
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return apiError(resp)
 	}
 	defer resp.Body.Close()
 	r := bufio.NewReader(resp.Body)

@@ -83,7 +83,7 @@ func (m *Multi) RefreshRing(ctx context.Context) error {
 	var lastErr error
 	for _, c := range m.snapshotClients(m.rr.Add(1)) {
 		var mem cluster.Membership
-		if err := c.getJSON(ctx, "/v1/cluster", &mem); err != nil {
+		if err := c.callJSON(ctx, http.MethodGet, "/v1/cluster", nil, &mem); err != nil {
 			var apiErr *APIError
 			if errors.As(err, &apiErr) &&
 				(apiErr.StatusCode == http.StatusNotFound || apiErr.StatusCode == http.StatusMethodNotAllowed) {
@@ -260,7 +260,7 @@ func (m *Multi) Stats(ctx context.Context) (*cluster.ClusterAggregate, error) {
 	var lastErr error
 	for _, c := range m.snapshotClients(m.rr.Add(1)) {
 		var agg cluster.ClusterAggregate
-		if err := c.getJSON(ctx, "/v1/cluster/stats", &agg); err != nil {
+		if err := c.callJSON(ctx, http.MethodGet, "/v1/cluster/stats", nil, &agg); err != nil {
 			lastErr = err
 			continue
 		}

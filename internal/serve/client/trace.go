@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"strings"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 // daemon answers from its local span ring.
 func (c *Client) Trace(ctx context.Context, id string) (*serve.TraceDoc, error) {
 	var doc serve.TraceDoc
-	if err := c.getJSON(ctx, "/v1/trace/"+id, &doc); err != nil {
+	if err := c.callJSON(ctx, http.MethodGet, "/v1/trace/"+id, nil, &doc); err != nil {
 		return nil, err
 	}
 	return &doc, nil

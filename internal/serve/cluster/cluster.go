@@ -252,11 +252,12 @@ func NewNode(mgr *serve.Manager, opts Options) (*Node, error) {
 		n.wg.Add(1)
 		go n.probeLoop()
 	}
+	// Distributed single-job execution: sharded submissions reaching this
+	// node's manager are coordinated across the ring (shard.go).
+	hooks := &serve.ClusterHooks{RunSharded: n.runSharded}
 	if opts.Replicate > 1 {
 		n.replq = make(chan replTask, 256)
-		mgr.SetSpillHook(n.enqueueReplication)
-		mgr.SetSnapshotHook(n.enqueueSnapReplication)
-		mgr.SetEntrySource(n.fetchEntry)
+		hooks.Spilled, hooks.Fetch = n.enqueueReplication, n.fetchEntry
 		n.wg.Add(1)
 		go n.replicateLoop()
 	}
@@ -264,9 +265,7 @@ func NewNode(mgr *serve.Manager, opts Options) (*Node, error) {
 		n.wg.Add(1)
 		go n.rebalanceLoop()
 	}
-	// Distributed single-job execution: sharded submissions reaching this
-	// node's manager are coordinated across the ring (shard.go).
-	mgr.SetShardRunner(n.runSharded)
+	mgr.SetClusterHooks(hooks)
 	return n, nil
 }
 
@@ -279,12 +278,7 @@ func (n *Node) Manager() *serve.Manager { return n.mgr }
 // Close stops the prober, replicator and rebalancer. It does not close
 // the Manager.
 func (n *Node) Close() {
-	if n.opts.Replicate > 1 {
-		n.mgr.SetSpillHook(nil)
-		n.mgr.SetSnapshotHook(nil)
-		n.mgr.SetEntrySource(nil)
-	}
-	n.mgr.SetShardRunner(nil)
+	n.mgr.SetClusterHooks(nil)
 	n.closeEdges()
 	close(n.stop)
 	n.wg.Wait()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"easypap/internal/core"
@@ -214,10 +215,9 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		begin := time.Now()
-		ok, err := n.proxy(w, r, m, "/v1/jobs", fwd)
+		ok, err := n.proxy(w, r, m, "/v1/jobs", fwd, &n.jobsProxied)
 		n.observeSpan(n.proxyHist, traceID, serve.StageProxy, m.id, begin, time.Now(), err)
 		if ok {
-			n.jobsProxied.Add(1)
 			return
 		}
 		// The replica is unreachable (or draining): demote it and walk on.
@@ -289,9 +289,7 @@ func (n *Node) handleFrames(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer rd.Close()
-		w.Header().Set("Content-Type", serve.FrameContentType(format))
-		w.WriteHeader(http.StatusOK)
-		streamAll(w, rd)
+		serve.StreamAll(w, http.StatusOK, serve.FrameContentType(format), rd)
 		return
 	}
 	m := n.memberByID(node)
@@ -318,9 +316,7 @@ func (n *Node) handleFrames(w http.ResponseWriter, r *http.Request) {
 	defer n.releaseEdge(es)
 	rd := es.hub.Subscribe(r.Context(), format)
 	defer rd.Close()
-	w.Header().Set("Content-Type", serve.FrameContentType(format))
-	w.WriteHeader(http.StatusOK)
-	streamAll(w, rd)
+	serve.StreamAll(w, http.StatusOK, serve.FrameContentType(format), rd)
 }
 
 // proxyJobRequest forwards a status/cancel/frames call to the node a job
@@ -332,9 +328,8 @@ func (n *Node) proxyJobRequest(w http.ResponseWriter, r *http.Request, nodeID, p
 			fmt.Errorf("cluster: job id names unknown node %q", nodeID))
 		return
 	}
-	ok, err := n.proxy(w, r, m, path, nil)
+	ok, err := n.proxy(w, r, m, path, nil, &n.statusProxied)
 	if ok {
-		n.statusProxied.Add(1)
 		return
 	}
 	n.markDown(m)
@@ -346,8 +341,10 @@ func (n *Node) proxyJobRequest(w http.ResponseWriter, r *http.Request, nodeID, p
 // (false, err) when the peer must be considered unreachable — transport
 // error, or a gateway/drain status — and nothing was written to w, so
 // the caller can fail over. Any other response (including 4xx and 429)
-// is relayed verbatim and counts as reached.
-func (n *Node) proxy(w http.ResponseWriter, r *http.Request, m *member, path string, body []byte) (bool, error) {
+// is relayed verbatim and counts as reached: relayed is incremented
+// before the relay starts, so a client that has read the answer also
+// sees it counted.
+func (n *Node) proxy(w http.ResponseWriter, r *http.Request, m *member, path string, body []byte, relayed *atomic.Int64) (bool, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -375,11 +372,8 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, m *member, path str
 		return false, fmt.Errorf("cluster: %s returned %s", m.url, resp.Status)
 	}
 	n.markUp(m)
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	if rerr := streamAll(w, resp.Body); rerr != nil && rerr != io.EOF {
+	relayed.Add(1)
+	if rerr := serve.StreamAll(w, resp.StatusCode, resp.Header.Get("Content-Type"), resp.Body); rerr != nil && rerr != io.EOF {
 		// The upstream died mid-stream. Ending the chunked response
 		// normally would hand the client a clean EOF on a truncated
 		// stream — abort the connection instead so the truncation is
@@ -388,27 +382,4 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, m *member, path str
 		panic(http.ErrAbortHandler)
 	}
 	return true, nil
-}
-
-// streamAll copies rd to w, flushing after every chunk — both the local
-// frame stream and the proxied one must deliver frames as they render,
-// not when the job ends. It returns rd's terminal error (io.EOF on a
-// clean end; nil only when the client went away first).
-func streamAll(w http.ResponseWriter, rd io.Reader) error {
-	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, 64<<10)
-	for {
-		nr, rerr := rd.Read(buf)
-		if nr > 0 {
-			if _, werr := w.Write(buf[:nr]); werr != nil {
-				return nil // client went away
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if rerr != nil {
-			return rerr
-		}
-	}
 }

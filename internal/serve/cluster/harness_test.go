@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,25 +29,44 @@ import (
 )
 
 // swapHandler lets the httptest server come up before the node handler
-// exists (the node needs its own URL first). It answers 503 until set —
-// exactly what a booting daemon would do.
+// exists (the node needs its own URL first). Until the first set,
+// requests wait for the handler, the way a daemon's listening socket
+// queues connections until it serves (perfbench boots its nodes that
+// way). They must not fail: NewNode starts the prober at once, so a
+// node built earlier would mark this one suspect{0} in its first
+// gossip round, and that suspicion can land after waitAllHealthy has
+// passed. set(nil) halts the node: 503 from then on, like a daemon
+// going down.
 type swapHandler struct {
-	mu sync.RWMutex
-	h  http.Handler
+	init, boot sync.Once
+	ready      chan struct{} // closed by the first set
+	mu         sync.RWMutex
+	h          http.Handler
+}
+
+func (s *swapHandler) readyCh() chan struct{} {
+	s.init.Do(func() { s.ready = make(chan struct{}) })
+	return s.ready
 }
 
 func (s *swapHandler) set(h http.Handler) {
 	s.mu.Lock()
 	s.h = h
 	s.mu.Unlock()
+	s.boot.Do(func() { close(s.readyCh()) })
 }
 
 func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	select {
+	case <-s.readyCh():
+	case <-r.Context().Done():
+		return
+	}
 	s.mu.RLock()
 	h := s.h
 	s.mu.RUnlock()
 	if h == nil {
-		http.Error(w, `{"error":"booting"}`, http.StatusServiceUnavailable)
+		http.Error(w, `{"error":"halted"}`, http.StatusServiceUnavailable)
 		return
 	}
 	h.ServeHTTP(w, r)
@@ -120,8 +140,10 @@ func (tc *testCluster) kill(i int) {
 	tc.mgrs[i].Close()
 }
 
-// waitAllHealthy blocks until every live node reports every member
-// healthy (boot-order probe failures heal within a probe interval).
+// waitAllHealthy blocks until every live node has exchanged gossip
+// with every member and reports each one healthy. Members start alive
+// (optimistic start), so without the exchange this would pass before
+// any probe had answered.
 func (tc *testCluster) waitAllHealthy() {
 	tc.t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -137,7 +159,7 @@ func (tc *testCluster) waitAllHealthy() {
 				break
 			}
 			for _, m := range mem.Members {
-				if !m.Healthy {
+				if !m.Healthy || m.LastSeen.IsZero() {
 					ok = false
 				}
 			}
@@ -149,10 +171,31 @@ func (tc *testCluster) waitAllHealthy() {
 			return
 		}
 		if time.Now().After(deadline) {
-			tc.t.Fatal("cluster never converged to all-healthy")
+			tc.t.Fatalf("cluster never converged to all-healthy:%s", tc.views())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// views renders every live node's view of the membership, each member
+// as state{incarnation} plus its failed contacts, for failure messages:
+// a member some node does not see alive is one the shard planner skips
+// and routing tries last.
+func (tc *testCluster) views() string {
+	var b strings.Builder
+	for i, node := range tc.nodes {
+		if tc.killed[i] {
+			continue
+		}
+		fmt.Fprintf(&b, "\n  node %d (%s) sees", i, node.ID())
+		for _, m := range node.Membership().Members {
+			fmt.Fprintf(&b, " %s=%s{%d}", m.ID, m.State, m.Incarnation)
+			if m.Failures > 0 {
+				fmt.Fprintf(&b, "/%d failed contacts", m.Failures)
+			}
+		}
+	}
+	return b.String()
 }
 
 // ownerIndex returns which node owns cfg, resolved through the HTTP

@@ -237,7 +237,7 @@ func TestClusterMetricsEveryNode(t *testing.T) {
 			"easypapd_jobs_submitted_total ",
 		} {
 			if !strings.Contains(text, series) {
-				t.Errorf("node %d metrics missing %q", i, series)
+				t.Errorf("node %d metrics missing %q; views:%s", i, series, tc.views())
 			}
 		}
 		first := metricValue(text, `easypapd_stage_ns_count{stage="gossip"}`)

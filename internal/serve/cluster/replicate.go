@@ -38,33 +38,24 @@ import (
 // replTimeout bounds one entry transfer (push or fetch).
 const replTimeout = 2 * time.Second
 
-// replTask is one queued replication push; the trace id ties the push
-// spans into the originating job's distributed trace. Exactly one of
-// e and snap is set — snapshots ride the same queue and wire path as
-// entries, just under their own key and magic.
+// replTask is one queued replication push of an entry or a checkpoint
+// (both ride the same queue and wire path, under their own key and
+// magic); the trace id ties the push spans into the originating job's
+// distributed trace.
 type replTask struct {
-	e       *store.Entry
-	snap    *store.Snapshot
+	rec     store.Record
 	traceID string
 }
 
-// enqueueReplication is the manager's spill hook: called after an
-// entry hits the local disk. Never blocks the spiller — a full queue
-// drops the push (counted; the rebalancer heals the gap later).
-func (n *Node) enqueueReplication(e *store.Entry, traceID string) {
+// enqueueReplication is the manager's spill hook: called after an entry
+// or a checkpoint hits the local disk. Checkpoints replicate exactly
+// like entries, so a node death costs at most SnapshotEvery iterations
+// of recompute on the surviving replicas. Never blocks the spiller — a
+// full queue drops the push (counted; the rebalancer heals the gap
+// later).
+func (n *Node) enqueueReplication(rec store.Record, traceID string) {
 	select {
-	case n.replq <- replTask{e: e, traceID: traceID}:
-	default:
-		n.replDropped.Add(1)
-	}
-}
-
-// enqueueSnapReplication is the manager's snapshot hook: checkpoints
-// replicate exactly like entries, so a node death costs at most
-// SnapshotEvery iterations of recompute on the surviving replicas.
-func (n *Node) enqueueSnapReplication(s *store.Snapshot, traceID string) {
-	select {
-	case n.replq <- replTask{snap: s, traceID: traceID}:
+	case n.replq <- replTask{rec: rec, traceID: traceID}:
 	default:
 		n.replDropped.Add(1)
 	}
@@ -77,11 +68,7 @@ func (n *Node) replicateLoop() {
 		case <-n.stop:
 			return
 		case t := <-n.replq:
-			if t.snap != nil {
-				n.pushSnapshot(t.snap, t.traceID)
-			} else {
-				n.pushEntry(t.e, t.traceID)
-			}
+			n.push(t.rec, t.traceID)
 		}
 	}
 }
@@ -100,29 +87,16 @@ func (n *Node) replicaTargets(hash string) []*member {
 	return out
 }
 
-// pushEntry sends e to every replica target. Counted per target; a
-// push to an unreachable peer is dropped (the rebalancer retries after
-// the ring reflects the death). Each push is a replicate span in the
-// originating job's trace, naming the receiving peer.
-func (n *Node) pushEntry(e *store.Entry, traceID string) {
-	var buf bytes.Buffer
-	if err := store.EncodeEntry(&buf, e); err != nil {
-		n.replDropped.Add(1)
-		return
-	}
-	n.pushWire(e.Hash, buf.Bytes(), traceID)
-}
-
-// pushSnapshot replicates a checkpoint under its snapshot key. The ring
+// push encodes a record and replicates it under its key. The ring
 // routes by the full key, so successive snapshots of one prefix spread
 // like any other content — what matters is only that R nodes hold each.
-func (n *Node) pushSnapshot(s *store.Snapshot, traceID string) {
+func (n *Node) push(rec store.Record, traceID string) {
 	var buf bytes.Buffer
-	if err := store.EncodeSnapshot(&buf, s); err != nil {
+	if err := rec.Encode(&buf); err != nil {
 		n.replDropped.Add(1)
 		return
 	}
-	n.pushWire(store.SnapshotKey(s.PrefixHash, s.Iter), buf.Bytes(), traceID)
+	n.pushWire(rec.Key(), buf.Bytes(), traceID)
 }
 
 // pushWire sends one encoded record (entry or snapshot — the magic line
@@ -169,10 +143,10 @@ func (n *Node) putRemoteEntry(m *member, hash string, body []byte, traceID strin
 	return resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNoContent
 }
 
-// fetchEntry is the manager's remote entry source: on a local miss it
-// walks the entry's replica chain and returns the first copy that
-// decodes (CRC + hash verified by store.DecodeEntry plus an explicit
-// key check). Returns nil when no replica has it — the manager then
+// fetchEntry is the manager's replica tier (ClusterHooks.Fetch): on a
+// local miss it walks the entry's replica chain and returns the first
+// copy that decodes (CRC + hash verified by store.DecodeEntry plus an
+// explicit key check). Returns nil when no replica has it — the manager then
 // computes, which is the correct fallback, so errors here are silent.
 func (n *Node) fetchEntry(hash, traceID string) *store.Entry {
 	for _, m := range n.replicaTargets(hash) {

@@ -18,9 +18,11 @@ package cluster_test
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -58,13 +60,25 @@ func singleNodeRef(t *testing.T, cfg core.Config) core.Result {
 	return out.Result
 }
 
-// shardsExecutedTotal sums the shard-rank counter over live managers.
-func shardsExecutedTotal(mgrs []*serve.Manager) int64 {
-	var total int64
-	for _, m := range mgrs {
-		total += m.Stats().ShardsExecuted
+// shardsExecuted reads every manager's shard-rank counter.
+func shardsExecuted(mgrs []*serve.Manager) []int64 {
+	n := make([]int64, len(mgrs))
+	for i, m := range mgrs {
+		n[i] = m.Stats().ShardsExecuted
 	}
-	return total
+	return n
+}
+
+// shardPlan reports the ranks each node ran since before — the plan the
+// coordinator chose — and their total.
+func shardPlan(mgrs []*serve.Manager, before []int64) (string, int64) {
+	var b strings.Builder
+	var total int64
+	for i, n := range shardsExecuted(mgrs) {
+		fmt.Fprintf(&b, " node %d: %d", i, n-before[i])
+		total += n - before[i]
+	}
+	return b.String(), total
 }
 
 // TestShardedByteIdenticalToSingleNode is the equivalence battery: every
@@ -95,7 +109,7 @@ func TestShardedByteIdenticalToSingleNode(t *testing.T) {
 			cfg := tcase.cfg
 			cfg.Iterations += 3 * shards
 			ref := singleNodeRef(t, cfg)
-			before := shardsExecutedTotal(tc.mgrs)
+			before := shardsExecuted(tc.mgrs)
 
 			// Submit through a non-owner so the shards field rides the
 			// routing hop to the coordinator.
@@ -125,12 +139,13 @@ func TestShardedByteIdenticalToSingleNode(t *testing.T) {
 			if shards > 3 {
 				wantRanks = 3
 			}
-			if got := shardsExecutedTotal(tc.mgrs) - before; got != wantRanks {
-				t.Errorf("%s shards=%d: %d shard ranks executed, want %d (cache must not have answered, and the clamp must hold)",
-					tcase.name, shards, got, wantRanks)
+			if plan, got := shardPlan(tc.mgrs, before); got != wantRanks {
+				t.Errorf("%s shards=%d: %d shard ranks executed (%s), want %d (cache must not have answered, and the clamp must hold); views:%s",
+					tcase.name, shards, got, plan, wantRanks, tc.views())
 			}
 			if tc.mgrs[owner].Stats().JobsCoordinated == 0 {
-				t.Errorf("%s shards=%d: owner node never counted a coordinated job", tcase.name, shards)
+				t.Errorf("%s shards=%d: owner node %d never counted a coordinated job; views:%s",
+					tcase.name, shards, owner, tc.views())
 			}
 		}
 	}
@@ -144,6 +159,7 @@ func TestShardedSparseSkipsHalos(t *testing.T) {
 	tc := startCluster(t, 3, serve.Options{Workers: 2, QueueDepth: 16})
 	cfg := shardCfg("life", "blinker", 50, 0)
 	ref := singleNodeRef(t, cfg)
+	before := shardsExecuted(tc.mgrs)
 
 	c := client.New(tc.urls[0])
 	st, err := c.SubmitShards(context.Background(), cfg, false, 3)
@@ -168,7 +184,9 @@ func TestShardedSparseSkipsHalos(t *testing.T) {
 		skipped += s.HalosSkipped
 	}
 	if skipped <= sent {
-		t.Errorf("sparse board sent %d halos but skipped only %d — frontier-aware skipping is not engaging", sent, skipped)
+		plan, _ := shardPlan(tc.mgrs, before)
+		t.Errorf("sparse board sent %d halos but skipped only %d — frontier-aware skipping is not engaging; ranks run:%s; views:%s",
+			sent, skipped, plan, tc.views())
 	}
 	if st.Result.HalosSkipped == 0 {
 		t.Errorf("result reports no skipped halos: %+v", st.Result)

@@ -98,24 +98,7 @@ func NewHandler(m *Manager) http.Handler {
 			return
 		}
 		defer rd.Close()
-		w.Header().Set("Content-Type", FrameContentType(format))
-		w.WriteHeader(http.StatusOK)
-		flusher, _ := w.(http.Flusher)
-		buf := make([]byte, 64<<10)
-		for {
-			n, rerr := rd.Read(buf)
-			if n > 0 {
-				if _, werr := w.Write(buf[:n]); werr != nil {
-					return // client went away
-				}
-				if flusher != nil {
-					flusher.Flush()
-				}
-			}
-			if rerr != nil {
-				return
-			}
-		}
+		_ = StreamAll(w, http.StatusOK, FrameContentType(format), rd)
 	})
 
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
@@ -216,13 +199,39 @@ func JobStatusCode(err error) int {
 	}
 }
 
-// WriteJSON writes v as an indented JSON response with the given status.
+// WriteJSON writes v as a compact JSON response with the given status.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// StreamAll answers with code and, when set, contentType, then copies
+// rd to w, flushing after every chunk, so a frame stream — local, or
+// proxied by the cluster layer — delivers frames as they render, not
+// when the job ends. It returns rd's terminal error (io.EOF on a clean
+// end; nil only when the client went away first).
+func StreamAll(w http.ResponseWriter, code int, contentType string, rd io.Reader) error {
+	if contentType != "" {
+		w.Header().Set("Content-Type", contentType)
+	}
+	w.WriteHeader(code)
+	flusher, _ := w.(http.Flusher)
+	buf := make([]byte, 64<<10)
+	for {
+		n, rerr := rd.Read(buf)
+		if n > 0 {
+			if _, werr := w.Write(buf[:n]); werr != nil {
+				return nil // client went away
+			}
+			if flusher != nil {
+				flusher.Flush()
+			}
+		}
+		if rerr != nil {
+			return rerr
+		}
+	}
 }
 
 // WriteError writes err as the {"error": ...} body every /v1 endpoint uses.

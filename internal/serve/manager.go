@@ -8,9 +8,11 @@
 //   - a fixed team of job runners,
 //   - a warm-pool set (internal: poolSet) so jobs lease reusable
 //     sched.Pools instead of building their own,
-//   - a two-tier result cache keyed by core.Config.Hash — an in-memory
-//     LRU over an optional disk-backed content-addressed store
-//     (internal/serve/store) that survives restarts,
+//   - a result cache keyed by core.Config.Hash that Submit walks as one
+//     tier ladder: the in-memory LRU, an optional disk-backed
+//     content-addressed store (internal/serve/store) that survives
+//     restarts, and in cluster mode the ring replicas; identical jobs
+//     that miss every tier share one run (runner.go),
 //   - a write-ahead job journal (same store) so a crashed daemon's
 //     queued and running jobs are re-enqueued, or marked interrupted,
 //     on the next boot,
@@ -242,12 +244,11 @@ type job struct {
 	cancel  context.CancelFunc
 	ctx     context.Context
 	done    chan struct{} // closed by retire, once the job is terminal and in the history
+	flight  *flight       // the run this job leads, set by its runner (runner.go)
 
 	mu        sync.Mutex
 	state     JobState
-	cached    bool
-	diskHit   bool
-	remoteHit bool
+	tier      string // stage of the cache tier that answered ("" when computed here)
 	recovered bool
 	result    *core.Result
 	errMsg    string
@@ -263,8 +264,8 @@ func (j *job) snapshot() *JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	s := &JobStatus{
-		ID: j.id, State: j.state, Cached: j.cached, DiskHit: j.diskHit,
-		RemoteHit: j.remoteHit, Recovered: j.recovered, Frames: j.frames != nil,
+		ID: j.id, State: j.state, Cached: j.tier != "", DiskHit: j.tier == StageCacheDisk,
+		RemoteHit: j.tier == StageReplicaFetch, Recovered: j.recovered, Frames: j.frames != nil,
 		Hash: j.hash, TraceID: j.traceID, Config: j.cfg, Result: j.result, Error: j.errMsg,
 		ErrorKind: j.errKind, Shards: j.shards, Activity: j.activity, SubmittedAt: j.submitted,
 	}
@@ -302,22 +303,18 @@ type Manager struct {
 	spill   chan spillReq // completion → disk write-behind queue
 	spillWg sync.WaitGroup
 
-	// Cluster hooks, set (before traffic, atomically because recovered
-	// jobs may already be completing) by the cluster layer when
-	// replication is on: spillHook observes every durably spilled entry
-	// (the replication push point), entrySource is the last cache tier —
-	// consulted after memory and disk both miss, before a recompute
-	// (the cluster layer fetches from ring replicas there). Both carry
-	// the trace id so replication pushes and replica fetches land in the
-	// originating job's span tree.
-	spillHook   atomic.Pointer[func(*store.Entry, string)]
-	snapHook    atomic.Pointer[func(*store.Snapshot, string)]
-	entrySource atomic.Pointer[func(hash, traceID string) *store.Entry]
+	// ladder is the cache tiers Submit walks, fastest first; hooks are
+	// the cluster layer's attachment points (SetClusterHooks).
+	ladder []tier
+	hooks  atomic.Pointer[ClusterHooks]
 
-	// Distributed single-job execution (shard.go): the coordinator hook
-	// the cluster layer installs, and the registry of shard ranks this
-	// node is currently executing for remote coordinators.
-	shardRunner   atomic.Pointer[ShardRunner]
+	// flights are the cacheable runs in progress, by hash: identical
+	// jobs reaching a runner meanwhile wait for them (runner.go).
+	flightMu sync.Mutex
+	flights  map[string]*flight
+
+	// The registry of shard ranks this node is currently executing for
+	// remote coordinators (shard.go).
 	shardMu       sync.Mutex
 	shardSessions map[string]*shardSession
 	shardWg       sync.WaitGroup
@@ -337,7 +334,7 @@ type Manager struct {
 	rejected    atomic.Int64
 	diskHits    atomic.Int64
 	diskMisses  atomic.Int64
-	remoteHits  atomic.Int64 // entrySource (replica fetch) answered after both local tiers missed
+	remoteHits  atomic.Int64 // replica fetch (ClusterHooks.Fetch) answered after both local tiers missed
 	spills      atomic.Int64
 	spillErrs   atomic.Int64
 	spillDrops  atomic.Int64
@@ -378,10 +375,12 @@ func NewManager(opts Options) *Manager {
 		cache:   newResultCache(opts.CacheCapacity),
 		pools:   newPoolSet(opts.MaxIdlePools),
 		kernels: make(map[string]*kernelStats),
+		flights: make(map[string]*flight),
 
 		shardSessions: make(map[string]*shardSession),
 	}
 	m.obs = newManagerObs(m)
+	m.SetClusterHooks(nil)
 	m.baseCtx, m.stopAll = context.WithCancel(context.Background())
 	if opts.Store != nil {
 		m.store = opts.Store
@@ -390,6 +389,7 @@ func NewManager(opts Options) *Manager {
 		go m.spiller()
 		m.recoverJournal()
 	}
+	m.ladder = m.newLadder()
 	m.wg.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
 		go m.runner()
@@ -397,46 +397,31 @@ func NewManager(opts Options) *Manager {
 	return m
 }
 
-// SetSpillHook registers a function invoked with every entry after it
-// is durably written to the disk tier — the cluster layer's replication
-// push point. The second argument is the trace id of the job whose
-// completion triggered the spill, so replication pushes join its span
-// tree. Must be set before the hooked behavior is relied on; safe to
-// set concurrently with running jobs.
-func (m *Manager) SetSpillHook(f func(*store.Entry, string)) {
-	if f == nil {
-		m.spillHook.Store(nil)
-		return
-	}
-	m.spillHook.Store(&f)
+// ClusterHooks are the cluster layer's attachment points into a
+// manager. Each function receives the originating job's trace id, so
+// replication pushes, replica fetches and shard spans land in that
+// job's span tree. Nil fields are skipped.
+type ClusterHooks struct {
+	// Spilled observes every entry and checkpoint after it is durably
+	// written to the disk tier: the replication push point.
+	Spilled func(r store.Record, traceID string)
+	// Fetch is the last cache tier, asked after memory and disk both
+	// miss: a ring replica's copy of the entry, or nil. A fetched entry
+	// is promoted into both local tiers, so an entry whose owner died
+	// is a remote fetch, not a recompute.
+	Fetch func(hash, traceID string) *store.Entry
+	// RunSharded coordinates jobs submitted with shards > 1 (shard.go).
+	RunSharded ShardRunner
 }
 
-// SetSnapshotHook registers the checkpoint counterpart of SetSpillHook:
-// invoked with every snapshot after it is durably written, so the
-// cluster layer replicates checkpoints alongside results — a node death
-// then costs at most SnapshotEvery iterations of recompute, not the
-// whole prefix.
-func (m *Manager) SetSnapshotHook(f func(*store.Snapshot, string)) {
-	if f == nil {
-		m.snapHook.Store(nil)
-		return
+// SetClusterHooks installs the cluster layer's hooks, or removes them
+// with nil. Safe to call while jobs run: recovered jobs may already be
+// completing when the cluster layer attaches.
+func (m *Manager) SetClusterHooks(h *ClusterHooks) {
+	if h == nil {
+		h = &ClusterHooks{}
 	}
-	m.snapHook.Store(&f)
-}
-
-// SetEntrySource registers the last-resort cache tier: consulted with a
-// config hash after both the memory and disk tiers miss, before the job
-// is queued for recompute. A non-nil return is adopted (promoted to the
-// local tiers) and served as a cached result. The cluster layer uses
-// this to read through to ring replicas, so an entry whose owner died
-// is a remote fetch, not a recompute. traceID is the fetching job's
-// trace id, propagated to the replica via X-Easypap-Trace.
-func (m *Manager) SetEntrySource(f func(hash, traceID string) *store.Entry) {
-	if f == nil {
-		m.entrySource.Store(nil)
-		return
-	}
-	m.entrySource.Store(&f)
+	m.hooks.Store(h)
 }
 
 // NormalizeSubmission applies the daemon's submission discipline to a
@@ -480,25 +465,20 @@ func NormalizeSubmission(cfg core.Config, wantFrames bool) (core.Config, string,
 // the live stream, and display-mode timing must not pollute cached
 // performance results.
 func (m *Manager) Submit(cfg core.Config, wantFrames bool) (*JobStatus, error) {
-	return m.SubmitTraced(cfg, wantFrames, "")
+	return m.SubmitShards(cfg, wantFrames, "", 0)
 }
 
-// SubmitTraced is Submit with an inherited trace id — the entry point
-// for proxied cluster hops, where the entry node already minted the id
-// and forwarded it via X-Easypap-Trace. An empty traceID mints a fresh
-// one, so every job carries exactly one id for its whole cluster life.
-func (m *Manager) SubmitTraced(cfg core.Config, wantFrames bool, traceID string) (*JobStatus, error) {
-	return m.SubmitShards(cfg, wantFrames, traceID, 0)
-}
-
-// SubmitShards is SubmitTraced with a requested shard count: when shards
-// > 1 and a coordinator is installed (SetShardRunner — cluster mode),
-// the job runs distributed across the cluster as one kernel execution
-// split into row bands. Without a coordinator, or when the cluster
-// cannot shard the job (no healthy peers, non-mpi variant), it runs as
-// a plain local job — sharding is an execution strategy, never part of
-// the cache key, so sharded and unsharded runs of one config hit the
-// same cache entry.
+// SubmitShards is Submit with an inherited trace id and a requested
+// shard count. A non-empty traceID is the one the entry node minted and
+// forwarded via X-Easypap-Trace on a proxied cluster hop; an empty one
+// mints a fresh id, so every job carries exactly one id for its whole
+// cluster life. When shards > 1 and a coordinator is installed
+// (ClusterHooks.RunSharded — cluster mode), the job runs distributed
+// across the cluster as one kernel execution split into row bands.
+// Without a coordinator, or when the cluster cannot shard the job (no
+// healthy peers, non-mpi variant), it runs as a plain local job —
+// sharding is an execution strategy, never part of the cache key, so
+// sharded and unsharded runs of one config hit the same cache entry.
 func (m *Manager) SubmitShards(cfg core.Config, wantFrames bool, traceID string, shards int) (*JobStatus, error) {
 	admitStart := time.Now()
 	cfg, hash, err := NormalizeSubmission(cfg, wantFrames)
@@ -523,62 +503,18 @@ func (m *Manager) SubmitShards(cfg core.Config, wantFrames bool, traceID string,
 	}
 	// The admit span closes on every exit path: cache-answered, rejected,
 	// or enqueued. Its histogram is the admission-wait distribution.
-	defer func() { m.span(m.obs.admit, traceID, j.id, StageAdmit, admitStart, time.Now(), nil) }()
+	defer func() { m.span(StageAdmit, traceID, j.id, admitStart, time.Now(), nil) }()
 
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	closed := m.closed
+	m.mu.Unlock()
+	if closed {
 		return nil, ErrClosed
 	}
 	j.id = fmt.Sprintf("j-%06d", m.nextID.Add(1))
-
 	if !wantFrames {
-		lookup := time.Now()
-		r, ok := m.cache.get(hash)
-		m.obs.cacheMem.Observe(time.Since(lookup).Nanoseconds())
-		if ok {
-			m.finishCachedLocked(j, r, tierMemory)
-			m.mu.Unlock()
-			// Histogram already observed above; record the span only.
-			m.span(nil, traceID, j.id, StageCacheMem, lookup, time.Now(), nil)
-			return j.snapshot(), nil
-		}
-	}
-	m.mu.Unlock()
-
-	// Memory missed: try the disk tier before paying a recompute. The
-	// read happens outside m.mu (it is file I/O) and is deduplicated
-	// per hash inside the store, so a herd of identical submissions
-	// costs one read.
-	if !wantFrames && m.store != nil {
-		lookup := time.Now()
-		ent, ok := m.store.Cache.Get(hash)
-		m.span(m.obs.cacheDisk, traceID, j.id, StageCacheDisk, lookup, time.Now(), nil)
-		if ok {
-			m.diskHits.Add(1)
-			m.cache.put(hash, ent.Result) // promote to the memory tier
-			return m.finishCached(j, ent.Result, tierDisk)
-		}
-		m.diskMisses.Add(1)
-	}
-
-	// Both local tiers missed: ask the entry source (cluster replicas)
-	// before paying a recompute. Network I/O, so outside every lock;
-	// the fetched entry is adopted into both local tiers — this node is
-	// answering for the hash, so it should own a copy from now on.
-	if !wantFrames {
-		if src := m.entrySource.Load(); src != nil {
-			fetch := time.Now()
-			ent := (*src)(hash, traceID)
-			m.span(m.obs.replicaFetch, traceID, j.id, StageReplicaFetch, fetch, time.Now(), nil)
-			if ent != nil && ent.Hash == hash {
-				m.remoteHits.Add(1)
-				m.cache.put(hash, ent.Result)
-				if m.store != nil {
-					_ = m.store.Cache.Put(ent)
-				}
-				return m.finishCached(j, ent.Result, tierRemote)
-			}
+		if r, stage := m.walkLadder(j); r != nil {
+			return m.finishCached(j, r, stage)
 		}
 	}
 
@@ -627,43 +563,99 @@ func (m *Manager) SubmitShards(cfg core.Config, wantFrames bool, traceID string,
 	}
 }
 
-// cacheTier names which tier answered a cached submission.
-type cacheTier int
+// tier is one rung of the cache ladder Submit walks, fastest first.
+// get answers with the entry or nil; asked is false when the rung has
+// no one to ask (no fetch hook installed). put takes a hit from a rung
+// below, so the next lookup stops higher.
+type tier struct {
+	stage        string        // span and histogram label; names the answering tier in job status
+	hits, misses *atomic.Int64 // misses nil: the replica rung counts hits only
+	get          func(hash, traceID string) (e *store.Entry, asked bool)
+	put          func(e *store.Entry)
+}
 
-const (
-	tierMemory cacheTier = iota
-	tierDisk
-	tierRemote
-)
+// newLadder builds the rungs: the memory LRU, the disk store when there
+// is one (it deduplicates reads per hash, so a herd costs one read),
+// and the cluster's replicas.
+func (m *Manager) newLadder() []tier {
+	ladder := []tier{{stage: StageCacheMem, hits: &m.cache.hits, misses: &m.cache.misses,
+		get: func(hash, _ string) (*store.Entry, bool) {
+			if r, ok := m.cache.get(hash); ok {
+				return &store.Entry{Hash: hash, Result: r}, true
+			}
+			return nil, true
+		},
+		put: func(e *store.Entry) { m.cache.put(e.Hash, e.Result) },
+	}}
+	if m.store != nil {
+		ladder = append(ladder, tier{stage: StageCacheDisk, hits: &m.diskHits, misses: &m.diskMisses,
+			get: func(hash, _ string) (*store.Entry, bool) {
+				e, _ := m.store.Cache.Get(hash) // nil on a miss
+				return e, true
+			},
+			// Synchronous and not spilled: an entry adopted from a
+			// replica is not pushed back out as a replication.
+			put: func(e *store.Entry) { _ = m.store.Cache.Put(e) },
+		})
+	}
+	return append(ladder, tier{stage: StageReplicaFetch, hits: &m.remoteHits,
+		get: func(hash, traceID string) (*store.Entry, bool) {
+			fetch := m.hooks.Load().Fetch
+			if fetch == nil {
+				return nil, false
+			}
+			if e := fetch(hash, traceID); e != nil && e.Hash == hash {
+				return e, true
+			}
+			return nil, true
+		},
+	})
+}
 
-// finishCached completes a submission from a non-memory cache tier,
-// taking m.mu itself and handling a concurrent Close.
-func (m *Manager) finishCached(j *job, r core.Result, tier cacheTier) (*JobStatus, error) {
+// walkLadder asks each rung in turn for a cacheable job's hash. Every
+// rung asked records its stage span and histogram and counts its hit
+// or miss; a hit is promoted into every rung above it and returned
+// with the answering rung's stage. A miss everywhere returns nil.
+func (m *Manager) walkLadder(j *job) (*core.Result, string) {
+	for i, t := range m.ladder {
+		begin := time.Now()
+		e, asked := t.get(j.hash, j.traceID)
+		if !asked {
+			continue
+		}
+		m.span(t.stage, j.traceID, j.id, begin, time.Now(), nil)
+		if e == nil {
+			if t.misses != nil {
+				t.misses.Add(1)
+			}
+			continue
+		}
+		t.hits.Add(1)
+		for _, above := range m.ladder[:i] {
+			above.put(e)
+		}
+		return &e.Result, t.stage
+	}
+	return nil, ""
+}
+
+// finishCached completes a submission from the cache tier named by
+// stage. The job was never enqueued, so no journal record exists for it.
+func (m *Manager) finishCached(j *job, r *core.Result, stage string) (*JobStatus, error) {
+	now := time.Now()
+	j.state, j.tier, j.result = JobDone, stage, r
+	j.started, j.finished = now, now
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return nil, ErrClosed
 	}
-	m.finishCachedLocked(j, r, tier)
-	m.mu.Unlock()
-	return j.snapshot(), nil
-}
-
-// finishCachedLocked completes a submission straight from a cache tier.
-// Caller holds m.mu; the job was never enqueued, so no journal record
-// exists for it.
-func (m *Manager) finishCachedLocked(j *job, r core.Result, tier cacheTier) {
-	now := time.Now()
-	j.state = JobDone
-	j.cached = true
-	j.diskHit = tier == tierDisk
-	j.remoteHit = tier == tierRemote
-	j.result = &r
-	j.started, j.finished = now, now
 	m.jobs[j.id] = j
 	m.retireLocked(j)
+	m.mu.Unlock()
 	m.submitted.Add(1)
 	m.completed.Add(1)
+	return j.snapshot(), nil
 }
 
 // lookup finds a job by id.

@@ -55,19 +55,9 @@ type managerObs struct {
 	reg   *metrics.Registry
 	spans *trace.SpanRing
 
-	// Stage latency histograms (one family, labeled by stage).
-	admit        *metrics.Histogram
-	queue        *metrics.Histogram
-	lease        *metrics.Histogram
-	compute      *metrics.Histogram
-	cacheMem     *metrics.Histogram
-	cacheDisk    *metrics.Histogram
-	replicaFetch *metrics.Histogram
-	spill        *metrics.Histogram
-	snapshot     *metrics.Histogram
-	resume       *metrics.Histogram
-	shard        *metrics.Histogram
-	halo         *metrics.Histogram
+	// stages holds the easypapd_stage_ns histogram of every stage the
+	// manager times, by stage name; span feeds them.
+	stages map[string]*metrics.Histogram
 }
 
 // StageHistogram registers one easypapd_stage_ns histogram in reg —
@@ -80,21 +70,10 @@ func StageHistogram(reg *metrics.Registry, stage string) *metrics.Histogram {
 // counter into it. Called once from NewManager, before traffic.
 func newManagerObs(m *Manager) *managerObs {
 	reg := metrics.NewRegistry()
-	o := &managerObs{
-		reg:          reg,
-		spans:        trace.NewSpanRing(0),
-		admit:        StageHistogram(reg, StageAdmit),
-		queue:        StageHistogram(reg, StageQueue),
-		lease:        StageHistogram(reg, StageLease),
-		compute:      StageHistogram(reg, StageCompute),
-		cacheMem:     StageHistogram(reg, StageCacheMem),
-		cacheDisk:    StageHistogram(reg, StageCacheDisk),
-		replicaFetch: StageHistogram(reg, StageReplicaFetch),
-		spill:        StageHistogram(reg, StageSpill),
-		snapshot:     StageHistogram(reg, StageSnapshot),
-		resume:       StageHistogram(reg, StageResume),
-		shard:        StageHistogram(reg, StageShard),
-		halo:         StageHistogram(reg, StageHalo),
+	o := &managerObs{reg: reg, spans: trace.NewSpanRing(0), stages: make(map[string]*metrics.Histogram)}
+	for _, st := range []string{StageAdmit, StageQueue, StageLease, StageCompute, StageCacheMem, StageCacheDisk,
+		StageReplicaFetch, StageSpill, StageSnapshot, StageResume, StageShard, StageHalo} {
+		o.stages[st] = StageHistogram(reg, st)
 	}
 
 	ctr := func(name, help string, labels metrics.Labels, v *atomic.Int64) {
@@ -206,11 +185,10 @@ func (m *Manager) RecordSpan(s trace.Span) {
 }
 
 // span is the manager-internal convenience: record a stage span for a
-// job between two wall-clock instants, and feed the matching histogram.
-func (m *Manager) span(h *metrics.Histogram, traceID, jobID, stage string, start, end time.Time, err error) {
-	d := end.Sub(start).Nanoseconds()
-	if h != nil {
-		h.Observe(d)
+// job between two wall-clock instants, and feed the stage's histogram.
+func (m *Manager) span(stage, traceID, jobID string, start, end time.Time, err error) {
+	if h := m.obs.stages[stage]; h != nil {
+		h.Observe(end.Sub(start).Nanoseconds())
 	}
 	if traceID == "" {
 		return

@@ -97,6 +97,52 @@ func TestTwoTierLookup(t *testing.T) {
 	if st.DiskEntries != 2 || st.DiskBytes <= 0 {
 		t.Fatalf("disk tier empty: %+v", st)
 	}
+
+	// The replica rung: a fetch hook answers C, which neither local
+	// tier holds, with an entry computed elsewhere.
+	c := testCfg(48)
+	other := NewManager(Options{Workers: 1})
+	defer other.Close()
+	ref := submitWait(t, other, c)
+	fetches := 0
+	m.SetClusterHooks(&ClusterHooks{Fetch: func(hash, traceID string) *store.Entry {
+		if hash != ref.Hash || traceID == "" {
+			return nil
+		}
+		fetches++
+		return &store.Entry{Hash: hash, Result: *ref.Result}
+	}})
+	counts := func() (mem, disk, replica uint64) {
+		return m.obs.stages[StageCacheMem].Count(), m.obs.stages[StageCacheDisk].Count(),
+			m.obs.stages[StageReplicaFetch].Count()
+	}
+	memN, diskN, replicaN := counts()
+	stC := submitWait(t, m, c)
+	if !stC.Cached || !stC.RemoteHit || stC.DiskHit || stC.Result.Checksum != ref.Result.Checksum {
+		t.Fatalf("C should be a remote hit with the replica's checksum: %+v", stC)
+	}
+	if mem, disk, replica := counts(); mem != memN+1 || disk != diskN+1 || replica != replicaN+1 {
+		t.Fatalf("stage counts memory %d→%d, disk %d→%d, replica %d→%d: each rung asked once",
+			memN, mem, diskN, disk, replicaN, replica)
+	}
+	// Promotion: the replica hit filled memory (a memory hit next) and
+	// disk synchronously (a disk hit once B evicts C from memory).
+	if st := submitWait(t, m, c); !st.Cached || st.DiskHit || st.RemoteHit {
+		t.Fatalf("C after a remote hit should be a memory hit: %+v", st)
+	}
+	submitWait(t, m, b)
+	stC3 := submitWait(t, m, c)
+	if !stC3.DiskHit || stC3.Result.Checksum != ref.Result.Checksum {
+		t.Fatalf("C after eviction should be a disk hit with the same checksum: %+v", stC3)
+	}
+	st = m.Stats()
+	if fetches != 1 || st.RemoteHits != 1 || st.Computed != 2 {
+		t.Fatalf("fetches=%d remote_hits=%d computed=%d, want 1, 1, 2", fetches, st.RemoteHits, st.Computed)
+	}
+	if mem, disk, replica := counts(); mem != memN+4 || disk != diskN+3 || replica != replicaN+1 {
+		t.Fatalf("stage counts memory %d→%d, disk %d→%d, replica %d→%d after four lookups",
+			memN, mem, diskN, disk, replicaN, replica)
+	}
 }
 
 func TestDiskCacheSurvivesManagerRestart(t *testing.T) {

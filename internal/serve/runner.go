@@ -10,15 +10,12 @@ import (
 	"easypap/internal/serve/store"
 )
 
-// spillReq is one completed result — or one mid-run checkpoint — on its
-// way to the disk tier. Exactly one of (hash, result) and snap is
-// populated.
+// spillReq is one completed result (a *store.Entry) or one mid-run
+// checkpoint (a *store.Snapshot) on its way to the disk tier.
 type spillReq struct {
-	hash    string
+	rec     store.Record
 	job     string
 	traceID string
-	result  core.Result
-	snap    *store.Snapshot // checkpoint write (hash/result unused)
 }
 
 // spiller is the write-behind worker of the disk tier: it persists the
@@ -31,41 +28,32 @@ func (m *Manager) spiller() {
 	defer m.spillWg.Done()
 	for req := range m.spill {
 		begin := time.Now()
-		if req.snap != nil {
+		stage, written := StageSpill, &m.spills
+		var err error
+		switch r := req.rec.(type) {
+		case *store.Entry:
+			err = m.store.Cache.Put(r)
+		case *store.Snapshot:
 			// Checkpoint write-behind: persist the snapshot, then journal
 			// "job has a checkpoint at iter" so a crash resumes it there.
 			// A snap error for an already-finished job (its open record is
 			// gone) is harmless — the snapshot itself is still usable by
 			// any future submission sharing the iteration prefix.
-			err := m.store.Cache.PutSnapshot(req.snap)
-			if err == nil && req.job != "" {
-				_ = m.store.Journal.Snap(req.job, req.snap.Iter)
+			stage, written = StageSnapshot, &m.snapsWritten
+			if err = m.store.Cache.PutSnapshot(r); err == nil && req.job != "" {
+				_ = m.store.Journal.Snap(req.job, r.Iter)
 			}
-			m.span(m.obs.snapshot, req.traceID, req.job, StageSnapshot, begin, time.Now(), err)
-			if err != nil {
-				m.spillErrs.Add(1)
-				continue
-			}
-			m.snapsWritten.Add(1)
-			if hook := m.snapHook.Load(); hook != nil {
-				// Snapshot replication rides the spill exactly like entries:
-				// durable locally first, then pushed to the ring successors.
-				(*hook)(req.snap, req.traceID)
-			}
-			continue
 		}
-		e := &store.Entry{Hash: req.hash, Result: req.result}
-		err := m.store.Cache.Put(e)
-		m.span(m.obs.spill, req.traceID, req.job, StageSpill, begin, time.Now(), err)
+		m.span(stage, req.traceID, req.job, begin, time.Now(), err)
 		if err != nil {
 			m.spillErrs.Add(1)
 			continue
 		}
-		m.spills.Add(1)
-		if hook := m.spillHook.Load(); hook != nil {
-			// Replication rides the spill: the entry is durable locally,
+		written.Add(1)
+		if hook := m.hooks.Load().Spilled; hook != nil {
+			// Replication rides the spill: the record is durable locally,
 			// now the cluster layer pushes it to the ring successors.
-			(*hook)(e, req.traceID)
+			hook(req.rec, req.traceID)
 		}
 	}
 }
@@ -97,10 +85,26 @@ func (m *Manager) runJob(j *job) {
 	j.mu.Unlock()
 
 	// Queue wait: admission → a runner picked the job up.
-	m.span(m.obs.queue, j.traceID, j.id, StageQueue, j.submitted, j.started, nil)
+	m.span(StageQueue, j.traceID, j.id, j.submitted, j.started, nil)
 
 	m.running.Add(1)
 	defer m.running.Add(-1)
+
+	if j.frames == nil {
+		if shared, err := m.await(j); shared != nil || err != nil {
+			// An identical run answered (a memory hit), or j ended waiting.
+			j.mu.Lock()
+			var out *core.RunOutput
+			if shared != nil {
+				m.cache.hits.Add(1)
+				j.tier, out = StageCacheMem, &core.RunOutput{Result: *shared}
+			}
+			m.finish(j, out, err)
+			j.mu.Unlock()
+			m.retire(j)
+			return
+		}
+	}
 
 	opts := core.RunOptions{RecvTimeout: m.opts.RecvTimeout}
 	opts.OnActivity = func(a core.IterActivity) {
@@ -119,7 +123,7 @@ func (m *Manager) runJob(j *job) {
 		// single-process jobs can lease a warm pool.
 		leaseStart := time.Now()
 		leased = m.pools.lease(j.cfg.Threads)
-		m.span(m.obs.lease, j.traceID, j.id, StageLease, leaseStart, time.Now(), nil)
+		m.span(StageLease, j.traceID, j.id, leaseStart, time.Now(), nil)
 		opts.Pool = leased
 	}
 	if j.frames != nil {
@@ -129,21 +133,21 @@ func (m *Manager) runJob(j *job) {
 	computeStart := time.Now()
 	var out *core.RunOutput
 	var err error
-	if hook := m.shardRunner.Load(); hook != nil && j.shards > 1 {
+	if hook := m.hooks.Load().RunSharded; hook != nil && j.shards > 1 {
 		// Distributed execution: the coordinator hook splits the job into
 		// row bands across the cluster and returns rank 0's stitched
 		// output. The leased pool (if any) goes unused — each rank builds
 		// its own team — but mpi variants carry MPIRanks >= 2, so the
 		// warm-lease branch above already skipped them.
 		m.jobsCoordinated.Add(1)
-		out, err = (*hook)(j.ctx, ShardJob{
+		out, err = hook(j.ctx, ShardJob{
 			ID: j.id, TraceID: j.traceID, Config: j.cfg, Shards: j.shards,
 			Frames: j.frames != nil, Sink: opts.Sink, OnActivity: opts.OnActivity,
 		})
 	} else {
 		out, err = core.RunWith(j.ctx, j.cfg, opts)
 	}
-	m.span(m.obs.compute, j.traceID, j.id, StageCompute, computeStart, time.Now(), err)
+	m.span(StageCompute, j.traceID, j.id, computeStart, time.Now(), err)
 
 	if leased != nil {
 		m.pools.release(leased)
@@ -153,6 +157,47 @@ func (m *Manager) runJob(j *job) {
 	m.finish(j, out, err)
 	j.mu.Unlock()
 	m.retire(j)
+}
+
+// flight is one run of a cacheable hash in progress. Identical jobs
+// that reach a runner meanwhile wait for it instead of computing.
+type flight struct {
+	done   chan struct{}
+	result *core.Result // canonical result; nil when the run failed or was canceled
+}
+
+// await is the compute-level singleflight of a cacheable job, called by
+// its runner before computing. It returns an identical run's canonical
+// result — from the memory tier, or handed over by a run in flight when
+// it ends — or, with both nil, makes j the leader of a new flight. A
+// waiter whose leader failed or was canceled tries again, so exactly
+// one waiter leads next; one whose own job ends first returns its
+// context error. The hand-off goes through the flight, not the LRU, so
+// it holds however small the memory tier is.
+func (m *Manager) await(j *job) (*core.Result, error) {
+	for {
+		m.flightMu.Lock()
+		if r, ok := m.cache.get(j.hash); ok {
+			m.flightMu.Unlock()
+			return &r, nil
+		}
+		f := m.flights[j.hash]
+		if f == nil {
+			j.flight = &flight{done: make(chan struct{})}
+			m.flights[j.hash] = j.flight
+			m.flightMu.Unlock()
+			return nil, nil
+		}
+		m.flightMu.Unlock()
+		select {
+		case <-f.done:
+			if f.result != nil {
+				return f.result, nil
+			}
+		case <-j.ctx.Done():
+			return nil, j.ctx.Err()
+		}
+	}
 }
 
 // setupCheckpointing wires iteration-prefix checkpointing into a run:
@@ -182,7 +227,7 @@ func (m *Manager) setupCheckpointing(j *job, opts *core.RunOptions) {
 	if s, ok := m.store.Cache.DeepestSnapshot(prefixHash, j.cfg.Iterations-1); ok {
 		opts.Resume = &core.ResumeState{Iter: s.Iter, State: s.State}
 		m.snapsResumed.Add(1)
-		m.span(m.obs.resume, j.traceID, j.id, StageResume, lookup, time.Now(), nil)
+		m.span(StageResume, j.traceID, j.id, lookup, time.Now(), nil)
 	}
 	if m.opts.SnapshotEvery > 0 {
 		opts.SnapshotEvery = m.opts.SnapshotEvery
@@ -191,7 +236,7 @@ func (m *Manager) setupCheckpointing(j *job, opts *core.RunOptions) {
 			// a full spill queue only costs recompute, never correctness.
 			select {
 			case m.spill <- spillReq{job: j.id, traceID: j.traceID,
-				snap: &store.Snapshot{PrefixHash: prefixHash, Iter: iter, State: state}}:
+				rec: &store.Snapshot{PrefixHash: prefixHash, Iter: iter, State: state}}:
 			default:
 				m.spillDrops.Add(1)
 			}
@@ -207,6 +252,7 @@ func (m *Manager) finish(j *job, out *core.RunOutput, err error) {
 		j.started = now
 	}
 	j.finished = now
+	var canonical *core.Result
 	switch {
 	case err != nil && errors.Is(err, context.Canceled):
 		j.state = JobCanceled
@@ -224,6 +270,9 @@ func (m *Manager) finish(j *job, out *core.RunOutput, err error) {
 		j.state = JobDone
 		j.result = &out.Result
 		m.completed.Add(1)
+		if j.tier != "" {
+			break // an identical run's result: nothing was computed here
+		}
 		m.computed.Add(1)
 		if j.frames == nil {
 			// Cache tiers hold the canonical result: ResumedFrom is run
@@ -231,13 +280,14 @@ func (m *Manager) finish(j *job, out *core.RunOutput, err error) {
 			// part of the content — a later cache hit was not resumed.
 			cached := out.Result
 			cached.ResumedFrom = 0
+			canonical = &cached
 			m.cache.put(j.hash, cached)
 			if m.spill != nil {
 				// Write-behind to the disk tier. Dropping under a full spill
 				// queue is safe — the entry is merely not durable yet and a
 				// resubmission would recompute it.
 				select {
-				case m.spill <- spillReq{hash: j.hash, job: j.id, traceID: j.traceID, result: cached}:
+				case m.spill <- spillReq{rec: &store.Entry{Hash: j.hash, Result: cached}, job: j.id, traceID: j.traceID}:
 				default:
 					m.spillDrops.Add(1)
 				}
@@ -255,6 +305,17 @@ func (m *Manager) finish(j *job, out *core.RunOutput, err error) {
 		} else {
 			_ = m.store.Journal.End(j.id, string(j.state))
 		}
+	}
+	if f := j.flight; f != nil {
+		// Land the flight after the memory put, so a job arriving once
+		// it is gone finds the result there. Waiters on it take
+		// canonical, or retry when the run failed (nil).
+		m.flightMu.Lock()
+		f.result = canonical
+		delete(m.flights, j.hash)
+		m.flightMu.Unlock()
+		close(f.done)
+		j.flight = nil // the history keeps j, not its landed flight
 	}
 	if j.frames != nil {
 		// Every terminal path must end the stream — a job canceled while

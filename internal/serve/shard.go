@@ -3,8 +3,9 @@ package serve
 // Distributed single-job execution: the shard executor. A sharded job is
 // one kernel run split into horizontal row bands, one band ("shard") per
 // cluster node. The entry node's manager becomes the coordinator (rank 0,
-// via the shard-runner hook the cluster layer installs); every other
-// participating node executes one rank through the endpoints below:
+// via the ClusterHooks.RunSharded hook the cluster layer installs);
+// every other participating node executes one rank through the
+// endpoints below:
 //
 //	POST /v1/shard/start              begin a shard rank (StartShardRequest)
 //	POST /v1/shard/halo?session=S     inject one EZMSG1 halo frame
@@ -109,7 +110,7 @@ type shardSession struct {
 }
 
 // ShardJob describes a sharded submission handed to the coordinator hook
-// (SetShardRunner): the job's identity plus the live observers the
+// (ClusterHooks.RunSharded): the job's identity plus the live observers the
 // manager would have wired into a local run.
 type ShardJob struct {
 	ID         string
@@ -122,19 +123,9 @@ type ShardJob struct {
 }
 
 // ShardRunner coordinates one sharded job end to end and returns rank
-// 0's output. The cluster layer installs one via SetShardRunner; without
-// it, sharded submissions simply run locally.
+// 0's output. The cluster layer installs one as ClusterHooks.RunSharded;
+// without it, sharded submissions simply run locally.
 type ShardRunner func(ctx context.Context, job ShardJob) (*core.RunOutput, error)
-
-// SetShardRunner installs (or, with nil, removes) the sharded-job
-// coordinator. Safe to call concurrently with running jobs.
-func (m *Manager) SetShardRunner(f ShardRunner) {
-	if f == nil {
-		m.shardRunner.Store(nil)
-		return
-	}
-	m.shardRunner.Store(&f)
-}
 
 // StartShard begins executing one remote rank of a distributed session
 // asynchronously: the session is registered (so halo frames can be
@@ -227,12 +218,13 @@ func (m *Manager) executeShard(sctx context.Context, sess *shardSession, req Sta
 		OnHalo: func(sent, skipped, bytes int64, d time.Duration) {
 			m.halosSent.Add(sent)
 			m.halosSkipped.Add(skipped)
-			m.obs.halo.Observe(d.Nanoseconds())
-			if haloSpans < haloSpanSample { // compute goroutine only: no race
-				haloSpans++
-				end := time.Now()
-				m.span(nil, req.TraceID, req.Job, StageHalo, end.Add(-d), end, nil)
+			if haloSpans >= haloSpanSample {
+				m.obs.stages[StageHalo].Observe(d.Nanoseconds())
+				return
 			}
+			haloSpans++ // compute goroutine only: no race
+			end := time.Now()
+			m.span(StageHalo, req.TraceID, req.Job, end.Add(-d), end, nil)
 		},
 	}
 	if sink != nil {
@@ -256,7 +248,7 @@ func (m *Manager) executeShard(sctx context.Context, sess *shardSession, req Sta
 			err = fmt.Errorf("%w: rank %d of session %s: %v", ErrShardFailed, req.Rank, req.Session, cause)
 		}
 	}
-	m.span(m.obs.shard, req.TraceID, req.Job, StageShard, begin, time.Now(), err)
+	m.span(StageShard, req.TraceID, req.Job, begin, time.Now(), err)
 	if err != nil {
 		return nil, err
 	}

@@ -234,6 +234,18 @@ func EncodeSnapshot(w io.Writer, s *Snapshot) error {
 	return err
 }
 
+// Record is an object the cache holds under its key: a result entry or
+// a checkpoint. Encode writes its file form, which is also its wire form.
+type Record interface {
+	Key() string
+	Encode(w io.Writer) error
+}
+
+func (e *Entry) Key() string                 { return e.Hash }
+func (e *Entry) Encode(w io.Writer) error    { return EncodeEntry(w, e) }
+func (s *Snapshot) Key() string              { return SnapshotKey(s.PrefixHash, s.Iter) }
+func (s *Snapshot) Encode(w io.Writer) error { return EncodeSnapshot(w, s) }
+
 // DecodeSnapshot parses one snapshot file, verifying the payload CRC.
 // Like DecodeEntry it never panics on corrupt input: truncation, length
 // overflow and checksum mismatch are errors the caller treats as a
