@@ -72,8 +72,9 @@
 // marks them with the terminal "interrupted" status instead; sweep
 // clients (serve/client) resubmit interrupted jobs automatically.
 // -durability fsync upgrades commits from crash-consistent to
-// power-fail durable (fsync before every journal and index commit) at
-// the cost of write latency; the on-disk formats are identical.
+// power-fail durable (fsync before every journal commit, and of every
+// stored object and then its directory around the rename that commits
+// it) at the cost of write latency; the on-disk formats are identical.
 //
 //	easypapd -addr :8080 -data-dir /var/lib/easypapd \
 //	         -cache-max-bytes 268435456 -recover requeue -durability fsync
@@ -86,8 +87,9 @@
 // sharing that prefix — the same config at a deeper iteration count, or
 // the same job re-enqueued after a crash — resumes from the deepest
 // stored checkpoint instead of recomputing the shared prefix, with
-// byte-identical results. Checkpointed frames jobs survive a restart
-// too (they resume; snapshot-less frames jobs stay interrupted), and
+// byte-identical results. Frames jobs whose prefix has a stored
+// checkpoint survive a restart too (they resume; the others stay
+// interrupted), and
 // with -replicate R checkpoints ride the same R-way replication as
 // results. stats report snapshots_written/snapshots_resumed.
 //
@@ -143,7 +145,7 @@ func run(args []string) error {
 		queue     = fs.Int("queue", 64, "submission queue depth (admission control bound)")
 		workers   = fs.Int("workers", 0, "concurrent job runners (default GOMAXPROCS)")
 		cacheCap  = fs.Int("cache", 128, "result cache capacity (entries)")
-		idlePools = fs.Int("idle-pools", 4, "warm pools kept per thread count")
+		idlePools = fs.Int("idle-pools", 4, "warm pools kept per thread count (0 keeps the default 4; -cold-pools disables reuse)")
 		coldPools = fs.Bool("cold-pools", false, "disable warm-pool reuse (every job builds its own pool)")
 		recvTO    = fs.Duration("mpi-recv-timeout", 2*time.Second, "MPI receive watchdog for distributed jobs")
 		haloTO    = fs.Duration("halo-timeout", 2*time.Second, "sharded jobs: how long a shard waits for a neighbor's halo before declaring the peer lost")

@@ -104,8 +104,9 @@
 //
 // With -data-dir, a daemon survives its own death (internal/serve/store,
 // DESIGN.md §9). Completed results spill asynchronously to a
-// disk-backed, content-addressed cache (CRC'd entry files + append-only
-// index) layered under the in-memory LRU, and a write-ahead journal
+// disk-backed, content-addressed cache (CRC'd entry files, whose
+// directory is the index) layered under the in-memory LRU, and a
+// write-ahead journal
 // records every admitted job, so a restart re-enqueues the jobs that
 // were queued or running — under their original ids — and serves every
 // previously computed config from disk instead of recomputing it:

@@ -2,7 +2,9 @@
 // testing the cluster layer. It wraps an http.RoundTripper and, per
 // destination host, can
 //
-//   - kill    — fail every request (a crashed process),
+//   - kill    — fail every request (a crashed process), or every
+//     request for one path (a cut route the host's other traffic,
+//     health probes included, does not notice),
 //   - partition — fail requests between specific host pairs while both
 //     stay reachable from everyone else (a network split),
 //   - delay   — add fixed latency before the request is sent,
@@ -49,6 +51,7 @@ type Transport struct {
 	mu         sync.Mutex
 	rng        *rand.Rand
 	killed     map[string]bool
+	killedPath map[[2]string]bool // (host, path)
 	partitions map[[2]string]bool // unordered pair, stored sorted
 	delays     map[string]time.Duration
 	dropRate   map[string]float64
@@ -78,6 +81,7 @@ func New(seed uint64, base http.RoundTripper) *Transport {
 		base:       base,
 		rng:        rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
 		killed:     make(map[string]bool),
+		killedPath: make(map[[2]string]bool),
 		partitions: make(map[[2]string]bool),
 		delays:     make(map[string]time.Duration),
 		dropRate:   make(map[string]float64),
@@ -93,6 +97,14 @@ func (t *Transport) Kill(host string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.killed[host] = true
+}
+
+// KillPath makes every request to host for exactly path fail, while the
+// host's other paths keep answering.
+func (t *Transport) KillPath(host, path string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.killedPath[[2]string{host, path}] = true
 }
 
 // Revive undoes Kill.
@@ -168,11 +180,14 @@ type verdict struct {
 	dup   bool
 }
 
-func (t *Transport) decide(origin, dest string) verdict {
+func (t *Transport) decide(origin, dest, path string) verdict {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.killed[dest] {
 		return verdict{fail: fmt.Errorf("chaosnet: host %s is killed", dest)}
+	}
+	if t.killedPath[[2]string{dest, path}] {
+		return verdict{fail: fmt.Errorf("chaosnet: path %s on host %s is killed", path, dest)}
 	}
 	if origin != "" && t.partitions[pairKey(origin, dest)] {
 		return verdict{fail: fmt.Errorf("chaosnet: %s and %s are partitioned", origin, dest)}
@@ -191,7 +206,7 @@ func (t *Transport) decide(origin, dest string) verdict {
 // transport.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	origin, _ := req.Context().Value(originKey{}).(string)
-	v := t.decide(origin, req.URL.Host)
+	v := t.decide(origin, req.URL.Host, req.URL.Path)
 	if v.fail != nil {
 		t.faults.add()
 		return nil, v.fail

@@ -54,6 +54,29 @@ func TestKillAndRevive(t *testing.T) {
 	}
 }
 
+func TestKillPathCutsOneRoute(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	defer srv.Close()
+	host := strings.TrimPrefix(srv.URL, "http://")
+
+	tr := New(1, nil)
+	client := &http.Client{Transport: tr}
+	tr.KillPath(host, "/v1/jobs")
+	if _, err := get(t, client, srv.URL+"/v1/jobs", ""); err == nil {
+		t.Fatal("killed path served a request")
+	}
+	for _, path := range []string{"/v1/jobs/j-000001", "/v1/cluster/gossip", "/"} {
+		if resp, err := get(t, client, srv.URL+path, ""); err != nil {
+			t.Fatalf("%s blocked by a kill of another path: %v", path, err)
+		} else {
+			resp.Body.Close()
+		}
+	}
+	if tr.Faults() != 1 {
+		t.Fatalf("faults = %d, want 1", tr.Faults())
+	}
+}
+
 func TestPartitionIsPairwise(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	defer srv.Close()

@@ -3,13 +3,17 @@ package serve
 // Manager-level checkpointing tests: the exactly-once sweep (the
 // feature's acceptance bar — deepening runs of one config prefix must
 // never recompute an iteration another run already computed), crash
-// recovery that resumes from the journaled checkpoint instead of
-// iteration zero, and the frames-job carve-out (checkpointed frames
-// jobs requeue; snapshot-less ones stay interrupted, see
+// recovery that resumes from the deepest stored checkpoint instead of
+// iteration zero, and the frames-job carve-out (frames jobs with a
+// stored checkpoint requeue; snapshot-less ones stay interrupted, see
 // TestFramesJobAlwaysInterrupted in persist_test.go).
 
 import (
 	"context"
+	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -132,10 +136,10 @@ func TestSweepComputesEachIterationOnce(t *testing.T) {
 }
 
 // crashStoreCkpt fabricates a SIGKILL'd daemon that had checkpointing
-// on: an open journal record carrying the original submit time, a snap
-// record at iteration k, and the snapshot itself in the cache. The
-// state bytes come from a real run, so the restarted manager restores
-// genuine kernel state, not a fixture.
+// on: an open journal record carrying the original submit time and the
+// snapshot at iteration k in the cache. The state bytes come from a
+// real run, so the restarted manager restores genuine kernel state, not
+// a fixture.
 func crashStoreCkpt(t *testing.T, dir, id string, cfg core.Config, frames bool, k int, submitted time.Time) {
 	t.Helper()
 	norm, hash, err := NormalizeSubmission(cfg, frames)
@@ -168,9 +172,6 @@ func crashStoreCkpt(t *testing.T, dir, id string, cfg core.Config, frames bool, 
 	if err := s.Journal.Begin(id, hash, frames, norm, submitted.UnixNano()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Journal.Snap(id, k); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Cache.PutSnapshot(&store.Snapshot{PrefixHash: prefixHash, Iter: k, State: state}); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func crashStoreCkpt(t *testing.T, dir, id string, cfg core.Config, frames bool, 
 }
 
 // TestRecoveryResumesFromCheckpoint pins the crash path end to end: the
-// requeued job restarts from the journaled checkpoint (not iteration
+// requeued job restarts from the stored checkpoint (not iteration
 // zero), keeps its original submit time across the restart, and the
 // kernel counter credits only the iterations this generation computed.
 func TestRecoveryResumesFromCheckpoint(t *testing.T) {
@@ -259,9 +260,10 @@ func coldResult(t *testing.T, cfg core.Config) core.Result {
 
 // TestFramesJobWithCheckpointRequeued pins the frames carve-out: a
 // frames job is normally interrupted on restart (its subscribers are
-// gone and replaying every frame would be wrong), but one that reached
-// a checkpoint requeues and finishes from there — the terminal state
-// and final frames survive even though the live stream did not.
+// gone and replaying every frame would be wrong), but one whose prefix
+// has a stored checkpoint requeues and finishes from there — the
+// terminal state and final frames survive even though the live stream
+// did not.
 func TestFramesJobWithCheckpointRequeued(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ckptCfg(24)
@@ -290,5 +292,63 @@ func TestFramesJobWithCheckpointRequeued(t *testing.T) {
 	}
 	if got := m.Stats().InterruptedJobs; got != 0 {
 		t.Errorf("interrupted_jobs = %d, want 0", got)
+	}
+}
+
+// TestRecoveryIgnoresLegacySnapRecords: older daemons journaled each
+// checkpoint as a snap record, and recovery trusted it. Recovery now asks
+// the store. A frames job whose journal has a snap record but whose
+// snapshot is gone (evicted) is interrupted, and a frames job with no
+// snap record whose prefix has a stored snapshot (another job wrote it)
+// requeues and resumes from it.
+func TestRecoveryIgnoresLegacySnapRecords(t *testing.T) {
+	dir := t.TempDir()
+	const k = 8
+	crashStoreCkpt(t, dir, "j-000001", ckptCfg(24), true, k, time.Unix(0, 1700000000000000000))
+	evicted := ckptCfg(30)
+	evicted.Seed = 4 // another prefix, with no snapshot stored
+	norm, hash, err := NormalizeSubmission(evicted, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Journal.Begin("j-000002", hash, true, norm, 0); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	// The snap record an older daemon appended for j-000002's checkpoint.
+	head := fmt.Sprintf("EZJRN snap j-000002 %d 0 0 00000000", k)
+	line := fmt.Sprintf("%s %08x\n", head, crc32.Checksum([]byte(head), crc32.MakeTable(crc32.Castagnoli)))
+	f, err := os.OpenFile(filepath.Join(dir, "journal.log"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(line); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s, err = store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	m := NewManager(Options{Workers: 1, Store: s})
+	defer m.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	st, err := m.Wait(ctx, "j-000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != JobDone || !st.Recovered || st.Result.ResumedFrom != k {
+		t.Fatalf("frames job with a stored snapshot should requeue and resume from %d: %+v", k, st)
+	}
+	if st, err = m.Get("j-000002"); err != nil || st.State != JobInterrupted {
+		t.Fatalf("frames job whose snapshot is gone should be interrupted: %+v (%v)", st, err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"easypap/internal/core"
@@ -215,11 +214,14 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		begin := time.Now()
-		ok, err := n.proxy(w, r, m, "/v1/jobs", fwd, &n.jobsProxied)
-		n.observeSpan(n.proxyHist, traceID, serve.StageProxy, m.id, begin, time.Now(), err)
+		ok, err := n.proxy(w, r, m, "/v1/jobs", fwd, func() {
+			n.jobsProxied.Add(1)
+			n.observeSpan(n.proxyHist, traceID, serve.StageProxy, m.id, begin, time.Now(), nil)
+		})
 		if ok {
 			return
 		}
+		n.observeSpan(n.proxyHist, traceID, serve.StageProxy, m.id, begin, time.Now(), err)
 		// The replica is unreachable (or draining): demote it and walk on.
 		n.markDown(m)
 		n.failovers.Add(1)
@@ -328,7 +330,7 @@ func (n *Node) proxyJobRequest(w http.ResponseWriter, r *http.Request, nodeID, p
 			fmt.Errorf("cluster: job id names unknown node %q", nodeID))
 		return
 	}
-	ok, err := n.proxy(w, r, m, path, nil, &n.statusProxied)
+	ok, err := n.proxy(w, r, m, path, nil, func() { n.statusProxied.Add(1) })
 	if ok {
 		return
 	}
@@ -341,10 +343,10 @@ func (n *Node) proxyJobRequest(w http.ResponseWriter, r *http.Request, nodeID, p
 // (false, err) when the peer must be considered unreachable — transport
 // error, or a gateway/drain status — and nothing was written to w, so
 // the caller can fail over. Any other response (including 4xx and 429)
-// is relayed verbatim and counts as reached: relayed is incremented
-// before the relay starts, so a client that has read the answer also
-// sees it counted.
-func (n *Node) proxy(w http.ResponseWriter, r *http.Request, m *member, path string, body []byte, relayed *atomic.Int64) (bool, error) {
+// is relayed verbatim and counts as reached: reached runs before the
+// relay starts, so a client that has read the answer also sees what
+// reached records (a counter, the proxy span).
+func (n *Node) proxy(w http.ResponseWriter, r *http.Request, m *member, path string, body []byte, reached func()) (bool, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -372,7 +374,7 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, m *member, path str
 		return false, fmt.Errorf("cluster: %s returned %s", m.url, resp.Status)
 	}
 	n.markUp(m)
-	relayed.Add(1)
+	reached()
 	if rerr := serve.StreamAll(w, resp.StatusCode, resp.Header.Get("Content-Type"), resp.Body); rerr != nil && rerr != io.EOF {
 		// The upstream died mid-stream. Ending the chunked response
 		// normally would hand the client a clean EOF on a truncated

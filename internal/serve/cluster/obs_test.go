@@ -155,7 +155,11 @@ func TestClusterTraceProxyAndReplicaFailover(t *testing.T) {
 	})
 
 	// --- pass 2: owner unreachable from entry, replica failover -------
-	cc.chaos[entry].Kill(cc.hosts[owner])
+	// Only the submission route is cut. A whole-host kill would also
+	// fail the entry's gossip probes, and a probe that saw it before the
+	// resubmission routed would send it straight to the replica, leaving
+	// no failed proxy span to assert on.
+	cc.chaos[entry].KillPath(cc.hosts[owner], "/v1/jobs")
 	st2, err := cl.Submit(ctx, cfg, false)
 	if err != nil {
 		t.Fatal(err)

@@ -99,11 +99,10 @@ type Options struct {
 	// CacheCapacity bounds the result cache in entries (default 128).
 	CacheCapacity int
 	// MaxIdlePools bounds how many warm pools are kept per thread count
-	// (default 4). Zero disables warm reuse: every job builds and closes
-	// its own pool, which is what the serving benchmark compares against.
+	// (default 4, which zero or a negative value also selects).
 	MaxIdlePools int
-	// DisableWarmPools turns pool reuse off even with a nonzero
-	// MaxIdlePools (the cold baseline of BenchmarkServe*ColdPool).
+	// DisableWarmPools turns pool reuse off: every job builds and closes
+	// its own pool (the cold baseline of BenchmarkServe*ColdPool).
 	DisableWarmPools bool
 	// RecvTimeout bounds the MPI receive watchdog for distributed jobs
 	// (zero keeps mpi.DefaultRecvTimeout).
@@ -128,11 +127,11 @@ type Options struct {
 	// Recover selects what happens to journaled in-flight jobs on
 	// startup: RecoverRequeue (the default) re-enqueues them,
 	// RecoverInterrupt marks them with the terminal JobInterrupted
-	// status and lets clients resubmit. Frames jobs without a journaled
-	// checkpoint are always interrupted — their stream subscribers did
-	// not survive the restart and the replay would start from zero;
-	// checkpointed frames jobs re-enqueue and resume, with new
-	// subscribers attaching at the resume keyframe.
+	// status and lets clients resubmit. Frames jobs whose prefix has no
+	// stored checkpoint are always interrupted — their stream
+	// subscribers did not survive the restart and the replay would start
+	// from zero; the others re-enqueue and resume, with new subscribers
+	// attaching at the resume keyframe.
 	Recover RecoverPolicy
 	// SnapshotEvery, when positive, checkpoints every running
 	// single-process job of a codec-capable kernel at each iteration

@@ -14,10 +14,11 @@ import (
 // submission time (the journal persists it, so recovered jobs do not
 // jump the queue-age ordering). Non-frames jobs are re-enqueued
 // (RecoverRequeue) or marked interrupted (RecoverInterrupt); frames
-// jobs re-enqueue only when a checkpoint was journaled — the runner
-// will resume from it and new subscribers attach at the resume
-// keyframe — and are interrupted otherwise, since replaying the whole
-// stream from zero for subscribers that did not survive is pure waste.
+// jobs re-enqueue only when the store holds a checkpoint their run can
+// resume from (resumePoint, whichever job wrote it) — the runner will
+// resume there and new subscribers attach at the resume keyframe — and
+// are interrupted otherwise, since replaying the whole stream from zero
+// for subscribers that did not survive is pure waste.
 // The id sequence resumes past every journaled id so new submissions
 // never collide with recovered ones.
 func (m *Manager) recoverJournal() {
@@ -40,9 +41,13 @@ func (m *Manager) recoverJournal() {
 			submitted: submitted,
 			done:      make(chan struct{}),
 		}
-		requeue := m.opts.Recover != RecoverInterrupt && (!rec.Frames || rec.SnapIter > 0)
+		requeue := m.opts.Recover != RecoverInterrupt
 		if requeue && rec.Frames {
-			j.frames = NewFrameHub(HubOptions{Stats: &m.frameStats})
+			if _, s, _ := m.resumePoint(j); s != nil {
+				j.frames = NewFrameHub(HubOptions{Stats: &m.frameStats})
+			} else {
+				requeue = false
+			}
 		}
 		m.mu.Lock()
 		if requeue {

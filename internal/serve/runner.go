@@ -34,15 +34,11 @@ func (m *Manager) spiller() {
 		case *store.Entry:
 			err = m.store.Cache.Put(r)
 		case *store.Snapshot:
-			// Checkpoint write-behind: persist the snapshot, then journal
-			// "job has a checkpoint at iter" so a crash resumes it there.
-			// A snap error for an already-finished job (its open record is
-			// gone) is harmless — the snapshot itself is still usable by
-			// any future submission sharing the iteration prefix.
+			// Checkpoint write-behind: once stored, the snapshot is what a
+			// crash-recovered job, or any submission sharing the iteration
+			// prefix, resumes from.
 			stage, written = StageSnapshot, &m.snapsWritten
-			if err = m.store.Cache.PutSnapshot(r); err == nil && req.job != "" {
-				_ = m.store.Journal.Snap(req.job, r.Iter)
-			}
+			err = m.store.Cache.PutSnapshot(r)
 		}
 		m.span(stage, req.traceID, req.job, begin, time.Now(), err)
 		if err != nil {
@@ -200,31 +196,42 @@ func (m *Manager) await(j *job) (*core.Result, error) {
 	}
 }
 
-// setupCheckpointing wires iteration-prefix checkpointing into a run:
-// resume from the deepest stored snapshot below the job's target (the
-// shared prefix is never recomputed), and — when SnapshotEvery is on —
-// hand periodic state snapshots to the write-behind spiller. Only
-// single-process runs of codec-capable kernels participate; everything
-// else runs exactly as before. Resumption needs no SnapshotEvery: the
-// snapshots may have been written by an earlier daemon generation or
-// pushed by a ring peer.
-func (m *Manager) setupCheckpointing(j *job, opts *core.RunOptions) {
+// resumePoint looks up the checkpoint a run of j resumes from: the
+// deepest stored snapshot of its prefix strictly below its target (a
+// snapshot AT the target would be the finished result, and that lives
+// in the entry cache, which Submit already consulted). ok is false for
+// runs that do not checkpoint: without a store, sharded or multi-rank,
+// or of a kernel with no state codec. Recovery asks it too, whether a
+// frames job can resume.
+func (m *Manager) resumePoint(j *job) (prefixHash string, s *store.Snapshot, ok bool) {
 	if m.store == nil || j.shards > 1 || j.cfg.MPIRanks > 1 {
-		return
+		return "", nil, false
 	}
 	k, err := core.Lookup(j.cfg.Kernel)
 	if err != nil || k.Codec == nil {
-		return
+		return "", nil, false
 	}
-	prefixHash, err := j.cfg.PrefixHash()
-	if err != nil {
-		return
+	if prefixHash, err = j.cfg.PrefixHash(); err != nil {
+		return "", nil, false
 	}
-	// Deepest usable snapshot strictly below the target: a snapshot AT
-	// the target would be the finished result, and that lives in the
-	// entry cache, which Submit already consulted.
+	s, _ = m.store.Cache.DeepestSnapshot(prefixHash, j.cfg.Iterations-1)
+	return prefixHash, s, true
+}
+
+// setupCheckpointing wires iteration-prefix checkpointing into a run:
+// resume from resumePoint's snapshot (the shared prefix is never
+// recomputed), and — when SnapshotEvery is on — hand periodic state
+// snapshots to the write-behind spiller. Runs that do not checkpoint
+// run exactly as before. Resumption needs no SnapshotEvery: the
+// snapshots may have been written by an earlier daemon generation or
+// pushed by a ring peer.
+func (m *Manager) setupCheckpointing(j *job, opts *core.RunOptions) {
 	lookup := time.Now()
-	if s, ok := m.store.Cache.DeepestSnapshot(prefixHash, j.cfg.Iterations-1); ok {
+	prefixHash, s, ok := m.resumePoint(j)
+	if !ok {
+		return
+	}
+	if s != nil {
 		opts.Resume = &core.ResumeState{Iter: s.Iter, State: s.State}
 		m.snapsResumed.Add(1)
 		m.span(StageResume, j.traceID, j.id, lookup, time.Now(), nil)

@@ -9,37 +9,41 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
-// Cache is the disk tier of the daemon's two-tier result cache: entry
-// files content-addressed by config hash under objects/, plus an
-// append-only CRC'd index (cache.idx) that makes boot O(live entries)
-// instead of a directory walk. It survives SIGKILL by construction —
-// entry files are written to a temp name and renamed into place, index
-// records are self-checking, and replay tolerates a torn tail — so a
-// restarted daemon serves yesterday's results without recomputing them.
+// Cache is the disk tier of the daemon's two-tier result cache: record
+// files content-addressed by key under objects/<hh>/, and nothing else.
+// The objects directory is its own index. Open walks it once, and every
+// regular file stored under its own key is an entry of the file's size.
+// A put writes a temp file and renames it into place, so the rename is
+// the commit: a SIGKILL leaves either the whole object or a .tmp- file
+// that the next open removes, and a restarted daemon serves yesterday's
+// results without recomputing them. Integrity is checked where it
+// matters, on read: an object that fails its CRC is dropped, never
+// served.
 //
-// Eviction is LRU by byte budget. Reads are deduplicated per hash
-// (singleflight): a thundering herd of identical submissions costs one
-// disk read, everyone else blocks on it.
+// Eviction is LRU by byte budget. Across a restart, recency is write
+// order: every put stamps its object's mtime from a strictly increasing
+// clock, and the open walk orders entries by it. Reads are deduplicated
+// per hash (singleflight): a thundering herd of identical submissions
+// costs one disk read, everyone else blocks on it.
 type Cache struct {
 	dir      string // objects root
 	maxBytes int64
-	fsync    bool // sync object files and index commits (Options.Fsync)
+	fsync    bool         // sync each object and its directory (Options.Fsync)
+	clock    atomic.Int64 // the last mtime a put stamped, unix ns
 
 	mu      sync.Mutex
-	idx     *os.File // append handle on cache.idx
-	idxPath string
-	entries map[string]*list.Element // hash -> element whose Value is *diskEntry
+	entries map[string]*list.Element // key -> element whose Value is *diskEntry
 	order   *list.List               // front = most recently used
 	bytes   int64
-	stale   int // index records superseded since the last compaction
 
 	flight map[string]*flightCall // in-progress disk reads, per hash
 
 	hits    atomic.Int64
 	misses  atomic.Int64
-	corrupt atomic.Int64 // entries rejected by CRC/decode and dropped
+	corrupt atomic.Int64 // objects rejected by CRC/decode and dropped
 }
 
 type diskEntry struct {
@@ -50,85 +54,38 @@ type diskEntry struct {
 // flightCall is one in-flight disk read shared by concurrent getters.
 type flightCall struct {
 	done chan struct{}
-	e    *Entry
-	ok   bool
+	e    *Entry // nil on a miss
 }
 
-// openCache opens (or initializes) the disk cache under dir, replaying
-// the index. Entries whose file has vanished are dropped.
+// openCache opens (or initializes) the disk cache under dir. One walk of
+// objects/<hh>/ seeds the LRU, the newest write at the front. Anything
+// else the walk meets there, such as the .tmp- file of an interrupted
+// put, is removed, and so is the cache.idx that older daemons kept
+// beside the objects.
 func openCache(dir string, maxBytes int64, fsync bool) (*Cache, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
-		return nil, err
-	}
 	c := &Cache{
 		dir:      filepath.Join(dir, "objects"),
 		maxBytes: maxBytes,
 		fsync:    fsync,
-		idxPath:  filepath.Join(dir, "cache.idx"),
 		entries:  make(map[string]*list.Element),
 		order:    list.New(),
 		flight:   make(map[string]*flightCall),
 	}
-	if data, err := os.ReadFile(c.idxPath); err == nil {
-		recs := ReadIndex(bytes.NewReader(data))
-		// Last record wins per hash — a put/del/put history (spill, evict,
-		// re-spill between compactions) must replay as exactly ONE live
-		// entry, positioned by its LAST put: later records are more recent
-		// activity, so replaying in last-occurrence order seeds the LRU
-		// with the log's tail at the front.
-		live := make(map[string]IndexRec, len(recs))
-		lastPos := make(map[string]int, len(recs))
-		for i, rec := range recs {
-			switch rec.Op {
-			case opPut:
-				live[rec.Hash] = rec
-				lastPos[rec.Hash] = i
-			case opDel:
-				delete(live, rec.Hash)
-				delete(lastPos, rec.Hash)
-			}
-		}
-		hashes := make([]string, 0, len(live))
-		for h := range live {
-			hashes = append(hashes, h)
-		}
-		sort.Slice(hashes, func(a, b int) bool { return lastPos[hashes[a]] < lastPos[hashes[b]] })
-		for _, h := range hashes {
-			rec := live[h]
-			if fi, err := os.Stat(c.objectPath(h)); err != nil || fi.Size() != rec.Size {
-				continue // vanished or resized behind our back: not trustworthy
-			}
-			c.entries[h] = c.order.PushFront(&diskEntry{hash: h, size: rec.Size})
-			c.bytes += rec.Size
-		}
-		c.stale = len(recs) - c.order.Len()
-	} else if !os.IsNotExist(err) {
+	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		return nil, err
 	}
-	c.sweepOrphans()
-	idx, err := os.OpenFile(c.idxPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if err := os.Remove(filepath.Join(dir, "cache.idx")); err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	c.idx = idx
-	// A recovered index usually carries dead weight; start clean.
-	c.mu.Lock()
-	c.maybeCompactLocked()
-	c.mu.Unlock()
-	return c, nil
-}
-
-// sweepOrphans removes object files the index does not reference: a
-// crash between the object rename and the index append (or a torn
-// index tail) leaves files no replay can see — without this sweep they
-// would be invisible to the byte budget and accumulate forever. Also
-// clears abandoned .tmp- files from interrupted Puts. Runs once at
-// open, before any concurrent access.
-func (c *Cache) sweepOrphans() {
 	prefixes, err := os.ReadDir(c.dir)
 	if err != nil {
-		return
+		return nil, err
 	}
+	type object struct {
+		key         string
+		size, mtime int64
+	}
+	var found []object
 	for _, p := range prefixes {
 		if !p.IsDir() {
 			continue
@@ -136,14 +93,32 @@ func (c *Cache) sweepOrphans() {
 		sub := filepath.Join(c.dir, p.Name())
 		files, err := os.ReadDir(sub)
 		if err != nil {
-			continue
+			return nil, err
 		}
 		for _, f := range files {
-			if _, ok := c.entries[f.Name()]; !ok {
-				os.Remove(filepath.Join(sub, f.Name()))
+			path := filepath.Join(sub, f.Name())
+			fi, err := f.Info()
+			if err == nil && fi.Mode().IsRegular() && validToken(f.Name()) && c.objectPath(f.Name()) == path {
+				found = append(found, object{f.Name(), fi.Size(), fi.ModTime().UnixNano()})
+				continue
 			}
+			os.Remove(path)
 		}
 	}
+	// Oldest first, so each PushFront leaves the newest write in front.
+	// Keys break ties among objects older daemons wrote unstamped.
+	sort.Slice(found, func(a, b int) bool {
+		if found[a].mtime != found[b].mtime {
+			return found[a].mtime < found[b].mtime
+		}
+		return found[a].key < found[b].key
+	})
+	for _, o := range found {
+		c.entries[o.key] = c.order.PushFront(&diskEntry{hash: o.key, size: o.size})
+		c.bytes += o.size
+		c.clock.Store(o.mtime)
+	}
+	return c, nil
 }
 
 func (c *Cache) objectPath(hash string) string {
@@ -158,117 +133,119 @@ func (c *Cache) objectPath(hash string) string {
 // or vanished entry is dropped and reported as a miss — the store never
 // serves bytes it cannot vouch for. Concurrent gets of the same hash
 // share one disk read. Snapshot keys are a plain miss here: their
-// objects are EZSNAP1 records, which GetSnapshot decodes (letting them
-// reach DecodeEntry would misdiagnose every one as corruption and
-// delete it).
+// objects are EZSNAP1 records, which GetSnapshot decodes.
 func (c *Cache) Get(hash string) (*Entry, bool) {
 	if IsSnapshotKey(hash) {
 		c.misses.Add(1)
 		return nil, false
 	}
 	c.mu.Lock()
-	el, ok := c.entries[hash]
-	if !ok {
-		c.mu.Unlock()
-		c.misses.Add(1)
-		return nil, false
-	}
 	if f, inflight := c.flight[hash]; inflight {
 		c.mu.Unlock()
 		<-f.done
-		if f.ok {
+		if f.e != nil {
 			c.hits.Add(1)
 		} else {
 			c.misses.Add(1)
 		}
-		return f.e, f.ok
+		return f.e, f.e != nil
 	}
 	f := &flightCall{done: make(chan struct{})}
 	c.flight[hash] = f
-	c.order.MoveToFront(el)
 	c.mu.Unlock()
 
-	e, err := c.readObject(hash)
-	switch {
-	case err == nil:
-		f.e, f.ok = e, true
-	case os.IsNotExist(err):
-		// Not corruption: a concurrent eviction (or delete) won the race
-		// between our index lookup and the read. Plain miss.
-	default:
-		c.corrupt.Add(1)
-		c.Delete(hash)
+	if _, rec, ok := c.fetch(hash); ok {
+		f.e = rec.(*Entry)
 	}
-
 	c.mu.Lock()
 	delete(c.flight, hash)
 	c.mu.Unlock()
 	close(f.done)
-	if f.ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return f.e, f.ok
+	return f.e, f.e != nil
 }
 
-func (c *Cache) readObject(hash string) (*Entry, error) {
-	rf, err := os.Open(c.objectPath(hash))
+// fetch reads the object stored under key, counting the hit or miss. An
+// object that fails to decode as the record its key names is counted
+// corrupt and deleted; one that vanished is a plain miss (a concurrent
+// eviction or delete won the race between the lookup and the read).
+func (c *Cache) fetch(key string) ([]byte, Record, bool) {
+	c.mu.Lock()
+	el, ok := c.entries[key]
+	if ok {
+		c.order.MoveToFront(el)
+	}
+	c.mu.Unlock()
+	if ok {
+		data, rec, err := c.readObject(key)
+		if err == nil {
+			c.hits.Add(1)
+			return data, rec, true
+		}
+		if !os.IsNotExist(err) {
+			c.corrupt.Add(1)
+			c.Delete(key)
+		}
+	}
+	c.misses.Add(1)
+	return nil, nil, false
+}
+
+// readObject returns the bytes of the object stored under key and the
+// record they decode to, which must be the record its key names.
+func (c *Cache) readObject(key string) ([]byte, Record, error) {
+	data, err := os.ReadFile(c.objectPath(key))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer rf.Close()
-	e, err := DecodeEntry(rf)
+	var rec Record
+	if IsSnapshotKey(key) {
+		s, derr := DecodeSnapshot(bytes.NewReader(data))
+		rec, err = s, derr
+	} else {
+		e, derr := DecodeEntry(bytes.NewReader(data))
+		rec, err = e, derr
+	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if e.Hash != hash {
-		return nil, fmt.Errorf("store: object %s contains entry for %s", hash, e.Hash)
+	if rec.Key() != key {
+		return nil, nil, fmt.Errorf("store: object %s holds record %s", key, rec.Key())
 	}
-	return e, nil
+	return data, rec, nil
 }
 
 // Put stores an entry, evicting least-recently-used entries beyond the
-// byte budget. The object file lands via temp-file + rename so a crash
-// mid-write can never leave a half-entry under its final name.
+// byte budget.
 func (c *Cache) Put(e *Entry) error {
-	if !validToken(e.Hash) {
-		return fmt.Errorf("store: invalid entry hash %q", e.Hash)
-	}
 	if IsSnapshotKey(e.Hash) {
 		return fmt.Errorf("store: entry hash %q collides with the snapshot key space", e.Hash)
 	}
-	var buf bytes.Buffer
-	if err := EncodeEntry(&buf, e); err != nil {
-		return err
-	}
-	return c.putObject(e.Hash, buf.Bytes())
+	return c.put(e)
 }
 
 // PutSnapshot stores a checkpoint under its (prefix-hash, iter) key. It
-// shares the entry cache's objects directory, index log and byte budget
-// — a snapshot is just another content-addressed object, except that
+// shares the entry cache's objects directory and byte budget — a
+// snapshot is just another content-addressed object, except that
 // eviction sacrifices snapshots (shallowest first) before any result.
-func (c *Cache) PutSnapshot(s *Snapshot) error {
-	var buf bytes.Buffer
-	if err := EncodeSnapshot(&buf, s); err != nil {
-		return err
-	}
-	return c.putObject(SnapshotKey(s.PrefixHash, s.Iter), buf.Bytes())
-}
+func (c *Cache) PutSnapshot(s *Snapshot) error { return c.put(s) }
 
-// putObject is the shared landing path of Put and PutSnapshot: encoded
-// record bytes under a key, written temp-file + rename, appended to the
-// index, accounted against the byte budget.
-func (c *Cache) putObject(key string, data []byte) error {
+// put is the landing path of Put and PutSnapshot: the record's file
+// form is written to a temp file, stamped with the next write time and
+// renamed over its key, then accounted against the byte budget.
+func (c *Cache) put(r Record) error {
+	key := r.Key()
 	if !validToken(key) {
 		return fmt.Errorf("store: invalid object key %q", key)
 	}
-	size := int64(len(data))
+	var buf bytes.Buffer
+	if err := r.Encode(&buf); err != nil {
+		return err
+	}
+	size := int64(buf.Len())
 	if size > maxPayload {
-		// The index decoder rejects sizes beyond maxPayload; storing a
-		// bigger entry (possible with an unbounded budget) would replay
-		// as dead and be swept at the next boot — refuse it up front.
+		// The decoders refuse payloads beyond maxPayload, so a bigger
+		// object (possible with an unbounded budget) could never be read
+		// back: refuse it up front.
 		return fmt.Errorf("store: entry %s (%d bytes) exceeds the on-disk record limit (%d)", key, size, int64(maxPayload))
 	}
 	if c.maxBytes > 0 && size > c.maxBytes {
@@ -276,65 +253,80 @@ func (c *Cache) putObject(key string, data []byte) error {
 	}
 
 	path := c.objectPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-"+key+"-*")
+	tmp, err := os.CreateTemp(dir, ".tmp-"+key+"-*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(buf.Bytes())
+	if err == nil {
+		// The mtime is the object's recency at the next open.
+		t := c.stamp()
+		err = os.Chtimes(tmp.Name(), t, t)
+	}
+	if err == nil && c.fsync {
+		// Sync before the rename publishes the object: a power cut after
+		// Put returns must not leave an empty or torn file under its key.
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
-	if c.fsync {
-		// Sync before the rename publishes the entry: a power cut after
-		// Put returns must not leave an empty (or torn) file under the
-		// final name. Without fsync the rename itself is crash-safe but
-		// the data may still be page-cache-only.
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return err
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-
-	rec := IndexRec{Op: opPut, Hash: key, Size: size, PayloadCRC: checksum(data)}
 
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		// Content-addressed: same hash, same bytes. Refresh recency and
-		// byte accounting (the rewrite may differ only if the entry was
-		// built by an older encoder).
+		// Content-addressed: same key, same bytes. Refresh recency and
+		// byte accounting (the rewrite may differ only if the object was
+		// written by an older encoder).
 		c.bytes += size - el.Value.(*diskEntry).size
 		el.Value.(*diskEntry).size = size
 		c.order.MoveToFront(el)
-		c.stale++
 	} else {
 		c.entries[key] = c.order.PushFront(&diskEntry{hash: key, size: size})
 		c.bytes += size
 	}
-	if _, err := c.idx.WriteString(encodeIndexRec(rec)); err != nil {
-		return err
-	}
+	c.evictLocked()
+	c.mu.Unlock()
 	if c.fsync {
-		if err := c.idx.Sync(); err != nil {
-			return err
+		// The rename is the commit; the directory sync makes it durable.
+		return syncDir(dir)
+	}
+	return nil
+}
+
+// stamp returns the next write time: the wall clock, nudged past the
+// previous stamp, so no two puts tie whatever the granularity of the
+// timestamps the filesystem would assign itself.
+func (c *Cache) stamp() time.Time {
+	for {
+		last := c.clock.Load()
+		next := max(time.Now().UnixNano(), last+1)
+		if c.clock.CompareAndSwap(last, next) {
+			return time.Unix(0, next)
 		}
 	}
-	c.evictLocked()
-	c.maybeCompactLocked()
-	return nil
+}
+
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // GetSnapshot returns the checkpoint stored for (prefixHash, iter),
@@ -342,32 +334,11 @@ func (c *Cache) putObject(key string, data []byte) error {
 // reported as missing, like Get. No singleflight: snapshot reads happen
 // once per resumed job, not per thundering herd.
 func (c *Cache) GetSnapshot(prefixHash string, iter int) (*Snapshot, bool) {
-	key := SnapshotKey(prefixHash, iter)
-	c.mu.Lock()
-	el, ok := c.entries[key]
+	_, rec, ok := c.fetch(SnapshotKey(prefixHash, iter))
 	if !ok {
-		c.mu.Unlock()
-		c.misses.Add(1)
 		return nil, false
 	}
-	c.order.MoveToFront(el)
-	c.mu.Unlock()
-
-	rf, err := os.Open(c.objectPath(key))
-	if err != nil {
-		c.misses.Add(1) // concurrent eviction won the race: plain miss
-		return nil, false
-	}
-	s, err := DecodeSnapshot(rf)
-	rf.Close()
-	if err != nil || s.PrefixHash != prefixHash || s.Iter != iter {
-		c.corrupt.Add(1)
-		c.Delete(key)
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	return s, true
+	return rec.(*Snapshot), true
 }
 
 // DeepestSnapshot returns the deepest stored checkpoint of prefixHash
@@ -392,40 +363,22 @@ func (c *Cache) DeepestSnapshot(prefixHash string, maxIter int) (*Snapshot, bool
 	return nil, false
 }
 
-// GetWire returns the raw encoded object bytes for a key — entry or
-// snapshot, whichever kind the key names — after verifying they decode.
-// This is the cluster replication read path: peers exchange wire bytes
-// as-is, and the magic line tells the receiver which decoder to apply.
+// GetWire returns the encoded object bytes stored under a key — entry or
+// snapshot, whichever kind the key names — once they have decoded as
+// that record; a failing object is dropped like one Get meets. This is
+// the cluster replication read path: peers exchange file bytes as-is,
+// and the magic line tells the receiver which decoder to apply.
 func (c *Cache) GetWire(key string) ([]byte, bool) {
-	if IsSnapshotKey(key) {
-		prefixHash, iter, _ := ParseSnapshotKey(key)
-		s, ok := c.GetSnapshot(prefixHash, iter)
-		if !ok {
-			return nil, false
-		}
-		var buf bytes.Buffer
-		if err := EncodeSnapshot(&buf, s); err != nil {
-			return nil, false
-		}
-		return buf.Bytes(), true
-	}
-	e, ok := c.Get(key)
-	if !ok {
-		return nil, false
-	}
-	var buf bytes.Buffer
-	if err := EncodeEntry(&buf, e); err != nil {
-		return nil, false
-	}
-	return buf.Bytes(), true
+	data, _, ok := c.fetch(key)
+	return data, ok
 }
 
-// Delete removes an entry (used for corrupt objects and tests).
+// Delete removes an entry and its file (used for corrupt objects and
+// tests).
 func (c *Cache) Delete(hash string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.deleteLocked(hash)
-	c.maybeCompactLocked()
 }
 
 func (c *Cache) deleteLocked(hash string) {
@@ -437,11 +390,6 @@ func (c *Cache) deleteLocked(hash string) {
 	c.order.Remove(el)
 	delete(c.entries, hash)
 	os.Remove(c.objectPath(hash))
-	_, _ = c.idx.WriteString(encodeIndexRec(IndexRec{Op: opDel, Hash: hash}))
-	if c.fsync {
-		_ = c.idx.Sync()
-	}
-	c.stale += 2 // the del record plus the put it killed
 }
 
 // evictLocked drops entries until under budget. Snapshots go first,
@@ -473,35 +421,6 @@ func (c *Cache) shallowestSnapLocked() (string, bool) {
 		}
 	}
 	return best, bestIter >= 0
-}
-
-// maybeCompactLocked rewrites the index once dead records dominate it:
-// live entries in LRU order (oldest first, so replay reconstructs the
-// same recency), written to a temp file and renamed over cache.idx.
-func (c *Cache) maybeCompactLocked() {
-	if c.stale <= c.order.Len()+64 {
-		return
-	}
-	var buf bytes.Buffer
-	for el := c.order.Back(); el != nil; el = el.Prev() {
-		de := el.Value.(*diskEntry)
-		buf.WriteString(encodeIndexRec(IndexRec{Op: opPut, Hash: de.hash, Size: de.size}))
-	}
-	tmp := c.idxPath + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return // keep appending to the old index; compaction is advisory
-	}
-	if err := os.Rename(tmp, c.idxPath); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	idx, err := os.OpenFile(c.idxPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return
-	}
-	c.idx.Close()
-	c.idx = idx
-	c.stale = 0
 }
 
 // Hashes returns the hashes of every live entry, most recently used
@@ -536,9 +455,3 @@ func (c *Cache) Bytes() int64 {
 func (c *Cache) Hits() int64    { return c.hits.Load() }
 func (c *Cache) Misses() int64  { return c.misses.Load() }
 func (c *Cache) Corrupt() int64 { return c.corrupt.Load() }
-
-func (c *Cache) close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.idx.Close()
-}

@@ -26,46 +26,42 @@ import (
 //	<resultLen bytes: JSON core.Result>
 //	<framesLen bytes: gfx frame-stream records (EZFRAME ...); see Entry>
 //
-// Index record (cache.idx) — append-only log of the live entry set:
-//
-//	EZIDX <put|del> <hash> <size> <payloadCRC> <lineCRC>\n
-//
 // Snapshot file (objects/<hh>/<key>) — one mid-run checkpoint, keyed by
 // (Config.PrefixHash, iteration); see SnapshotKey:
 //
 //	EZSNAP1 <prefixHash> <iter> <stateLen> <payloadCRC>\n
 //	<stateLen bytes: kernel StateCodec bytes>
 //
+// The objects directory is the cache's only index: an object file is
+// named by its key, and the record inside names the same key, so the
+// file stands alone.
+//
 // Journal record (journal.log) — write-ahead job log:
 //
 //	EZJRN open <id> <hash> <frames:0|1> <payloadLen> <payloadCRC> <lineCRC>\n
 //	<payloadLen bytes: JSON {"config": core.Config, "submitted": unixNS}>\n
-//	EZJRN snap <id> <iter> 0 0 00000000 <lineCRC>\n
 //	EZJRN done <id> <state> 0 0 00000000 <lineCRC>\n
 //
 // The open payload wraps the config with the job's original submit time
 // so a recovered job keeps its queue age; a payload that is a bare
 // core.Config (the pre-checkpointing form) still decodes, with a zero
-// submit time. A snap record marks "this open job has a usable
-// checkpoint at iteration <iter>" — recovery resumes there instead of
-// from zero. Decoders that predate an op skip its records (unknown ops
-// are per-line errors), so new ops degrade to the old behavior.
+// submit time. Records of an op the decoder does not know are per-line
+// errors and skipped: the "snap" records older daemons wrote (a
+// checkpoint's iteration, now read from the store itself) replay as
+// nothing, and so would any op a newer daemon adds.
 //
 // <payloadCRC> and <lineCRC> are 8 lower-hex digits of CRC-32C. In an
 // entry file the payload CRC covers result+frames bytes (in a snapshot
-// file the state bytes); in an index
-// put record it covers the whole entry file; in a journal open record
-// it covers the config JSON. lineCRC covers the header line up to (not
-// including) the space before it, so
-// a flipped bit anywhere in a header invalidates exactly that record.
-// Replay is last-record-wins per key, which makes duplicated records
-// (a crash between append and in-memory update, or a retried write)
-// harmless. The format is pinned by testdata/store.golden.
+// file the state bytes); in a journal open record it covers the config
+// JSON. lineCRC covers the header line up to (not including) the space
+// before it, so a flipped bit anywhere in a header invalidates exactly
+// that record. Replay is last-record-wins per job id, which makes
+// duplicated records (a crash between append and in-memory update, or a
+// retried write) harmless. The format is pinned by testdata/store.golden.
 
 const (
 	entryMagic   = "EZSTORE1"
 	snapMagic    = "EZSNAP1"
-	indexMagic   = "EZIDX"
 	journalMagic = "EZJRN"
 
 	// maxPayload bounds any single decoded payload (result JSON, config
@@ -283,96 +279,16 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	return s, nil
 }
 
-// --- index records ----------------------------------------------------
-
-// indexOp is the operation of one index record.
-type indexOp string
-
-const (
-	opPut indexOp = "put"
-	opDel indexOp = "del"
-)
-
-// IndexRec is one decoded record of the cache index log.
-type IndexRec struct {
-	Op         indexOp
-	Hash       string
-	Size       int64  // total entry-file size in bytes (0 for del)
-	PayloadCRC uint32 // CRC of the entry payload (0 for del)
-}
-
-// appendLineCRC seals a header line: the line CRC over everything
-// written so far, then newline.
-func appendLineCRC(head string) string {
-	return fmt.Sprintf("%s %08x\n", head, checksum([]byte(head)))
-}
-
-// encodeIndexRec renders one index record line.
-func encodeIndexRec(rec IndexRec) string {
-	head := fmt.Sprintf("%s %s %s %d %08x", indexMagic, rec.Op, rec.Hash, rec.Size, rec.PayloadCRC)
-	return appendLineCRC(head)
-}
-
-// decodeIndexLine parses one index line (without trailing newline).
-func decodeIndexLine(line string) (IndexRec, error) {
-	i := strings.LastIndexByte(line, ' ')
-	if i < 0 {
-		return IndexRec{}, fmt.Errorf("store: malformed index record %q", line)
-	}
-	wantCRC, err := strconv.ParseUint(line[i+1:], 16, 32)
-	if err != nil || len(line[i+1:]) != 8 || uint32(wantCRC) != checksum([]byte(line[:i])) {
-		return IndexRec{}, fmt.Errorf("store: index record CRC mismatch %q", line)
-	}
-	fields := strings.Fields(line[:i])
-	if len(fields) != 5 || fields[0] != indexMagic {
-		return IndexRec{}, fmt.Errorf("store: malformed index record %q", line)
-	}
-	rec := IndexRec{Op: indexOp(fields[1]), Hash: fields[2]}
-	if rec.Op != opPut && rec.Op != opDel {
-		return IndexRec{}, fmt.Errorf("store: unknown index op %q", fields[1])
-	}
-	if !validToken(rec.Hash) {
-		return IndexRec{}, fmt.Errorf("store: invalid hash in index record %q", line)
-	}
-	size, err1 := strconv.ParseInt(fields[3], 10, 64)
-	pcrc, err2 := strconv.ParseUint(fields[4], 16, 32)
-	if err1 != nil || err2 != nil || size < 0 || size > maxPayload {
-		return IndexRec{}, fmt.Errorf("store: malformed index record %q", line)
-	}
-	rec.Size, rec.PayloadCRC = size, uint32(pcrc)
-	return rec, nil
-}
-
-// ReadIndex decodes an index log. Corrupt records are skipped (a record
-// is self-contained on one line, so the decoder resynchronizes at the
-// next newline); a torn final record — the normal state after a crash
-// mid-append — is silently dropped. The valid records are returned in
-// file order; it is the caller's job to apply last-record-wins.
-func ReadIndex(r io.Reader) []IndexRec {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxPayload)
-	var recs []IndexRec
-	for sc.Scan() {
-		rec, err := decodeIndexLine(sc.Text())
-		if err != nil {
-			continue
-		}
-		recs = append(recs, rec)
-	}
-	return recs
-}
-
 // --- journal records --------------------------------------------------
 
 // JournalRec is one decoded record of the job journal.
 type JournalRec struct {
-	Op        string // "open", "snap" or "done"
+	Op        string // "open" or "done"
 	ID        string
 	Hash      string      // open only
 	Frames    bool        // open only
 	Config    core.Config // open only
 	Submitted int64       // open only: original submit time, unix ns (0 = unknown)
-	SnapIter  int         // snap records; stamped onto open records by reduceOpen
 	State     string      // done only: the terminal JobState
 }
 
@@ -398,17 +314,16 @@ func encodeJournalOpen(id, hash string, frames bool, payloadJSON []byte) string 
 	return appendLineCRC(head) + string(payloadJSON) + "\n"
 }
 
-// encodeJournalSnap renders a checkpoint-taken record: job id has a
-// usable snapshot at the given iteration.
-func encodeJournalSnap(id string, iter int) string {
-	head := fmt.Sprintf("%s snap %s %d 0 0 00000000", journalMagic, id, iter)
-	return appendLineCRC(head)
-}
-
 // encodeJournalDone renders a job-terminal record.
 func encodeJournalDone(id, state string) string {
 	head := fmt.Sprintf("%s done %s %s 0 0 00000000", journalMagic, id, state)
 	return appendLineCRC(head)
+}
+
+// appendLineCRC seals a header line: the line CRC over everything
+// written so far, then newline.
+func appendLineCRC(head string) string {
+	return fmt.Sprintf("%s %08x\n", head, checksum([]byte(head)))
 }
 
 // decodeJournalHeader parses one journal header line. For open records
@@ -445,13 +360,6 @@ func decodeJournalHeader(line string) (rec JournalRec, cfgLen int, payloadCRC ui
 		}
 		rec.Frames = fr == 1
 		return rec, n, uint32(pcrc), nil
-	case "snap":
-		iter, err := strconv.Atoi(fields[3])
-		if err != nil || iter <= 0 {
-			return rec, 0, 0, fmt.Errorf("store: malformed journal record %q", line)
-		}
-		rec.SnapIter = iter
-		return rec, 0, 0, nil
 	case "done":
 		rec.State = fields[3]
 		if !validToken(rec.State) {
@@ -463,10 +371,10 @@ func decodeJournalHeader(line string) (rec JournalRec, cfgLen int, payloadCRC ui
 	}
 }
 
-// ReadJournal decodes a journal log in file order. Like ReadIndex it
-// skips corrupt records and tolerates a torn tail, never panicking; an
-// open header whose config payload fails its CRC (or does not decode as
-// a config) invalidates just that record.
+// ReadJournal decodes a journal log in file order. It skips corrupt
+// records and records of ops it does not know, and tolerates a torn
+// tail, never panicking; an open header whose config payload fails its
+// CRC (or does not decode as a config) invalidates just that record.
 func ReadJournal(r io.Reader) []JournalRec {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), maxPayload)
@@ -536,13 +444,6 @@ func reduceOpen(recs []JournalRec) []JournalRec {
 				order = append(order, rec.ID)
 			}
 			open[rec.ID] = rec
-		case "snap":
-			// Deepest checkpoint wins; a snap for a job that is not open
-			// (already done, or never admitted) marks nothing.
-			if cur, ok := open[rec.ID]; ok && rec.SnapIter > cur.SnapIter {
-				cur.SnapIter = rec.SnapIter
-				open[rec.ID] = cur
-			}
 		case "done":
 			delete(open, rec.ID)
 		}
@@ -557,8 +458,7 @@ func reduceOpen(recs []JournalRec) []JournalRec {
 }
 
 // reencodeJournal renders the compacted journal: the open records, each
-// followed by its deepest-checkpoint snap record when one exists — so
-// compaction loses neither the submit time nor the resume point.
+// with its original submit time.
 func reencodeJournal(open []JournalRec) ([]byte, error) {
 	var buf bytes.Buffer
 	for _, rec := range open {
@@ -567,9 +467,6 @@ func reencodeJournal(open []JournalRec) ([]byte, error) {
 			return nil, err
 		}
 		buf.WriteString(encodeJournalOpen(rec.ID, rec.Hash, rec.Frames, payload))
-		if rec.SnapIter > 0 {
-			buf.WriteString(encodeJournalSnap(rec.ID, rec.SnapIter))
-		}
 	}
 	return buf.Bytes(), nil
 }

@@ -3,7 +3,8 @@ package store
 // Fuzzing of the on-disk decoders — the concurrent-durability discipline
 // (McKenney): recovery code is only trustworthy under adversarial input.
 // The decoders face whatever a crash, a partial write, or bit rot left
-// in the data directory, so for ANY byte string they must (a) never
+// in the data directory, and the entry and snapshot decoders also face
+// whatever a peer sends, so for ANY byte string they must (a) never
 // panic, (b) never return a record that fails validation (CRCs are the
 // gate — a corrupt record is dropped, not served), and (c) be stable:
 // re-encoding what was decoded and decoding again yields the same
@@ -12,7 +13,9 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -40,37 +43,46 @@ func flip(data []byte, mutation uint32) []byte {
 	return out
 }
 
-func FuzzStoreIndexDecode(f *testing.F) {
-	valid := encodeIndexRec(IndexRec{Op: opPut, Hash: strings.Repeat("ab", 32), Size: 512, PayloadCRC: 0x1234}) +
-		encodeIndexRec(IndexRec{Op: opDel, Hash: strings.Repeat("ab", 32)})
-	f.Add([]byte(valid), uint32(0))
-	f.Add([]byte(valid), uint32(13)) // bit flip
-	f.Add([]byte(valid), uint32(42)) // truncation
-	f.Add([]byte(valid), uint32(7))  // duplication
-	f.Add([]byte("EZIDX put x 0 0 0\n"), uint32(0))
-	f.Add([]byte("EZIDX put "+strings.Repeat("a", 64)+" -1 00000000 00000000\n"), uint32(0))
+// FuzzEntryDecode covers the entry decoder, which also parses the
+// bodies of replication pushes and replica fetches and is the only check
+// an object found by the open walk passes before it is served.
+func FuzzEntryDecode(f *testing.F) {
+	var valid bytes.Buffer
+	if err := EncodeEntry(&valid, testEntry(strings.Repeat("ab", 32), 3)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes(), uint32(0))
+	f.Add(valid.Bytes(), uint32(13)) // bit flip
+	f.Add(valid.Bytes(), uint32(42)) // truncation
+	f.Add(valid.Bytes(), uint32(7))  // duplication
+	f.Add([]byte(fmt.Sprintf("EZSTORE1 ab 2 0 %08x\n{}", checksum([]byte("{}")))), uint32(0))
+	f.Add([]byte("EZSTORE1 "+strings.Repeat("a", 64)+" -1 3 zzzzzzzz\nxyz"), uint32(0))
 	f.Add([]byte{}, uint32(0))
 	f.Fuzz(func(t *testing.T, data []byte, mutation uint32) {
 		data = flip(data, mutation)
-		recs := ReadIndex(bytes.NewReader(data)) // must not panic, whatever the input
-		for _, r := range recs {
-			// Anything the decoder accepted must satisfy the invariants the
-			// cache replay relies on.
-			if r.Op != opPut && r.Op != opDel {
-				t.Fatalf("decoder surfaced invalid op %q", r.Op)
-			}
-			if !validToken(r.Hash) || r.Size < 0 || r.Size > maxPayload {
-				t.Fatalf("decoder surfaced invalid record %+v", r)
-			}
+		e, err := DecodeEntry(bytes.NewReader(data)) // must not panic
+		if err != nil {
+			return
 		}
-		// Stability: re-encoding the accepted records decodes identically.
+		// Anything accepted carries a valid key and the payload its
+		// header's CRC vouches for.
+		head, rest, _ := bytes.Cut(data, []byte("\n"))
+		fields := strings.Fields(string(head))
+		resLen, _ := strconv.Atoi(fields[2])
+		frLen, _ := strconv.Atoi(fields[3])
+		crc, _ := strconv.ParseUint(fields[4], 16, 32)
+		if !validToken(e.Hash) || e.Hash != fields[1] || len(e.Frames) != frLen ||
+			checksum(rest[:resLen+frLen]) != uint32(crc) {
+			t.Fatalf("decoder surfaced invalid entry %+v from %q", e, data)
+		}
+		// Stability: re-encoding what was decoded decodes identically.
 		var buf bytes.Buffer
-		for _, r := range recs {
-			buf.WriteString(encodeIndexRec(r))
+		if err := EncodeEntry(&buf, e); err != nil {
+			t.Fatalf("re-encoding accepted entry: %v", err)
 		}
-		again := ReadIndex(bytes.NewReader(buf.Bytes()))
-		if !reflect.DeepEqual(recs, again) {
-			t.Fatalf("re-encode not stable: %+v vs %+v", recs, again)
+		again, err := DecodeEntry(bytes.NewReader(buf.Bytes()))
+		if err != nil || !reflect.DeepEqual(e, again) {
+			t.Fatalf("re-encode not stable: %+v vs %+v (%v)", e, again, err)
 		}
 	})
 }
@@ -122,7 +134,7 @@ func FuzzJournalReplay(f *testing.F) {
 	valid := encodeJournalOpen("j-000001", h, false, cfgJSON) +
 		encodeJournalDone("j-000001", "done") +
 		encodeJournalOpen("j-000002", h, true, cfgJSON) +
-		encodeJournalSnap("j-000002", 64)
+		legacySnap("j-000002", 64)
 	f.Add([]byte(valid), uint32(0))
 	f.Add([]byte(valid), uint32(21)) // bit flip
 	f.Add([]byte(valid), uint32(66)) // truncation
@@ -138,14 +150,13 @@ func FuzzJournalReplay(f *testing.F) {
 		encodeJournalOpen("j-000003", h, false, cfgJSON)), uint32(0))
 	f.Add([]byte(encodeJournalDone("j-000004", "hwm")+
 		encodeJournalOpen("j-000004", h, false, cfgJSON)), uint32(0))
-	// Post-checkpointing shapes: wrapper payload with a submit time, snap
-	// records (including one for a never-opened id, which replay must
-	// ignore), and regressing snap depths (only the deepest sticks).
+	// Wrapper payload with a submit time, then the snap records older
+	// daemons wrote (one for a never-opened id), which replay skips.
 	f.Add([]byte(encodeJournalOpen("j-000005", h, false,
 		[]byte(`{"config":`+string(cfgJSON)+`,"submitted":1700000000000000000}`))+
-		encodeJournalSnap("j-000005", 100)+
-		encodeJournalSnap("j-000005", 50)+
-		encodeJournalSnap("j-000777", 9)), uint32(0))
+		legacySnap("j-000005", 100)+
+		legacySnap("j-000005", 50)+
+		legacySnap("j-000777", 9)), uint32(0))
 	f.Fuzz(func(t *testing.T, data []byte, mutation uint32) {
 		data = flip(data, mutation)
 		open := ReplayJournal(bytes.NewReader(data)) // must not panic
@@ -177,6 +188,11 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatalf("compaction not stable: %+v vs %+v", open, again)
 		}
 	})
+}
+
+// legacySnap renders a journal snap record as older daemons wrote it.
+func legacySnap(id string, iter int) string {
+	return appendLineCRC(fmt.Sprintf("%s snap %s %d 0 0 00000000", journalMagic, id, iter))
 }
 
 // jsonRoundTrip marshals and unmarshals a config, returning the copy.

@@ -1,11 +1,13 @@
 package store
 
-// Golden-file regression for the three on-disk record formats: entry
-// files, index records, journal records. A daemon upgrade must be able
-// to read the data directory its predecessor wrote — silently drifting
-// the encoding would turn every deployed cache cold (and orphan every
-// journaled job) on the next release. Mirrors
-// internal/gfx/stream_golden_test.go.
+// Golden-file regression for the on-disk record formats: entry files,
+// snapshot files, journal records. A daemon upgrade must be able to read
+// the data directory its predecessor wrote — silently drifting the
+// encoding would turn every deployed cache cold (and orphan every
+// journaled job) on the next release. The file also keeps two record
+// kinds only older daemons wrote, the cache.idx index and the journal's
+// snap record, as literal bytes: the test feeds them to today's code,
+// which must ignore them. Mirrors internal/gfx/stream_golden_test.go.
 //
 // Refresh after an *intentional* format change with:
 //
@@ -67,9 +69,23 @@ func goldenSnapshot() *Snapshot {
 	}
 }
 
+// goldenOther is the hash of the golden index's deleted entry and of the
+// journal's frames job.
+const goldenOther = "11f1d2a35c97bd2697f3001c3ce84b391f1d382fe1fc647fc8fd5c6cdcbce325"
+
+// legacyIndex is a cache.idx as older daemons wrote it (put/put/del of
+// EZIDX records, each sealed by a line CRC). Nothing encodes it any more.
+const legacyIndex = "EZIDX put 00e9c52f7c2fbd637d2f300b2bd93a280e0c293ed0eb536eb7ec4b5bdbabd214 4242 deadbeef 26d982d4\n" +
+	"EZIDX put " + goldenOther + " 17 00c0ffee ccb3d105\n" +
+	"EZIDX del " + goldenOther + " 0 00000000 b67e1eb3\n"
+
+// legacySnapLine is a journal snap record as older daemons wrote it:
+// j-000009 has a checkpoint at iteration 200.
+const legacySnapLine = "EZJRN snap j-000009 200 0 0 00000000 25732cd3\n"
+
 // encodeGoldenStore renders the golden bytes: one entry file, one
-// snapshot file, an index log (put/put/del), and a journal
-// (open/done/open/open/snap), separated by section markers so a diff
+// snapshot file, a legacy index log, and a journal (open/done/open/open,
+// then a legacy snap record), separated by section markers so a diff
 // localizes which format drifted.
 func encodeGoldenStore(t *testing.T) []byte {
 	t.Helper()
@@ -87,22 +103,19 @@ func encodeGoldenStore(t *testing.T) []byte {
 	}
 
 	buf.WriteString("\n-- index --\n")
-	other := "11f1d2a35c97bd2697f3001c3ce84b391f1d382fe1fc647fc8fd5c6cdcbce325"
-	buf.WriteString(encodeIndexRec(IndexRec{Op: opPut, Hash: e.Hash, Size: 4242, PayloadCRC: 0xdeadbeef}))
-	buf.WriteString(encodeIndexRec(IndexRec{Op: opPut, Hash: other, Size: 17, PayloadCRC: 0x00c0ffee}))
-	buf.WriteString(encodeIndexRec(IndexRec{Op: opDel, Hash: other}))
+	buf.WriteString(legacyIndex)
 
 	buf.WriteString("-- journal --\n")
 	cfgJSON := []byte(`{"kernel":"mandel","variant":"seq","dim":64,"tile_w":8,"tile_h":8,"iterations":3,"threads":2,"schedule":"dynamic,4","no_display":true,"arg":"zoom","seed":42,"label":"golden-host"}`)
 	buf.WriteString(encodeJournalOpen("j-000007", e.Hash, false, cfgJSON))
 	buf.WriteString(encodeJournalDone("j-000007", "done"))
-	buf.WriteString(encodeJournalOpen("j-000008", other, true, cfgJSON))
-	// Wrapper payload (carries the original submit time) plus a snap
-	// record — the post-checkpointing journal shapes. The bare-config
-	// opens above stay: old journals must keep decoding.
+	buf.WriteString(encodeJournalOpen("j-000008", goldenOther, true, cfgJSON))
+	// Wrapper payload (carries the original submit time) — the
+	// post-checkpointing open. The bare-config opens above stay: old
+	// journals must keep decoding.
 	wrapped := []byte(`{"config":` + string(cfgJSON) + `,"submitted":1700000000000000000}`)
 	buf.WriteString(encodeJournalOpen("j-000009", e.Hash, false, wrapped))
-	buf.WriteString(encodeJournalSnap("j-000009", 200))
+	buf.WriteString(legacySnapLine)
 	return buf.Bytes()
 }
 
@@ -155,14 +168,33 @@ func TestStoreGolden(t *testing.T) {
 		t.Fatalf("golden snapshot decodes to %+v, want %+v", s, wantS)
 	}
 
-	idx := ReadIndex(strings.NewReader(strings.TrimPrefix(sections[3], "index --\n")))
-	if len(idx) != 3 || idx[0].Op != opPut || idx[2].Op != opDel || idx[0].Size != 4242 {
-		t.Fatalf("golden index decodes to %+v", idx)
+	// The legacy index is ignored: a data dir holding it beside the
+	// golden objects opens with both objects served and the index gone.
+	dir := t.TempDir()
+	writeFile(t, filepath.Join(dir, "cache.idx"), strings.TrimPrefix(sections[3], "index --\n"))
+	// Each section ends in the newline that separates it from the next.
+	writeFile(t, objectFile(dir, wantE.Hash), strings.TrimSuffix(entryBytes, "\n"))
+	writeFile(t, objectFile(dir, SnapshotKey(s.PrefixHash, s.Iter)), strings.TrimSuffix(snapBytes, "\n"))
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got, ok := st.Cache.Get(wantE.Hash); !ok || !reflect.DeepEqual(got.Result, wantE.Result) {
+		t.Fatalf("golden entry not served beside a legacy index: ok=%v %+v", ok, got)
+	}
+	if _, ok := st.Cache.GetSnapshot(s.PrefixHash, s.Iter); !ok {
+		t.Fatal("golden snapshot not served beside a legacy index")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "cache.idx")); !os.IsNotExist(err) {
+		t.Fatalf("legacy cache.idx survived the open: %v", err)
 	}
 
+	// The legacy snap record is skipped: the journal reads as its four
+	// open/done records.
 	journalBytes := strings.TrimPrefix(sections[4], "journal --\n")
 	jr := ReadJournal(strings.NewReader(journalBytes))
-	if len(jr) != 5 || jr[0].Op != "open" || jr[1].Op != "done" || !jr[2].Frames {
+	if len(jr) != 4 || jr[0].Op != "open" || jr[1].Op != "done" || !jr[2].Frames {
 		t.Fatalf("golden journal decodes to %+v", jr)
 	}
 	if jr[0].Config.Kernel != "mandel" || jr[0].Config.Arg != "zoom" {
@@ -171,16 +203,12 @@ func TestStoreGolden(t *testing.T) {
 	if jr[3].Submitted != 1700000000000000000 || jr[3].Config.Kernel != "mandel" {
 		t.Fatalf("golden wrapper open lost fields: %+v", jr[3])
 	}
-	if jr[4].Op != "snap" || jr[4].SnapIter != 200 {
-		t.Fatalf("golden snap record decodes to %+v", jr[4])
-	}
 	open := ReplayJournal(strings.NewReader(journalBytes))
 	if len(open) != 2 || open[0].ID != "j-000008" || open[1].ID != "j-000009" {
 		t.Fatalf("golden journal replay: %+v", open)
 	}
-	// The snap record's depth is stamped onto its job's open record, and
-	// the persisted submit time survives replay.
-	if open[1].SnapIter != 200 || open[1].Submitted != 1700000000000000000 {
-		t.Fatalf("replay lost checkpoint state: %+v", open[1])
+	// The persisted submit time survives replay.
+	if open[1].Submitted != 1700000000000000000 {
+		t.Fatalf("replay lost the submit time: %+v", open[1])
 	}
 }

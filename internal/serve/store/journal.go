@@ -150,35 +150,6 @@ func (j *Journal) Begin(id, hash string, frames bool, cfg core.Config, submitted
 	return nil
 }
 
-// Snap journals "job id has a usable checkpoint at iteration iter", so
-// recovery after a crash resumes the job there instead of from zero. A
-// snap for a job without an open record is rejected — it would be
-// meaningless on replay.
-func (j *Journal) Snap(id string, iter int) error {
-	if !validToken(id) || iter <= 0 {
-		return fmt.Errorf("store: invalid journal snap id=%q iter=%d", id, iter)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	rec, ok := j.open[id]
-	if !ok {
-		return fmt.Errorf("store: journal snap for unopened job %q", id)
-	}
-	if _, err := j.f.WriteString(encodeJournalSnap(id, iter)); err != nil {
-		return err
-	}
-	if j.fsync {
-		if err := j.f.Sync(); err != nil {
-			return err
-		}
-	}
-	if iter > rec.SnapIter {
-		rec.SnapIter = iter
-		j.open[id] = rec
-	}
-	return nil
-}
-
 // End journals a job's terminal state and triggers compaction once done
 // records dominate the log.
 func (j *Journal) End(id, state string) error {

@@ -8,17 +8,19 @@
 //
 // Layout of a data directory:
 //
-//	<dir>/objects/<hh>/<hash>  entry files (EZSTORE1 records)
-//	<dir>/cache.idx            append-only CRC'd index of the entry set
-//	<dir>/journal.log          append-only CRC'd write-ahead job log
+//	<dir>/objects/<hh>/<key>  entry and snapshot files (EZSTORE1, EZSNAP1)
+//	<dir>/journal.log         append-only CRC'd write-ahead job log
 //
-// Every record format is ASCII-headed, CRC-32C checked, and replayable
-// after arbitrary truncation (see format.go; pinned by
-// testdata/store.golden and fuzzed by FuzzStoreIndexDecode /
-// FuzzJournalReplay). Durability is crash-consistent, not power-fail
-// proof: appends are not fsynced — a SIGKILL loses nothing (the bytes
-// are in the page cache), a power cut may lose the tail, and CRC replay
-// makes either case a clean prefix, never a corrupt serve.
+// The objects directory is the cache's only index: opening the store
+// walks it once, and an object is committed by the rename that puts it
+// under its key. Every record format is ASCII-headed and CRC-32C
+// checked (see format.go; pinned by testdata/store.golden and fuzzed by
+// FuzzEntryDecode / FuzzSnapshotDecode / FuzzJournalReplay), and the
+// journal replays after arbitrary truncation. Durability is
+// crash-consistent unless Options.Fsync is set: a SIGKILL loses nothing
+// (the bytes are in the page cache), a power cut may lose the journal's
+// tail or recent objects, and CRC checks make either case a clean
+// prefix or a miss, never a corrupt serve.
 package store
 
 import (
@@ -36,12 +38,13 @@ type Options struct {
 	// negative means unbounded).
 	MaxBytes int64
 	// Fsync upgrades durability from crash-consistent to power-fail
-	// safe: entry files are synced before the rename that publishes
-	// them, and journal/index commit records are synced before the call
+	// safe: an object file is synced before the rename that publishes
+	// it and its directory after, so the rename itself is durable when
+	// the put returns, and journal records are synced before the call
 	// that wrote them returns. The on-disk formats are unchanged —
 	// fsync only narrows the window in which a power cut (not a mere
 	// SIGKILL) can lose the tail. Costs one fsync per journaled
-	// transition and per spilled entry; off by default.
+	// transition and two per spilled object; off by default.
 	Fsync bool
 }
 
@@ -53,8 +56,8 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the data directory and recovers both
-// structures: the cache index and journal are replayed, compacted, and
-// left open for appending.
+// structures: the objects directory is walked into the cache, and the
+// journal is replayed, compacted, and left open for appending.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.MaxBytes == 0 {
 		opts.MaxBytes = DefaultMaxBytes
@@ -71,7 +74,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	journal, err := openJournal(filepath.Join(dir, "journal.log"), opts.Fsync)
 	if err != nil {
-		cache.close()
 		return nil, err
 	}
 	return &Store{dir: dir, Cache: cache, Journal: journal}, nil
@@ -80,13 +82,7 @@ func Open(dir string, opts Options) (*Store, error) {
 // Dir returns the data directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Close releases the file handles. Entries already written stay valid;
-// Close is not what makes them durable (rename and CRC replay are).
-func (s *Store) Close() error {
-	err1 := s.Cache.close()
-	err2 := s.Journal.close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
+// Close releases the journal's file handle. Objects already written
+// stay valid; Close is not what makes anything durable (the rename and
+// CRC replay are).
+func (s *Store) Close() error { return s.Journal.close() }

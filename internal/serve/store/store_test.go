@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -126,37 +127,41 @@ func entryFileSize(t *testing.T, e *Entry) int {
 }
 
 func TestCacheSurvivesReopen(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[string]*Entry)
-	for i := 0; i < 5; i++ {
-		e := testEntry(hashN(10+i), i+1)
-		want[e.Hash] = e
-		if err := s.Cache.Put(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Close()
+	for _, opts := range []Options{{}, {Fsync: true}} {
+		t.Run(fmt.Sprintf("fsync=%v", opts.Fsync), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make(map[string]*Entry)
+			for i := 0; i < 5; i++ {
+				e := testEntry(hashN(10+i), i+1)
+				want[e.Hash] = e
+				if err := s.Cache.Put(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.Close()
 
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if n := s2.Cache.Len(); n != 5 {
-		t.Fatalf("recovered %d entries, want 5", n)
-	}
-	for h, e := range want {
-		got, ok := s2.Cache.Get(h)
-		if !ok {
-			t.Fatalf("entry %s lost across reopen", h)
-		}
-		if !reflect.DeepEqual(got.Result, e.Result) || !bytes.Equal(got.Frames, e.Frames) {
-			t.Fatalf("entry %s changed across reopen", h)
-		}
+			s2, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if n := s2.Cache.Len(); n != 5 {
+				t.Fatalf("recovered %d entries, want 5", n)
+			}
+			for h, e := range want {
+				got, ok := s2.Cache.Get(h)
+				if !ok {
+					t.Fatalf("entry %s lost across reopen", h)
+				}
+				if !reflect.DeepEqual(got.Result, e.Result) || !bytes.Equal(got.Frames, e.Frames) {
+					t.Fatalf("entry %s changed across reopen", h)
+				}
+			}
+		})
 	}
 }
 
@@ -223,6 +228,10 @@ func TestCacheReopenAfterChurnHistory(t *testing.T) {
 	}
 }
 
+// TestOpenSweepsOrphanObjects: the objects directory is the index, so
+// a complete object no put accounted for (a crash right after its
+// rename, or one an older daemon's index lost) is an entry after
+// reopen, while the .tmp- file of an interrupted put is removed.
 func TestOpenSweepsOrphanObjects(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
@@ -235,38 +244,88 @@ func TestOpenSweepsOrphanObjects(t *testing.T) {
 	}
 	s.Close()
 
-	// Fabricate what a crash between rename and index append leaves: an
-	// object file (and a stale temp file) the index knows nothing about.
 	orphan := testEntry(hashN(2), 3)
 	var buf bytes.Buffer
 	if err := EncodeEntry(&buf, orphan); err != nil {
 		t.Fatal(err)
 	}
-	orphanPath := filepath.Join(dir, "objects", orphan.Hash[:2], orphan.Hash)
-	if err := os.MkdirAll(filepath.Dir(orphanPath), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(orphanPath, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, objectFile(dir, orphan.Hash), buf.String())
 	tmpPath := filepath.Join(dir, "objects", orphan.Hash[:2], ".tmp-"+orphan.Hash+"-123")
-	if err := os.WriteFile(tmpPath, []byte("partial"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, tmpPath, "partial")
 
 	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, err := os.Stat(orphanPath); !os.IsNotExist(err) {
-		t.Fatal("unindexed object file not swept at open")
-	}
 	if _, err := os.Stat(tmpPath); !os.IsNotExist(err) {
 		t.Fatal("stale temp file not swept at open")
 	}
-	if _, ok := s2.Cache.Get(e.Hash); !ok {
-		t.Fatal("sweep removed a live, indexed entry")
+	for _, want := range []*Entry{e, orphan} {
+		got, ok := s2.Cache.Get(want.Hash)
+		if !ok || !reflect.DeepEqual(got.Result, want.Result) {
+			t.Fatalf("entry %s not served after reopen: ok=%v", want.Hash, ok)
+		}
+	}
+	if n, b := s2.Cache.Len(), s2.Cache.Bytes(); n != 2 || b != int64(entryFileSize(t, e)+buf.Len()) {
+		t.Fatalf("reopened cache holds %d entries of %d bytes, want 2 of %d", n, b, entryFileSize(t, e)+buf.Len())
+	}
+}
+
+// TestCacheReopenKeepsWriteOrder: recency across a restart is the order
+// of the last writes, exactly, even for puts closer together than the
+// filesystem's own timestamps resolve, and even after the wall clock
+// fell behind the newest stored object. Keys descend while recency
+// ascends, so neither a name order nor a tie broken by name passes.
+func TestCacheReopenKeepsWriteOrder(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{MaxBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	want := make([]string, n) // most recent first
+	for i := 0; i < n; i++ {
+		e := testEntry(hashN(n-i), 1)
+		if err := s.Cache.Put(e); err != nil {
+			t.Fatal(err)
+		}
+		want[n-1-i] = e.Hash
+	}
+	s.Close()
+
+	s2, err := Open(dir, Options{MaxBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.Cache.Hashes(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened recency differs from write order:\n got %v\nwant %v", got, want)
+	}
+	s2.Close()
+
+	// Nor may a wall clock behind the newest object's mtime (a clock
+	// stepped back, a data dir from a host whose clock ran ahead)
+	// reorder writes: the next put is still the most recent.
+	ahead := time.Now().Add(time.Hour)
+	if err := os.Chtimes(objectFile(dir, want[0]), ahead, ahead); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Open(dir, Options{MaxBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := testEntry(hashN(n+1), 1)
+	if err := s3.Cache.Put(last); err != nil {
+		t.Fatal(err)
+	}
+	s3.Close()
+	s4, err := Open(dir, Options{MaxBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s4.Close()
+	if got := s4.Cache.Hashes(); got[0] != last.Hash || got[1] != want[0] {
+		t.Fatalf("put after a clock step back is not the most recent: %v", got[:2])
 	}
 }
 
@@ -303,25 +362,6 @@ func TestCacheRejectsCorruptObject(t *testing.T) {
 	}
 	if s.Cache.Len() != 0 {
 		t.Fatal("corrupt entry still indexed")
-	}
-}
-
-func TestIndexTornTailAndCorruptLines(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString(encodeIndexRec(IndexRec{Op: opPut, Hash: hashN(1), Size: 100, PayloadCRC: 7}))
-	buf.WriteString(encodeIndexRec(IndexRec{Op: opPut, Hash: hashN(2), Size: 200, PayloadCRC: 8}))
-	buf.WriteString("EZIDX put garbage not-a-number xx yy\n") // corrupt middle line
-	buf.WriteString(encodeIndexRec(IndexRec{Op: opDel, Hash: hashN(1)}))
-	full := buf.String()
-	torn := full[:len(full)-9] // tear the final record
-
-	recs := ReadIndex(strings.NewReader(torn))
-	if len(recs) != 2 {
-		t.Fatalf("decoded %d records from torn log, want 2 (the del is torn, the garbage skipped)", len(recs))
-	}
-	recs = ReadIndex(strings.NewReader(full))
-	if len(recs) != 3 || recs[2].Op != opDel {
-		t.Fatalf("decoded %v from full log", recs)
 	}
 }
 
@@ -488,27 +528,189 @@ func TestJournalDuplicateOpenLastWins(t *testing.T) {
 	}
 }
 
-func TestCompactionBoundsIndex(t *testing.T) {
+// TestDataDirHoldsOnlyObjectsAndJournal: churn leaves no file behind
+// besides the live objects and the journal — no index, no temp files —
+// and the live set survives a reopen.
+func TestDataDirHoldsOnlyObjectsAndJournal(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{MaxBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	// Churn one hash far past the compaction threshold.
 	for i := 0; i < 500; i++ {
-		if err := s.Cache.Put(testEntry(hashN(i%3), 1)); err != nil {
+		if err := s.Cache.Put(testEntry(hashN(i%5), 1)); err != nil {
 			t.Fatal(err)
 		}
+		if i%5 == 4 {
+			s.Cache.Delete(hashN(i % 3))
+		}
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "cache.idx"))
+	cfg := core.Config{Kernel: "mandel", Dim: 64, Label: "test"}
+	if err := s.Journal.Begin("j-000001", hashN(1), false, cfg, 0); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s2, err := Open(dir, Options{MaxBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(ReadIndex(bytes.NewReader(data))); n > 200 {
-		t.Fatalf("index grew to %d records despite compaction", n)
+	defer s2.Close()
+	if n := s2.Cache.Len(); n != 4 {
+		t.Fatalf("live entries = %d, want 4", n)
 	}
-	if s.Cache.Len() != 3 {
-		t.Fatalf("live entries = %d, want 3", s.Cache.Len())
+
+	var files []string
+	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			rel, _ := filepath.Rel(dir, path)
+			files = append(files, filepath.ToSlash(rel))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"journal.log"}
+	for _, h := range s2.Cache.Hashes() {
+		want = append(want, "objects/"+h[:2]+"/"+h)
+	}
+	sort.Strings(files)
+	sort.Strings(want)
+	if !reflect.DeepEqual(files, want) {
+		t.Fatalf("data dir holds %v, want %v", files, want)
+	}
+}
+
+// TestGetWireServesObjectBytes: replication sends the object file as it
+// is, once it has decoded as the record its key names; a corrupted
+// object is refused and dropped like one Get meets.
+func TestGetWireServesObjectBytes(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	e := testEntry(hashN(4), 2)
+	snap := &Snapshot{PrefixHash: hashN(5), Iter: 64, State: []byte("EZK1state")}
+	if err := s.Cache.Put(e); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Cache.PutSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{e.Hash, snap.Key()} {
+		want, err := os.ReadFile(objectFile(dir, key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s.Cache.GetWire(key); !ok || !bytes.Equal(got, want) {
+			t.Fatalf("GetWire(%s) = %q, %v; want the object file's bytes %q", key, got, ok, want)
+		}
+	}
+
+	path := objectFile(dir, e.Hash)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-2] ^= 0x01
+	writeFile(t, path, string(raw))
+	if _, ok := s.Cache.GetWire(e.Hash); ok {
+		t.Fatal("GetWire served a corrupted object")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) || s.Cache.Corrupt() != 1 || s.Cache.Len() != 1 {
+		t.Fatalf("corrupted object not dropped: stat err %v, corrupt %d, len %d", err, s.Cache.Corrupt(), s.Cache.Len())
+	}
+}
+
+// headZeros pads the hashes of TestOpenHeadDataDir to 64 hex digits.
+const headZeros = "00000000000000000000000000000000000000000000000000000000000000"
+
+// headDataDir is a data dir as the daemon wrote it while the store kept
+// a cache.idx beside the objects and journaled checkpoints as snap
+// records: two indexed entries and an indexed snapshot, then a journal
+// with two open jobs (both with snap records) and one done job.
+var headDataDir = map[string]string{
+	"cache.idx": "EZIDX put " + headZeros + "a1 260 411ced6b badb2619\n" +
+		"EZIDX put " + headZeros + "b2 260 74155b93 07b691d5\n" +
+		"EZIDX put " + headZeros + "c3-snap-00000064 96 7671bd2f 854c271d\n",
+	"objects/00/" + headZeros + "a1": "EZSTORE1 " + headZeros + "a1 171 0 2c6180a7\n" +
+		`{"config":{"kernel":"mandel","dim":64,"iterations":161,"schedule":"static"},"wall_ns":0,"iterations":161,"halos_sent":0,"halos_skipped":0,"halo_bytes":0,"checksum":"c161"}`,
+	"objects/00/" + headZeros + "b2": "EZSTORE1 " + headZeros + "b2 171 0 61f9cfa0\n" +
+		`{"config":{"kernel":"mandel","dim":64,"iterations":178,"schedule":"static"},"wall_ns":0,"iterations":178,"halos_sent":0,"halos_skipped":0,"halo_bytes":0,"checksum":"c178"}`,
+	"objects/00/" + headZeros + "c3-snap-00000064": "EZSNAP1 " + headZeros + "c3 64 9 0b1da576\nEZK1state",
+	"journal.log": "EZJRN open j-000001 " + headZeros + "d4 1 106 8c27f9df bb73f2f0\n" +
+		`{"config":{"kernel":"life","dim":64,"iterations":100,"schedule":"static"},"submitted":1700000000000000000}` + "\n" +
+		"EZJRN snap j-000001 64 0 0 00000000 8bfc232e\n" +
+		"EZJRN open j-000002 " + headZeros + "e5 0 74 1e7f49c6 60fefb86\n" +
+		`{"config":{"kernel":"life","dim":64,"iterations":100,"schedule":"static"}}` + "\n" +
+		"EZJRN snap j-000002 32 0 0 00000000 6a77b15e\n" +
+		"EZJRN open j-000003 " + headZeros + "f6 0 74 1e7f49c6 d3aff29a\n" +
+		`{"config":{"kernel":"life","dim":64,"iterations":100,"schedule":"static"}}` + "\n" +
+		"EZJRN done j-000003 done 0 0 00000000 4a2879b9\n",
+}
+
+// TestOpenHeadDataDir upgrades a data dir written with a cache.idx: it
+// opens warm. Besides headDataDir it holds a complete object the index
+// never listed and the temp file of an interrupted put. Every complete
+// object is served, the index and the temp file are gone, and the
+// journal's open set is what it was, its snap records ignored.
+func TestOpenHeadDataDir(t *testing.T) {
+	dir := t.TempDir()
+	for name, data := range headDataDir {
+		writeFile(t, filepath.Join(dir, name), data)
+	}
+	unindexed := headZeros + "17"
+	writeFile(t, objectFile(dir, unindexed), "EZSTORE1 "+unindexed+" 168 0 549418ec\n"+
+		`{"config":{"kernel":"mandel","dim":64,"iterations":23,"schedule":"static"},"wall_ns":0,"iterations":23,"halos_sent":0,"halos_skipped":0,"halo_bytes":0,"checksum":"c23"}`)
+	tmpPath := filepath.Join(dir, "objects", "00", ".tmp-"+headZeros+"e5-42")
+	writeFile(t, tmpPath, "EZSTORE1 "+headZeros+"e5 9")
+
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for key, checksum := range map[string]string{headZeros + "a1": "c161", headZeros + "b2": "c178", unindexed: "c23"} {
+		if e, ok := s.Cache.Get(key); !ok || e.Result.Checksum != checksum {
+			t.Errorf("entry %s not served after the upgrade: ok=%v %+v", key, ok, e)
+		}
+	}
+	if snap, ok := s.Cache.GetSnapshot(headZeros+"c3", 64); !ok || string(snap.State) != "EZK1state" {
+		t.Errorf("snapshot not served after the upgrade: ok=%v %+v", ok, snap)
+	}
+	for _, gone := range []string{filepath.Join(dir, "cache.idx"), tmpPath} {
+		if _, err := os.Stat(gone); !os.IsNotExist(err) {
+			t.Errorf("%s survived the upgrade: %v", gone, err)
+		}
+	}
+	rec := s.Journal.Recovered()
+	cfg := core.Config{Kernel: "life", Dim: 64, Iterations: 100}
+	want := []JournalRec{
+		{Op: "open", ID: "j-000001", Hash: headZeros + "d4", Frames: true, Config: cfg, Submitted: 1700000000000000000},
+		{Op: "open", ID: "j-000002", Hash: headZeros + "e5", Config: cfg},
+	}
+	if !reflect.DeepEqual(rec, want) {
+		t.Fatalf("recovered %+v, want %+v", rec, want)
+	}
+	if got := s.Journal.MaxID(); got != 3 {
+		t.Fatalf("MaxID=%d, want 3", got)
+	}
+}
+
+// objectFile is where the store keeps the object of key under dir.
+func objectFile(dir, key string) string {
+	return filepath.Join(dir, "objects", key[:2], key)
+}
+
+// writeFile writes data to path, creating its directory.
+func writeFile(t *testing.T, path, data string) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
