@@ -14,6 +14,13 @@
 // bench_test.go regenerate every figure of the paper's evaluation; see
 // DESIGN.md and EXPERIMENTS.md.
 //
+// A run leases its image and board buffers from per-size free lists, and
+// core.RunOutput.Final is the run's own final image, not a copy. A
+// program that computes many runs and reads only their results (the
+// checksum, the timings) calls RunOutput.Release on each output: the next
+// run of that size then reuses the image instead of allocating one, as
+// the daemon does for every job (DESIGN.md §6).
+//
 // # The compute daemon
 //
 // easypapd (cmd/easypapd, backed by internal/serve) serves kernel runs
@@ -185,8 +192,9 @@
 // the world edge, and under MPI the neighbouring bands' boundary rows are
 // already in the board. The engine derives seq, omp_tiled, the lazy
 // frontier schedule, mpi_omp with frontier-aware halo exchange, activity
-// reporting for delta frames, the band-aware refresh and the EZK1
-// checkpoint codec; TestRegistryDeterminism covers the new variants
+// reporting for delta frames, the band-aware refresh, the EZK1
+// checkpoint codec, and the boards' lease from and return to a free list
+// per board size; TestRegistryDeterminism covers the new variants
 // without further code. A rule that updates b.cur in place sets inPlace:
 // its parallel schedules then run the tiles in four parity phases, which
 // needs tiles of at least 2x2 cells, and it gets no mpi_omp variant.

@@ -17,12 +17,16 @@ type ComputeFunc func(ctx *Ctx, nbIter int) int
 // kernel-private state via Ctx.SetPriv); Refresh, if non-nil, updates the
 // current image from private data structures before a frame is displayed
 // (kernels with custom data structures only touch the image when a
-// graphical refresh is needed, as §III-D requires).
+// graphical refresh is needed, as §III-D requires). Finalize, if non-nil,
+// releases the kernel-private state when the run ends, on every rank and
+// on every path out of the run, a failed Init included — EASYPAP's
+// <kernel>_finalize hook.
 type Kernel struct {
 	Name           string
 	Description    string
 	Init           func(ctx *Ctx) error
 	Refresh        func(ctx *Ctx)
+	Finalize       func(ctx *Ctx)
 	Variants       map[string]ComputeFunc
 	DefaultVariant string
 

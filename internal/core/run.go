@@ -21,13 +21,28 @@ import (
 // the artifacts the analysis tools consume.
 type RunOutput struct {
 	Result
-	// Final is the master's final image.
+	// Final is the master's final image: the run's own current buffer,
+	// not a copy. Release hands it back for the next run to reuse.
 	Final *img2d.Image
 	// Monitors holds one monitor per rank (index = rank) when monitoring
 	// was active, nil otherwise.
 	Monitors []*monitor.Monitor
 	// Trace is the merged multi-rank trace when tracing was active.
 	Trace *trace.Trace
+}
+
+// Release hands Final back to the free list of images and clears it,
+// so the next run of the same size reuses the buffer instead of
+// allocating one. Call it once nothing reads Final any more; the
+// Result, Checksum included, stays valid. A caller that never calls it
+// keeps Final for as long as it holds the output. Safe on a nil output
+// and idempotent.
+func (o *RunOutput) Release() {
+	if o == nil || o.Final == nil {
+		return
+	}
+	o.Final.Release()
+	o.Final = nil
 }
 
 // Run executes a configured kernel to completion: it normalizes the
@@ -340,6 +355,18 @@ func runRank(goCtx context.Context, cfg Config, k *Kernel, compute ComputeFunc, 
 		Comm:  comm,
 		goCtx: goCtx,
 	}
+	// Every buffer the run leased goes back when it ends, whatever the
+	// path out: the kernel's own through Finalize, then the image pair,
+	// except the current image a successful master keeps as out.Final.
+	// Nothing outlives the run that could still read them: the pool's
+	// workers have joined, sinks do not retain frames, and messages to
+	// other ranks are fresh slices.
+	defer func() {
+		if k.Finalize != nil {
+			k.Finalize(ctx)
+		}
+		ctx.Buf.Release(out.Final)
+	}()
 	rank := 0
 	if comm == nil || comm.Rank() == 0 {
 		ctx.onActivity = onActivity
@@ -474,7 +501,7 @@ func runRank(goCtx context.Context, cfg Config, k *Kernel, compute ComputeFunc, 
 		ResumedFrom: resumedFrom, Activity: ctx.activity,
 		HalosSent: ctx.halosSent, HalosSkipped: ctx.halosSkipped, HaloBytes: ctx.haloBytes}
 	if ctx.IsMaster() {
-		out.Final = ctx.Cur().Clone()
+		out.Final = ctx.Cur()
 		out.Result.Checksum = imageChecksum(out.Final)
 	}
 	if ctx.mon != nil {
@@ -494,18 +521,27 @@ func runRank(goCtx context.Context, cfg Config, k *Kernel, compute ComputeFunc, 
 	return nil
 }
 
+// checksumChunk is how many pixels imageChecksum converts per hash call.
+const checksumChunk = 4096
+
 // imageChecksum computes the hex SHA-256 of an image's pixels
-// (little-endian), the Result.Checksum byte-identity probe. The pixel
-// bytes are hashed in one call: feeding SHA-256 four bytes at a time
-// costs more than twice as much.
+// (little-endian), the Result.Checksum byte-identity probe. The pixels
+// are converted and hashed a 16 KiB chunk at a time: one buffer that
+// size instead of a copy of the image, and still few enough calls that
+// feeding SHA-256 costs nothing extra (four bytes at a time costs more
+// than twice as much).
 func imageChecksum(im *img2d.Image) string {
-	px := im.Pixels()
-	buf := make([]byte, 4*len(px))
-	for i, p := range px {
-		binary.LittleEndian.PutUint32(buf[4*i:], p)
+	h := sha256.New()
+	buf := make([]byte, 4*checksumChunk)
+	for px := im.Pixels(); len(px) > 0; {
+		n := min(len(px), checksumChunk)
+		for i, p := range px[:n] {
+			binary.LittleEndian.PutUint32(buf[4*i:], p)
+		}
+		h.Write(buf[:4*n])
+		px = px[n:]
 	}
-	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:])
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // refreshDisplay pushes the main window frame (master only) plus the

@@ -24,17 +24,14 @@ var testMPIKernelOnce = func() bool {
 			if ctx.Comm == nil {
 				return
 			}
-			band := ctx.Band
-			pixels := make([]uint32, band.Rows()*ctx.Dim())
-			for y := band.Lo; y < band.Hi; y++ {
-				row := ctx.Cur().Row(y)
-				copy(pixels[(y-band.Lo)*ctx.Dim():], row)
+			band, pix := ctx.Band, ctx.Cur().Pixels()
+			var full []uint32
+			if ctx.IsMaster() {
+				full = pix
 			}
-			full, err := ctx.Comm.GatherBands(0, band, pixels)
-			if err != nil || full == nil {
-				return
-			}
-			copy(ctx.Cur().Pixels(), full)
+			_ = ctx.Comm.GatherBands(0, band, full, func(dst []uint32) {
+				copy(dst, pix[band.Lo*ctx.Dim():band.Hi*ctx.Dim()])
+			})
 		},
 		Variants: map[string]ComputeFunc{
 			"seq": func(ctx *Ctx, nbIter int) int {

@@ -193,9 +193,21 @@ type Buffers struct {
 	cur, next *Image
 }
 
-// NewBuffers allocates a pair of dim x dim images.
+// NewBuffers returns a pair of zeroed dim x dim images, taken from the
+// free list of that size when it holds images handed back by Release.
 func NewBuffers(dim int) *Buffers {
-	return &Buffers{cur: New(dim), next: New(dim)}
+	return &Buffers{cur: lease(dim), next: lease(dim)}
+}
+
+// Release hands both images back to the free list, except keep (nil
+// keeps neither): a run's loop releases its pair when it ends and keeps
+// the current image as its final one.
+func (b *Buffers) Release(keep *Image) {
+	for _, im := range [2]*Image{b.cur, b.next} {
+		if im != keep {
+			im.Release()
+		}
+	}
 }
 
 // Cur returns the current (read) image.

@@ -61,6 +61,9 @@ type stencil[C cell] struct {
 	rows *rowCodec[C]
 	// extra variants with their own compute function (life's bitpack).
 	extra map[string]core.ComputeFunc
+	// cells recycles board buffers from run to run, one list per board
+	// size: init takes them, finalize hands them back.
+	cells img2d.FreeList[C]
 }
 
 // board is the per-run state of a stencil kernel.
@@ -119,14 +122,14 @@ func (s *stencil[C]) register() {
 	}
 	core.Register(&core.Kernel{
 		Name: s.name, Description: s.description, DefaultVariant: s.defaultVariant,
-		Init: s.init, Refresh: s.refresh, Variants: variants, Codec: s,
+		Init: s.init, Refresh: s.refresh, Finalize: s.finalize, Variants: variants, Codec: s,
 	})
 }
 
 func (s *stencil[C]) init(ctx *core.Ctx) error {
 	dim := ctx.Dim()
 	b := &board[C]{
-		dim: dim, cur: make([]C, dim*dim), zero: make([]C, dim),
+		dim: dim, cur: s.cells.Get(dim * dim), zero: make([]C, dim),
 		tileW: ctx.Cfg.TileW, tileH: ctx.Cfg.TileH,
 		fr:   tilegrid.New(ctx.Grid),
 		band: mpi.Band{Lo: 0, Hi: dim, Dim: dim},
@@ -150,29 +153,43 @@ func (s *stencil[C]) init(ctx *core.Ctx) error {
 		return err
 	}
 	if !s.inPlace {
-		b.next = append([]C(nil), b.cur...)
+		b.next = s.cells.Get(dim * dim)
+		copy(b.next, b.cur)
 	}
 	ctx.SetPriv(b)
 	s.refresh(ctx)
 	return nil
 }
 
+// finalize hands the board's buffers back for the next run of this size.
+func (s *stencil[C]) finalize(ctx *core.Ctx) {
+	b, ok := ctx.Priv().(*board[C])
+	if !ok {
+		return // Init failed before the board existed
+	}
+	s.cells.Put(b.cur)
+	s.cells.Put(b.next)
+	b.cur, b.next = nil, nil
+}
+
 // refresh paints the board into the current image — the only moment a
 // stencil kernel touches pixels. Under MPI it is collective: every rank
-// paints its band and the master gathers them.
+// paints its band, the master's straight into its image and every other
+// rank's straight into the message that carries it there.
 func (s *stencil[C]) refresh(ctx *core.Ctx) {
 	b := boardOf[C](ctx)
 	if ctx.Comm == nil {
 		s.paint(ctx.Cur().Pixels(), b.cur)
 		return
 	}
-	pixels := make([]img2d.Pixel, b.band.Rows()*b.dim)
-	s.paint(pixels, b.cur[b.band.Lo*b.dim:b.band.Hi*b.dim])
-	full, err := ctx.Comm.GatherBands(0, b.band, pixels)
-	if err != nil || full == nil {
-		return
+	var full []img2d.Pixel
+	if ctx.IsMaster() {
+		full = ctx.Cur().Pixels()
 	}
-	copy(ctx.Cur().Pixels(), full)
+	// An error means the session is aborting; the run reports it.
+	_ = ctx.Comm.GatherBands(0, b.band, full, func(dst []img2d.Pixel) {
+		s.paint(dst, b.cur[b.band.Lo*b.dim:b.band.Hi*b.dim])
+	})
 }
 
 func (s *stencil[C]) paint(dst []img2d.Pixel, cells []C) {

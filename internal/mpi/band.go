@@ -1,10 +1,10 @@
 package mpi
 
-// Row-band decomposition and ghost-cell exchange helpers: the communication
-// pattern the paper's MPI Game of Life uses (§III-D). The image is split
-// into horizontal bands, one per rank; stencil kernels need each
-// neighbour's boundary row (the "ghost cells"), exchanged every iteration
-// together with tile meta-information (which tiles are in a steady state).
+// Row-band decomposition: the image is split into horizontal bands, one
+// per rank, the layout the paper's MPI Game of Life uses (§III-D). Each
+// iteration's boundary rows (the "ghost cells") and tile
+// meta-information travel through the halo engine (halo.go); the master
+// gathers the bands into its image for display.
 
 import "fmt"
 
@@ -49,122 +49,51 @@ func BandForTiles(dim, tileH, size, rank int) Band {
 	return Band{Rank: rank, Lo: tb.Lo * tileH, Hi: tb.Hi * tileH, Dim: dim}
 }
 
-// Ghost-row exchange tags (reserved range distinct from collectives).
-const (
-	tagGhostDown = -200 // sending my bottom row to the rank below
-	tagGhostUp   = -201 // sending my top row to the rank above
-)
-
-// CloneRow copies a pixel row so the sender may keep mutating its buffer
-// (messages transfer ownership).
-func CloneRow(row []uint32) []uint32 {
-	cp := make([]uint32, len(row))
-	copy(cp, row)
-	return cp
-}
-
-// ExchangeGhostRows swaps boundary rows with the neighbouring ranks:
-// top and bottom are the caller's first and last owned rows (they are
-// copied before sending); the returned ghostAbove/ghostBelow are the
-// neighbours' adjacent rows, or nil at the world's edges.
-func (c *Comm) ExchangeGhostRows(band Band, top, bottom []uint32) (ghostAbove, ghostBelow []uint32, err error) {
-	up, down := band.Rank-1, band.Rank+1
-	if up >= 0 {
-		if err := c.Send(up, tagGhostUp, CloneRow(top)); err != nil {
-			return nil, nil, err
-		}
-	}
-	if down < c.Size() {
-		if err := c.Send(down, tagGhostDown, CloneRow(bottom)); err != nil {
-			return nil, nil, err
-		}
-	}
-	if up >= 0 {
-		got, _, err := c.Recv(up, tagGhostDown)
-		if err != nil {
-			return nil, nil, fmt.Errorf("mpi: ghost row from rank %d: %w", up, err)
-		}
-		ghostAbove = got.([]uint32)
-	}
-	if down < c.Size() {
-		got, _, err := c.Recv(down, tagGhostUp)
-		if err != nil {
-			return nil, nil, fmt.Errorf("mpi: ghost row from rank %d: %w", down, err)
-		}
-		ghostBelow = got.([]uint32)
-	}
-	return ghostAbove, ghostBelow, nil
-}
-
-// ExchangeGhostMeta performs the same neighbour exchange for arbitrary
-// per-boundary metadata (e.g. the per-tile steadiness bitmaps of the lazy
-// Game of Life). The payloads are sent as-is: callers must not mutate them
-// afterwards.
-func (c *Comm) ExchangeGhostMeta(band Band, topMeta, bottomMeta any) (metaAbove, metaBelow any, err error) {
-	const (
-		tagMetaDown = -210
-		tagMetaUp   = -211
-	)
-	up, down := band.Rank-1, band.Rank+1
-	if up >= 0 {
-		if err := c.Send(up, tagMetaUp, topMeta); err != nil {
-			return nil, nil, err
-		}
-	}
-	if down < c.Size() {
-		if err := c.Send(down, tagMetaDown, bottomMeta); err != nil {
-			return nil, nil, err
-		}
-	}
-	if up >= 0 {
-		got, _, err := c.Recv(up, tagMetaDown)
-		if err != nil {
-			return nil, nil, err
-		}
-		metaAbove = got
-	}
-	if down < c.Size() {
-		got, _, err := c.Recv(down, tagMetaUp)
-		if err != nil {
-			return nil, nil, err
-		}
-		metaBelow = got
-	}
-	return metaAbove, metaBelow, nil
-}
-
-// GatherBands reassembles a full image at root from per-rank bands: each
-// rank sends its rows (dim*rows pixels, row-major); root returns the
-// dim*dim pixel slice, others nil. This is how the master process refreshes
-// the displayed window in EASYPAP's MPI mode.
+// GatherBands assembles every rank's band into root's full image, in
+// place: this is how the master process refreshes the displayed window
+// in EASYPAP's MPI mode. paint writes the caller's band (band.Rows()
+// rows of band.Dim pixels, row-major) into the slice it is handed. At
+// root that slice is the band's own rows of full, the root's dim*dim
+// image; on every other rank it is the body of the message sent to
+// root, so no band is copied before it travels and root allocates
+// nothing. Non-root ranks pass a nil full.
 //
-// Each payload is self-describing — the sender's Lo/Hi rows lead the
-// pixels — so root reassembles whatever band decomposition the ranks
+// Each message is self-describing — the sender's Lo/Hi rows lead the
+// pixels — so root places whatever band decomposition the ranks
 // actually used (BandFor, BandForTiles, anything covering the image)
 // instead of assuming one.
-func (c *Comm) GatherBands(root int, band Band, pixels []uint32) ([]uint32, error) {
-	if len(pixels) != band.Rows()*band.Dim {
-		return nil, fmt.Errorf("mpi: rank %d: band payload has %d pixels, want %d",
-			c.rank, len(pixels), band.Rows()*band.Dim)
+func (c *Comm) GatherBands(root int, band Band, full []uint32, paint func(dst []uint32)) error {
+	if root < 0 || root >= c.w.size {
+		return fmt.Errorf("mpi: invalid root %d", root)
 	}
-	payload := make([]uint32, 0, 2+len(pixels))
-	payload = append(payload, uint32(band.Lo), uint32(band.Hi))
-	payload = append(payload, pixels...)
-	parts, err := c.Gather(root, payload)
-	if err != nil || c.rank != root {
-		return nil, err
+	if band.Lo < 0 || band.Hi < band.Lo || band.Hi > band.Dim {
+		return fmt.Errorf("mpi: rank %d: band [%d, %d) outside a %d-row image", c.rank, band.Lo, band.Hi, band.Dim)
 	}
-	full := make([]uint32, band.Dim*band.Dim)
-	for r := 0; r < c.Size(); r++ {
-		part, ok := parts[r].([]uint32)
+	dim := band.Dim
+	if c.rank != root {
+		msg := make([]uint32, 2+band.Rows()*dim)
+		msg[0], msg[1] = uint32(band.Lo), uint32(band.Hi)
+		paint(msg[2:])
+		return c.Send(root, tagGather, msg)
+	}
+	if len(full) != dim*dim {
+		return fmt.Errorf("mpi: rank %d: gather image has %d pixels, want %d", c.rank, len(full), dim*dim)
+	}
+	paint(full[band.Lo*dim : band.Hi*dim])
+	for i := 0; i < c.w.size-1; i++ {
+		got, from, err := c.Recv(AnySource, tagGather)
+		if err != nil {
+			return err
+		}
+		part, ok := got.([]uint32)
 		if !ok || len(part) < 2 {
-			return nil, fmt.Errorf("mpi: rank %d sent a malformed band", r)
+			return fmt.Errorf("mpi: rank %d sent a malformed band", from)
 		}
 		lo, hi := int(part[0]), int(part[1])
-		if lo < 0 || hi < lo || hi > band.Dim || len(part)-2 != (hi-lo)*band.Dim {
-			return nil, fmt.Errorf("mpi: rank %d sent a malformed band", r)
+		if lo < 0 || hi < lo || hi > dim || len(part)-2 != (hi-lo)*dim {
+			return fmt.Errorf("mpi: rank %d sent a malformed band", from)
 		}
-		copy(full[lo*band.Dim:hi*band.Dim], part[2:])
+		copy(full[lo*dim:hi*dim], part[2:])
 	}
-	return full, nil
+	return nil
 }

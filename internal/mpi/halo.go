@@ -36,8 +36,8 @@ import (
 	"easypap/internal/tilegrid"
 )
 
-// Halo exchange tags (reserved negative range, distinct from collectives
-// and the legacy ghost/meta tags).
+// Halo exchange tags (reserved negative range, distinct from the
+// collectives').
 const (
 	tagHaloUp   = -222 // packet travelling to the rank above (my top row)
 	tagHaloDown = -223 // packet travelling to the rank below (my bottom row)

@@ -9,10 +9,12 @@
 // test.
 //
 // Messages transfer ownership: after Send returns, the sender must not
-// mutate the payload. Kernels that reuse buffers copy before sending (see
-// CloneRow). Recv carries a deadline so an incorrectly synchronized student
-// program reports a deadlock instead of hanging the process — the runtime's
-// watchdog stands in for a hung mpirun.
+// mutate the payload. Senders therefore build each message in a fresh
+// slice — a halo row is encoded into one (Halo.EncodeRow), a band is
+// painted straight into one (GatherBands) — and never send a buffer
+// they keep computing in. Recv carries a deadline so an incorrectly
+// synchronized student program reports a deadlock instead of hanging the
+// process — the runtime's watchdog stands in for a hung mpirun.
 package mpi
 
 import (

@@ -378,98 +378,37 @@ func TestBandForPartition(t *testing.T) {
 	}
 }
 
-func TestExchangeGhostRows(t *testing.T) {
-	const dim, np = 16, 4
-	err := Run(np, func(c *Comm) error {
-		band := BandFor(dim, np, c.Rank())
-		// Each rank's rows are filled with its rank id + row index.
-		mkRow := func(row int) []uint32 {
-			r := make([]uint32, dim)
-			for i := range r {
-				r[i] = uint32(c.Rank()*1000 + row)
-			}
-			return r
-		}
-		top, bottom := mkRow(band.Lo), mkRow(band.Hi-1)
-		above, below, err := c.ExchangeGhostRows(band, top, bottom)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 && above != nil {
-			return fmt.Errorf("rank 0 received a ghost row from above")
-		}
-		if c.Rank() == np-1 && below != nil {
-			return fmt.Errorf("last rank received a ghost row from below")
-		}
-		if c.Rank() > 0 {
-			wantRow := BandFor(dim, np, c.Rank()-1).Hi - 1
-			if above[0] != uint32((c.Rank()-1)*1000+wantRow) {
-				return fmt.Errorf("rank %d ghost above = %d", c.Rank(), above[0])
-			}
-		}
-		if c.Rank() < np-1 {
-			wantRow := BandFor(dim, np, c.Rank()+1).Lo
-			if below[0] != uint32((c.Rank()+1)*1000+wantRow) {
-				return fmt.Errorf("rank %d ghost below = %d", c.Rank(), below[0])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExchangeGhostMeta(t *testing.T) {
-	const np = 3
-	err := Run(np, func(c *Comm) error {
-		band := BandFor(30, np, c.Rank())
-		above, below, err := c.ExchangeGhostMeta(band,
-			fmt.Sprintf("top-%d", c.Rank()), fmt.Sprintf("bot-%d", c.Rank()))
-		if err != nil {
-			return err
-		}
-		if c.Rank() > 0 {
-			want := fmt.Sprintf("bot-%d", c.Rank()-1)
-			if above.(string) != want {
-				return fmt.Errorf("above = %v, want %s", above, want)
-			}
-		}
-		if c.Rank() < np-1 {
-			want := fmt.Sprintf("top-%d", c.Rank()+1)
-			if below.(string) != want {
-				return fmt.Errorf("below = %v, want %s", below, want)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGatherBands(t *testing.T) {
 	const dim, np = 12, 3
 	err := Run(np, func(c *Comm) error {
 		band := BandFor(dim, np, c.Rank())
-		pixels := make([]uint32, band.Rows()*dim)
-		for i := range pixels {
-			pixels[i] = uint32(c.Rank() + 1)
+		var full []uint32
+		if c.Rank() == 0 {
+			full = make([]uint32, dim*dim)
 		}
-		full, err := c.GatherBands(0, band, pixels)
+		painted := 0
+		err := c.GatherBands(0, band, full, func(dst []uint32) {
+			painted++
+			if len(dst) != band.Rows()*dim {
+				t.Errorf("rank %d painted %d pixels, want %d", c.Rank(), len(dst), band.Rows()*dim)
+			}
+			for i := range dst {
+				dst[i] = uint32(c.Rank() + 1)
+			}
+		})
 		if err != nil {
 			return err
 		}
+		if painted != 1 {
+			return fmt.Errorf("rank %d painted %d times", c.Rank(), painted)
+		}
 		if c.Rank() != 0 {
-			if full != nil {
-				return fmt.Errorf("non-root got pixels")
-			}
 			return nil
 		}
 		for r := 0; r < np; r++ {
 			rb := BandFor(dim, np, r)
 			for row := rb.Lo; row < rb.Hi; row++ {
-				if full[row*dim] != uint32(r+1) {
+				if full[row*dim] != uint32(r+1) || full[row*dim+dim-1] != uint32(r+1) {
 					return fmt.Errorf("row %d owned by %d, got %d", row, r+1, full[row*dim])
 				}
 			}
@@ -485,9 +424,9 @@ func TestGatherBandsValidatesSize(t *testing.T) {
 	err := Run(2, func(c *Comm) error {
 		band := BandFor(8, 2, c.Rank())
 		if c.Rank() == 0 {
-			_, err := c.GatherBands(0, band, make([]uint32, 3)) // wrong size
+			err := c.GatherBands(0, band, make([]uint32, 3), func([]uint32) {}) // wrong size
 			if err == nil {
-				return fmt.Errorf("malformed band accepted")
+				return fmt.Errorf("malformed image accepted")
 			}
 			return nil
 		}
@@ -543,15 +482,6 @@ func TestRandomTraffic(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCloneRow(t *testing.T) {
-	orig := []uint32{1, 2, 3}
-	cp := CloneRow(orig)
-	cp[0] = 99
-	if orig[0] != 1 {
-		t.Error("CloneRow did not copy")
 	}
 }
 

@@ -263,14 +263,31 @@ func coldResult(t *testing.T, cfg core.Config) core.Result {
 // gone and replaying every frame would be wrong), but one whose prefix
 // has a stored checkpoint requeues and finishes from there — the
 // terminal state and final frames survive even though the live stream
-// did not.
+// did not. The interrupted one still reports "frames": true, as its
+// journal record says.
 func TestFramesJobWithCheckpointRequeued(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ckptCfg(24)
 	const k = 8
 	crashStoreCkpt(t, dir, "j-000005", cfg, true, k, time.Unix(0, 1700000000000000000))
-
+	// A second frames job whose prefix has no stored checkpoint: recovery
+	// interrupts it, and its status must still say it was a frames job.
+	bare := ckptCfg(24)
+	bare.Seed = 4
+	norm, hash, err := NormalizeSubmission(bare, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Journal.Begin("j-000006", hash, true, norm, 0); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s, err = store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,8 +307,11 @@ func TestFramesJobWithCheckpointRequeued(t *testing.T) {
 	if st.Result.ResumedFrom != k {
 		t.Errorf("frames job resumed from %d, want %d", st.Result.ResumedFrom, k)
 	}
-	if got := m.Stats().InterruptedJobs; got != 0 {
-		t.Errorf("interrupted_jobs = %d, want 0", got)
+	if st, err = m.Get("j-000006"); err != nil || st.State != JobInterrupted || !st.Frames {
+		t.Fatalf("frames job without a checkpoint should be interrupted and keep frames: %+v (%v)", st, err)
+	}
+	if got := m.Stats().InterruptedJobs; got != 1 {
+		t.Errorf("interrupted_jobs = %d, want 1", got)
 	}
 }
 

@@ -238,18 +238,23 @@ type job struct {
 	hash    string
 	traceID string      // correlates service spans across nodes
 	cfg     core.Config // normalized, scrubbed
-	frames  *FrameHub   // nil unless the submission requested frames
+	frames  *FrameHub   // the stream: nil unless wantFrames and the job can still stream
 	shards  int         // requested shard count (0/1: plain local run)
 	cancel  context.CancelFunc
 	ctx     context.Context
 	done    chan struct{} // closed by retire, once the job is terminal and in the history
 	flight  *flight       // the run this job leads, set by its runner (runner.go)
 
+	// wantFrames is the submission's frames flag, as journaled: a frames
+	// job recovered without a checkpoint to resume from keeps it, though
+	// it has no stream.
+	wantFrames bool
+
 	mu        sync.Mutex
 	state     JobState
 	tier      string // stage of the cache tier that answered ("" when computed here)
 	recovered bool
-	result    *core.Result
+	result    core.Result // the job's own copy, set once it is done
 	errMsg    string
 	errKind   string          // machine-readable failure class (ErrorKind* consts)
 	activity  *ActivityStatus // latest lazy-frontier report (nil for eager)
@@ -264,9 +269,12 @@ func (j *job) snapshot() *JobStatus {
 	defer j.mu.Unlock()
 	s := &JobStatus{
 		ID: j.id, State: j.state, Cached: j.tier != "", DiskHit: j.tier == StageCacheDisk,
-		RemoteHit: j.tier == StageReplicaFetch, Recovered: j.recovered, Frames: j.frames != nil,
-		Hash: j.hash, TraceID: j.traceID, Config: j.cfg, Result: j.result, Error: j.errMsg,
+		RemoteHit: j.tier == StageReplicaFetch, Recovered: j.recovered, Frames: j.wantFrames,
+		Hash: j.hash, TraceID: j.traceID, Config: j.cfg, Error: j.errMsg,
 		ErrorKind: j.errKind, Shards: j.shards, Activity: j.activity, SubmittedAt: j.submitted,
+	}
+	if j.state == JobDone {
+		s.Result = &j.result // never written again once done
 	}
 	if !j.started.IsZero() {
 		s.QueuedNS = j.started.Sub(j.submitted).Nanoseconds()
@@ -489,13 +497,14 @@ func (m *Manager) SubmitShards(cfg core.Config, wantFrames bool, traceID string,
 	}
 
 	j := &job{
-		hash:      hash,
-		traceID:   traceID,
-		cfg:       cfg,
-		shards:    shards,
-		state:     JobQueued,
-		submitted: admitStart,
-		done:      make(chan struct{}),
+		hash:       hash,
+		traceID:    traceID,
+		cfg:        cfg,
+		wantFrames: wantFrames,
+		shards:     shards,
+		state:      JobQueued,
+		submitted:  admitStart,
+		done:       make(chan struct{}),
 	}
 	if wantFrames {
 		j.frames = NewFrameHub(HubOptions{Stats: &m.frameStats})
@@ -642,7 +651,7 @@ func (m *Manager) walkLadder(j *job) (*core.Result, string) {
 // stage. The job was never enqueued, so no journal record exists for it.
 func (m *Manager) finishCached(j *job, r *core.Result, stage string) (*JobStatus, error) {
 	now := time.Now()
-	j.state, j.tier, j.result = JobDone, stage, r
+	j.state, j.tier, j.result = JobDone, stage, *r
 	j.started, j.finished = now, now
 	m.mu.Lock()
 	if m.closed {

@@ -32,14 +32,15 @@ func (m *Manager) recoverJournal() {
 			submitted = time.Unix(0, rec.Submitted)
 		}
 		j := &job{
-			id:        rec.ID,
-			hash:      rec.Hash,
-			traceID:   trace.NewTraceID(), // pre-crash spans did not survive
-			cfg:       rec.Config,
-			state:     JobQueued,
-			recovered: true,
-			submitted: submitted,
-			done:      make(chan struct{}),
+			id:         rec.ID,
+			hash:       rec.Hash,
+			traceID:    trace.NewTraceID(), // pre-crash spans did not survive
+			cfg:        rec.Config,
+			wantFrames: rec.Frames,
+			state:      JobQueued,
+			recovered:  true,
+			submitted:  submitted,
+			done:       make(chan struct{}),
 		}
 		requeue := m.opts.Recover != RecoverInterrupt
 		if requeue && rec.Frames {
@@ -63,7 +64,7 @@ func (m *Manager) recoverJournal() {
 				// Recovery outgrew the queue; fall through to interrupt so
 				// the journal does not replay this job forever.
 				j.cancel()
-				j.ctx, j.cancel = nil, nil
+				j.ctx, j.cancel, j.frames = nil, nil, nil
 			}
 		}
 		now := time.Now()

@@ -275,7 +275,11 @@ func (m *Manager) finish(j *job, out *core.RunOutput, err error) {
 		m.failed.Add(1)
 	default:
 		j.state = JobDone
-		j.result = &out.Result
+		// The history keeps the result by value and the final image goes
+		// back to the free list: its checksum is all anyone reads of it,
+		// and a job that pinned it would keep an image per history slot.
+		j.result = out.Result
+		out.Release()
 		m.completed.Add(1)
 		if j.tier != "" {
 			break // an identical run's result: nothing was computed here
@@ -285,7 +289,7 @@ func (m *Manager) finish(j *job, out *core.RunOutput, err error) {
 			// Cache tiers hold the canonical result: ResumedFrom is run
 			// provenance (THIS execution started from a checkpoint), not
 			// part of the content — a later cache hit was not resumed.
-			cached := out.Result
+			cached := j.result
 			cached.ResumedFrom = 0
 			canonical = &cached
 			m.cache.put(j.hash, cached)
@@ -300,7 +304,7 @@ func (m *Manager) finish(j *job, out *core.RunOutput, err error) {
 				}
 			}
 		}
-		m.recordKernel(out.Result)
+		m.recordKernel(j.result)
 	}
 	if m.store != nil {
 		if j.state == JobCanceled && m.closing.Load() {

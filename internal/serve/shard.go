@@ -150,7 +150,8 @@ func (m *Manager) StartShard(req StartShardRequest, httpc *http.Client) error {
 		defer m.shardWg.Done()
 		// Remote ranks contribute their band through the collectives; the
 		// output object is rank 0's concern. Errors land in the span.
-		_, _ = m.executeShard(sctx, sess, req, nil, nil)
+		out, _ := m.executeShard(sctx, sess, req, nil, nil)
+		out.Release()
 	}()
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,6 +26,7 @@ type Journal struct {
 	mu        sync.Mutex
 	f         *os.File
 	open      map[string]JournalRec // id -> last open record without a done
+	order     []string              // open ids in admission order; closed ones linger until compaction
 	recovered []JournalRec          // open set found at Open time, in file order
 	maxID     int64                 // highest numeric "j-NNNNNN" id ever journaled
 	doneSince int                   // done records since the last compaction
@@ -43,33 +45,54 @@ func openJournal(path string, fsync bool) (*Journal, error) {
 		j.recovered = reduceOpen(recs)
 		for _, rec := range j.recovered {
 			j.open[rec.ID] = rec
+			j.order = append(j.order, rec.ID)
 		}
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	}
-	// Start each daemon generation from a compact journal: the id
-	// high-water mark, then the recovered open set. The hwm record goes
-	// FIRST — it is a done record, and a done following an open for the
-	// same id (the highest open job) would erase that job from replay.
-	compacted, err := reencodeJournal(j.recovered)
+	// Start each daemon generation from a compact journal.
+	if err := j.compactLocked(); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+// rewrite replaces the log with data: a temp file renamed over it, then
+// a fresh append handle. With fsync the temp file is synced before the
+// rename and the directory after it, so a power cut leaves the old log
+// or the whole new one, never an empty file under the log's name.
+func (j *Journal) rewrite(data []byte) error {
+	tmp := j.path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	compacted = append(j.hwmRecord(), compacted...)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, compacted, 0o644); err != nil {
-		return nil, err
+	_, err = f.Write(data)
+	if err == nil && j.fsync {
+		err = f.Sync()
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, j.path)
+	}
+	if err != nil {
 		os.Remove(tmp)
-		return nil, err
+		return err
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
+	// The rename committed the new log: appends go to it from now on.
+	if f, err = os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+		return err
+	}
+	if j.f != nil {
+		j.f.Close()
 	}
 	j.f = f
-	return j, nil
+	if j.fsync {
+		return syncDir(filepath.Dir(j.path))
+	}
+	return nil
 }
 
 // hwmRecord renders the id high-water mark as a done record for the
@@ -136,6 +159,9 @@ func (j *Journal) Begin(id, hash string, frames bool, cfg core.Config, submitted
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.noteID(id)
+	if _, isOpen := j.open[id]; !isOpen {
+		j.order = append(j.order, id)
+	}
 	if _, err := j.f.WriteString(encodeJournalOpen(id, hash, frames, payload)); err != nil {
 		return err
 	}
@@ -169,40 +195,41 @@ func (j *Journal) End(id, state string) error {
 	delete(j.open, id)
 	j.doneSince++
 	if j.doneSince > len(j.open)+64 {
-		j.compactLocked()
+		// Best effort: a failed compaction leaves the longer log, which
+		// replays to the same open set.
+		_ = j.compactLocked()
 	}
 	return nil
 }
 
-// compactLocked rewrites the journal with only the open records plus
-// the id high-water mark.
-func (j *Journal) compactLocked() {
+// compactLocked rewrites the journal as the id high-water mark followed
+// by the open records in admission order, the order Recovered promises
+// the next daemon generation. The hwm record goes FIRST: it is a done
+// record, and a done following an open for the same id (the highest
+// open job) would erase that job from replay.
+func (j *Journal) compactLocked() error {
 	recs := make([]JournalRec, 0, len(j.open))
-	for _, rec := range j.open {
+	listed := make(map[string]bool, len(j.open))
+	order := j.order[:0]
+	for _, id := range j.order {
+		rec, ok := j.open[id]
+		if !ok || listed[id] {
+			continue // closed, or reopened after a done: listed once
+		}
+		listed[id] = true
 		recs = append(recs, rec)
+		order = append(order, id)
 	}
+	j.order = order
 	data, err := reencodeJournal(recs)
 	if err != nil {
-		return
+		return err
 	}
-	// hwm first: a done record after an open for the same id would
-	// erase the highest open job from replay.
-	data = append(j.hwmRecord(), data...)
-	tmp := j.path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return
+	if err := j.rewrite(append(j.hwmRecord(), data...)); err != nil {
+		return err
 	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return
-	}
-	j.f.Close()
-	j.f = f
 	j.doneSince = 0
+	return nil
 }
 
 func (j *Journal) close() error {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -445,6 +446,96 @@ func TestJournalMaxIDSurvivesCompaction(t *testing.T) {
 	}
 	if got := s2.Journal.MaxID(); got != 100 {
 		t.Fatalf("MaxID=%d after restart, want 100 — ids would be reused", got)
+	}
+}
+
+// churnJournal opens j-000001..j-000010, then journals 90 begin/end
+// pairs (j-000011..j-000100): enough done records to compact the log,
+// with the ten open jobs older than every compaction.
+func churnJournal(t *testing.T, j *Journal) {
+	t.Helper()
+	cfg := core.Config{Kernel: "mandel", Dim: 64, Label: "test"}
+	for i := 1; i <= 100; i++ {
+		id := fmt.Sprintf("j-%06d", i)
+		if err := j.Begin(id, hashN(i), false, cfg, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if i > 10 {
+			if err := j.End(id, "done"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// checkChurnRecovered asserts a reopened churnJournal: the ten open jobs
+// in admission order, and the id high-water mark.
+func checkChurnRecovered(t *testing.T, j *Journal) {
+	t.Helper()
+	var ids []string
+	for _, rec := range j.Recovered() {
+		ids = append(ids, rec.ID)
+	}
+	var want []string
+	for i := 1; i <= 10; i++ {
+		want = append(want, fmt.Sprintf("j-%06d", i))
+	}
+	if !slices.Equal(ids, want) {
+		t.Fatalf("recovered %v, want %v in admission order", ids, want)
+	}
+	if got := j.MaxID(); got != 100 {
+		t.Fatalf("MaxID=%d after reopen, want 100", got)
+	}
+}
+
+// TestJournalCompactionKeepsAdmissionOrder: compaction rewrites the open
+// set in admission order, so recovery re-enqueues jobs in the order they
+// were admitted. Ranging over the open map shuffled them.
+func TestJournalCompactionKeepsAdmissionOrder(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	churnJournal(t, s.Journal)
+	s.Close()
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	checkChurnRecovered(t, s2.Journal)
+}
+
+// TestJournalRewriteFsync runs the journal's two rewrites, compaction
+// and the compaction at open, with Fsync on: the open set and the id
+// high-water mark survive both. (A process test cannot cut the power;
+// it pins that the synced path rewrites, renames and reopens correctly.)
+func TestJournalRewriteFsync(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	churnJournal(t, s.Journal)
+	data, err := os.ReadFile(filepath.Join(dir, "journal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := bytes.Count(data, []byte("\n")); lines >= 190 {
+		t.Fatalf("journal holds %d records after 190 were written: it never compacted", lines)
+	}
+	s.Close()
+	for gen := 0; gen < 2; gen++ {
+		s2, err := Open(dir, Options{Fsync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkChurnRecovered(t, s2.Journal)
+		s2.Close()
+	}
+	if _, err := os.Stat(filepath.Join(dir, "journal.log.tmp")); !os.IsNotExist(err) {
+		t.Fatalf("a rewrite left its temp file behind (%v)", err)
 	}
 }
 
