@@ -27,6 +27,14 @@
 //	curl -s hostA:8080/v1/cluster          # membership + health
 //	curl -s hostA:8080/v1/cluster/stats    # cluster-aggregated counters
 //
+// The daemon binds its port before it opens the data directory,
+// recovers journaled jobs or starts probing peers, so a taken port
+// fails at once and changes nothing, and a peer's probe reaches a
+// listener from this node's first announcement on. Daemons started as
+// separate processes can still probe a peer before that peer listens:
+// the contact fails and the peer is suspected until the next probe
+// round refutes it.
+//
 // Membership is elastic (DESIGN.md §10): the health prober doubles as a
 // SWIM-style gossip exchange, so the fleet does not need matching -peers
 // lists. A new node started with -join pointing at ANY live member is
@@ -116,6 +124,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // -pprof-addr side listener (DefaultServeMux)
 	"os"
@@ -178,6 +187,16 @@ func run(args []string) error {
 		return fmt.Errorf("invalid -durability %q (want async or fsync)", *durable)
 	}
 
+	// Bind first: a taken port fails before the store is opened, jobs
+	// are recovered or the cluster prober announces this node, and peers
+	// probing this node from now on reach a listener (their requests
+	// wait in the accept queue until Serve starts).
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
+
 	var st *store.Store
 	var recoverPolicy serve.RecoverPolicy
 	if *dataDir != "" {
@@ -187,7 +206,6 @@ func run(args []string) error {
 		default:
 			return fmt.Errorf("invalid -recover %q (want requeue or interrupt)", *recovery)
 		}
-		var err error
 		st, err = store.Open(*dataDir, store.Options{MaxBytes: *cacheMax, Fsync: fsync})
 		if err != nil {
 			return fmt.Errorf("opening data dir: %w", err)
@@ -222,7 +240,6 @@ func run(args []string) error {
 		if *replicate > 1 && st == nil {
 			return fmt.Errorf("-replicate %d needs -data-dir (replicas live in the disk cache)", *replicate)
 		}
-		var err error
 		node, err = cluster.NewNode(mgr, cluster.Options{
 			Self:           *self,
 			Peers:          peerList,
@@ -259,7 +276,7 @@ func run(args []string) error {
 		}()
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := &http.Server{Handler: handler}
 
 	// Graceful shutdown: stop accepting, cancel running jobs, drain.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -267,7 +284,7 @@ func run(args []string) error {
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("easypapd: serving %d kernels on %s", len(core.KernelNames()), *addr)
-		errc <- srv.ListenAndServe()
+		errc <- srv.Serve(ln)
 	}()
 
 	stopNode := func() {

@@ -172,7 +172,7 @@ func crashStoreCkpt(t *testing.T, dir, id string, cfg core.Config, frames bool, 
 	if err := s.Journal.Begin(id, hash, frames, norm, submitted.UnixNano()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Cache.PutSnapshot(&store.Snapshot{PrefixHash: prefixHash, Iter: k, State: state}); err != nil {
+	if _, err := s.Cache.Put(&store.Snapshot{PrefixHash: prefixHash, Iter: k, State: state}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()

@@ -8,6 +8,8 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -288,6 +290,39 @@ func TestEntryEndpointsVerifyContent(t *testing.T) {
 	}
 	if _, ok := cc.mgrs[1].GetEntry(hash); !ok {
 		t.Fatal("accepted entry not in the receiver's store")
+	}
+
+	// A record lands as the bytes sent: an entry whose result carries a
+	// field this build does not know (as a newer peer would write it),
+	// and a checkpoint, come back from the receiver byte for byte.
+	crc := func(b []byte) uint32 { return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)) }
+	futureHash := hashOf(t, mandelCfg(5, 16))
+	res := []byte(`{"config":{"kernel":"mandel","variant":"seq","dim":64,"iterations":5},"iterations":5,"checksum":"c5","added_later":{"note":"kept"}}`)
+	future := fmt.Appendf(nil, "EZSTORE1 %s %d 0 %08x\n%s", futureHash, len(res), crc(res), res)
+	state := []byte("EZK1 checkpoint state")
+	snapKey := store.SnapshotKey(futureHash, 32)
+	snap := fmt.Appendf(nil, "EZSNAP1 %s 32 %d %08x\n%s", futureHash, len(state), crc(state), state)
+	for key, body := range map[string][]byte{futureHash: future, snapKey: snap} {
+		if code := put(cc.urls[1], key, body); code != http.StatusNoContent {
+			t.Fatalf("valid record %s refused with status %d", key, code)
+		}
+		resp, err := http.Get(cc.urls[1] + "/v1/cluster/entries/" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(got, body) {
+			t.Fatalf("receiver serves %s as %d %q, want the bytes sent %q", key, resp.StatusCode, got, body)
+		}
+	}
+	// Entry bytes under a snapshot key, and snapshot bytes under an
+	// entry key, are refused.
+	if code := put(cc.urls[1], store.SnapshotKey(hash, 32), wire); code != http.StatusBadRequest {
+		t.Fatalf("entry under a snapshot key accepted with status %d", code)
+	}
+	if code := put(cc.urls[1], futureHash, snap); code != http.StatusBadRequest {
+		t.Fatalf("snapshot under an entry key accepted with status %d", code)
 	}
 }
 

@@ -84,8 +84,7 @@ func (n *Node) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /v1/cluster/entries/{hash}", func(w http.ResponseWriter, r *http.Request) {
 		// Kind-agnostic: the key may name a result entry (EZSTORE1) or a
-		// checkpoint (EZSNAP1); the record's magic line tells the peer
-		// which decoder to use.
+		// checkpoint (EZSNAP1), and the key tells the peer which it gets.
 		body, ok := n.mgr.GetEntryWire(r.PathValue("hash"))
 		if !ok {
 			serve.WriteError(w, http.StatusNotFound, fmt.Errorf("cluster: no entry %s here", r.PathValue("hash")))
@@ -95,43 +94,22 @@ func (n *Node) Handler() http.Handler {
 		w.Write(body)
 	})
 	mux.HandleFunc("PUT /v1/cluster/entries/{hash}", func(w http.ResponseWriter, r *http.Request) {
-		// The body is a self-describing wire record; the path key decides
-		// the expected kind. Either way the decoder re-derives the CRC and
-		// the key check pins the content to the path, so a corrupt or
-		// mislabeled transfer is refused, never stored.
-		if key := r.PathValue("hash"); store.IsSnapshotKey(key) {
-			s, err := store.DecodeSnapshot(io.LimitReader(r.Body, 1<<30))
-			if err != nil {
-				serve.WriteError(w, http.StatusBadRequest, err)
-				return
-			}
-			if store.SnapshotKey(s.PrefixHash, s.Iter) != key {
-				serve.WriteError(w, http.StatusBadRequest,
-					fmt.Errorf("cluster: snapshot key %s does not match path %s",
-						store.SnapshotKey(s.PrefixHash, s.Iter), key))
-				return
-			}
-			if err := n.mgr.PutSnapshot(s); err != nil {
-				serve.WriteError(w, http.StatusNotImplemented, err)
-				return
-			}
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		e, err := store.DecodeEntry(io.LimitReader(r.Body, 1<<30))
+		// The body is a wire record, stored as sent once it decodes as the
+		// record the path key names: a corrupt or mislabeled transfer is
+		// refused, never stored.
+		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<30))
 		if err != nil {
 			serve.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		if e.Hash != r.PathValue("hash") {
-			serve.WriteError(w, http.StatusBadRequest,
-				fmt.Errorf("cluster: entry hash %s does not match path %s", e.Hash, r.PathValue("hash")))
-			return
-		}
-		if err := n.mgr.PutEntry(e); err != nil {
+		if err := n.mgr.PutWire(r.PathValue("hash"), body); err != nil {
 			// 501, not 5xx-gateway: a storeless node is a config problem,
 			// and the proxy layer must not read it as a dead peer.
-			serve.WriteError(w, http.StatusNotImplemented, err)
+			code := http.StatusNotImplemented
+			if errors.Is(err, store.ErrInvalidRecord) {
+				code = http.StatusBadRequest
+			}
+			serve.WriteError(w, code, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)

@@ -16,14 +16,15 @@ import (
 
 // R-way cache replication. The single-box stack already makes results
 // durable (internal/serve/store); this layer makes them survive losing
-// the box. Three mechanisms share the entry wire format (EZSTORE1, the
-// exact on-disk bytes, CRC'd and self-describing):
+// the box. Three mechanisms share the record wire format — the exact
+// object file bytes (EZSTORE1 or EZSNAP1), CRC'd and self-describing:
 //
-//	push      — write-behind: the manager's spill hook hands every
-//	            freshly persisted entry to a queue, and a worker PUTs
-//	            it to the R-1 ring successors of its owner. Losing the
-//	            queue loses nothing but redundancy (the entry is on
-//	            disk locally; the rebalancer will retry it).
+//	push      — write-behind: the manager's spill hook hands the bytes
+//	            of every freshly persisted entry or checkpoint to a
+//	            queue, and a worker PUTs them as they are to the R-1
+//	            ring successors of its owner. Losing the queue loses
+//	            nothing but redundancy (the record is on disk locally;
+//	            the rebalancer will retry it).
 //	fetch     — read failover: on a local memory+disk miss the manager
 //	            asks the ring replicas for the entry before computing.
 //	            A node death therefore costs recomputes only for
@@ -31,31 +32,39 @@ import (
 //	rebalance — after any ring change, every node walks its entry set
 //	            and pushes entries to the replicas that should now hold
 //	            them, under a bandwidth budget so a membership change
-//	            does not flatten the network. Content addressing makes
-//	            the transfer self-verifying: the receiver re-derives
-//	            CRC and hash from the bytes and refuses mismatches.
+//	            does not flatten the network.
+//
+// No push or rebalance transfer re-encodes a record. The sender sends
+// the bytes its store wrote (or, rebalancing, read back); the receiver
+// (PUT /v1/cluster/entries/{key}, Manager.PutWire) checks that they
+// decode as the record their key names — content addressing makes the
+// transfer self-verifying — and stores them as sent. A re-encode would
+// drop whatever this build's decoder does not know, such as a result
+// field a newer peer added, so during a rolling deploy older nodes
+// would strip what newer ones write.
 
 // replTimeout bounds one entry transfer (push or fetch).
 const replTimeout = 2 * time.Second
 
 // replTask is one queued replication push of an entry or a checkpoint
-// (both ride the same queue and wire path, under their own key and
-// magic); the trace id ties the push spans into the originating job's
-// distributed trace.
+// (both ride the same queue and wire path, under their own key); the
+// trace id ties the push spans into the originating job's distributed
+// trace.
 type replTask struct {
-	rec     store.Record
+	key     string
+	data    []byte
 	traceID string
 }
 
-// enqueueReplication is the manager's spill hook: called after an entry
-// or a checkpoint hits the local disk. Checkpoints replicate exactly
-// like entries, so a node death costs at most SnapshotEvery iterations
-// of recompute on the surviving replicas. Never blocks the spiller — a
-// full queue drops the push (counted; the rebalancer heals the gap
-// later).
-func (n *Node) enqueueReplication(rec store.Record, traceID string) {
+// enqueueReplication is the manager's spill hook: called with the
+// stored bytes after an entry or a checkpoint hits the local disk.
+// Checkpoints replicate exactly like entries, so a node death costs at
+// most SnapshotEvery iterations of recompute on the surviving replicas.
+// Never blocks the spiller — a full queue drops the push (counted; the
+// rebalancer heals the gap later).
+func (n *Node) enqueueReplication(key string, data []byte, traceID string) {
 	select {
-	case n.replq <- replTask{rec: rec, traceID: traceID}:
+	case n.replq <- replTask{key: key, data: data, traceID: traceID}:
 	default:
 		n.replDropped.Add(1)
 	}
@@ -68,7 +77,7 @@ func (n *Node) replicateLoop() {
 		case <-n.stop:
 			return
 		case t := <-n.replq:
-			n.push(t.rec, t.traceID)
+			n.push(t.key, t.data, t.traceID)
 		}
 	}
 }
@@ -87,24 +96,14 @@ func (n *Node) replicaTargets(hash string) []*member {
 	return out
 }
 
-// push encodes a record and replicates it under its key. The ring
-// routes by the full key, so successive snapshots of one prefix spread
-// like any other content — what matters is only that R nodes hold each.
-func (n *Node) push(rec store.Record, traceID string) {
-	var buf bytes.Buffer
-	if err := rec.Encode(&buf); err != nil {
-		n.replDropped.Add(1)
-		return
-	}
-	n.pushWire(rec.Key(), buf.Bytes(), traceID)
-}
-
-// pushWire sends one encoded record (entry or snapshot — the magic line
-// tells the receiver) to every replica target of its storage key.
-// Counted per target; a push to an unreachable peer is dropped (the
-// rebalancer retries after the ring reflects the death). Each push is a
-// replicate span in the originating job's trace, naming the receiver.
-func (n *Node) pushWire(key string, body []byte, traceID string) {
+// push sends one encoded record (entry or snapshot) to every replica
+// target of its storage key. The ring routes by the full key, so
+// successive snapshots of one prefix spread like any other content —
+// what matters is only that R nodes hold each. Counted per target; a
+// push to an unreachable peer is dropped (the rebalancer retries after
+// the ring reflects the death). Each push is a replicate span in the
+// originating job's trace, naming the receiver.
+func (n *Node) push(key string, body []byte, traceID string) {
 	for _, m := range n.replicaTargets(key) {
 		begin := time.Now()
 		ok := n.putRemoteEntry(m, key, body, traceID)
@@ -119,9 +118,9 @@ func (n *Node) pushWire(key string, body []byte, traceID string) {
 	}
 }
 
-// putRemoteEntry PUTs one encoded entry to a peer. The receiver
-// decodes, CRC-checks, and re-derives the content hash before
-// admitting it (handler.go), so a corrupt transfer cannot poison a
+// putRemoteEntry PUTs one encoded record to a peer. The receiver
+// checks that the bytes decode as the record the key names before it
+// stores them (Manager.PutWire), so a corrupt transfer cannot poison a
 // remote cache.
 func (n *Node) putRemoteEntry(m *member, hash string, body []byte, traceID string) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), replTimeout)

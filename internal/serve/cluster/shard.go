@@ -12,9 +12,9 @@ package cluster
 //     coordinator is always rank 0 — it owns the job record, the frame
 //     stream, and the stitched result),
 //  2. start: POST /v1/shard/start to every remote rank. Any start
-//     failure aborts the ranks already started and falls back to a plain
-//     local run — nothing has been computed yet, so degrading is free
-//     and the client never sees the hiccup,
+//     failure aborts the ranks already started and hands the job back
+//     to the manager's plain run — nothing has been computed yet, so
+//     degrading is free and the client never sees the hiccup,
 //  3. run: execute rank 0 in-process via Manager.RunShard; the halo
 //     engine exchanges boundary rows directly between neighbor ranks
 //     (coordinator not in the loop), and the per-iteration convergence
@@ -49,12 +49,13 @@ import (
 const shardStartTimeout = 5 * time.Second
 
 // runSharded is the serve.ShardRunner installed by NewNode: coordinate
-// one sharded job, or degrade to a plain local run when the cluster
-// cannot shard it right now.
-func (n *Node) runSharded(ctx context.Context, job serve.ShardJob) (*core.RunOutput, error) {
+// one sharded job, or decline it (sharded false, nothing computed) when
+// the cluster cannot shard it right now, so the manager runs it on its
+// plain path.
+func (n *Node) runSharded(ctx context.Context, job serve.ShardJob) (*core.RunOutput, bool, error) {
 	ranks, ok := n.planShards(job)
 	if !ok {
-		return n.runLocal(ctx, job)
+		return nil, false, nil
 	}
 	session := n.prefixID(job.ID)
 	peers := make([]string, len(ranks))
@@ -73,12 +74,12 @@ func (n *Node) runSharded(ctx context.Context, job serve.ShardJob) (*core.RunOut
 	for rank := 1; rank < len(ranks); rank++ {
 		if err := n.startRemoteShard(ctx, ranks[rank], mkReq(rank)); err != nil {
 			// Nothing has computed yet: tear down what started, demote the
-			// unreachable peer, and run the job locally instead.
+			// unreachable peer, and let the manager run the job instead.
 			for _, m := range started {
 				n.abortRemoteShard(m, session, "coordinator start failed")
 			}
 			n.markDown(ranks[rank])
-			return n.runLocal(ctx, job)
+			return nil, false, nil
 		}
 		started = append(started, ranks[rank])
 	}
@@ -89,17 +90,8 @@ func (n *Node) runSharded(ctx context.Context, job serve.ShardJob) (*core.RunOut
 			n.abortRemoteShard(m, session, "coordinator finished")
 		}
 	}()
-	return n.mgr.RunShard(ctx, mkReq(0), n.opts.HTTP, job.Sink, job.OnActivity)
-}
-
-// runLocal runs the job unsharded with the same observers the manager
-// would have wired — the graceful-degradation path.
-func (n *Node) runLocal(ctx context.Context, job serve.ShardJob) (*core.RunOutput, error) {
-	opts := core.RunOptions{OnActivity: job.OnActivity}
-	if job.Sink != nil {
-		opts.Sink = job.Sink
-	}
-	return core.RunWith(ctx, job.Config, opts)
+	out, err := n.mgr.RunShard(ctx, mkReq(0), n.opts.HTTP, job.Sink, job.OnActivity)
+	return out, true, err
 }
 
 // planShards decides whether (and how) to shard: the variant must be

@@ -193,6 +193,40 @@ func TestShardedSparseSkipsHalos(t *testing.T) {
 	}
 }
 
+// TestDeclinedShardRunsAsPlainJob: a sharded submission the cluster
+// declines (an omp variant cannot be split into bands) runs on the
+// owner's plain path, with its warm pool and options: it computes the
+// single-node result, and no node counts a coordinated job or a shard.
+func TestDeclinedShardRunsAsPlainJob(t *testing.T) {
+	tc := startCluster(t, 3, serve.Options{Workers: 2, QueueDepth: 16})
+	cfg := shardCfg("life", "random", 20, 5)
+	cfg.Variant = "omp_tiled"
+	ref := singleNodeRef(t, cfg)
+
+	c := client.New(tc.urls[0])
+	st, err := c.SubmitShards(context.Background(), cfg, false, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.State.Terminal() {
+		if st, err = c.Wait(context.Background(), st.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.State != serve.JobDone || st.Result == nil {
+		t.Fatalf("job ended %s: %s", st.State, st.Error)
+	}
+	if st.Result.Checksum != ref.Checksum {
+		t.Errorf("checksum %s, single-node %s", st.Result.Checksum, ref.Checksum)
+	}
+	for i, m := range tc.mgrs {
+		if s := m.Stats(); s.JobsCoordinated != 0 || s.ShardsExecuted != 0 {
+			t.Errorf("node %d: jobs_coordinated=%d shards_executed=%d, want 0 for a declined plan",
+				i, s.JobsCoordinated, s.ShardsExecuted)
+		}
+	}
+}
+
 // --- chaos -----------------------------------------------------------
 
 // shardChaosCluster is 3 daemons with a fast halo timeout and one

@@ -58,8 +58,8 @@ var (
 	ErrNoFrames = errors.New("serve: job was not submitted with frames enabled")
 	// ErrClosed is returned by Submit after the manager shut down.
 	ErrClosed = errors.New("serve: manager closed")
-	// ErrNoStore is returned by PutEntry when the manager has no
-	// persistence layer to adopt the entry into (HTTP 501 in cluster
+	// ErrNoStore is returned by PutWire when the manager has no
+	// persistence layer to adopt the record into (HTTP 501 in cluster
 	// mode — the pushing peer skips this node, it does not fail over).
 	ErrNoStore = errors.New("serve: manager has no disk store")
 )
@@ -410,8 +410,9 @@ func NewManager(opts Options) *Manager {
 // job's span tree. Nil fields are skipped.
 type ClusterHooks struct {
 	// Spilled observes every entry and checkpoint after it is durably
-	// written to the disk tier: the replication push point.
-	Spilled func(r store.Record, traceID string)
+	// written to the disk tier, with the bytes stored under its key:
+	// the replication push point.
+	Spilled func(key string, data []byte, traceID string)
 	// Fetch is the last cache tier, asked after memory and disk both
 	// miss: a ring replica's copy of the entry, or nil. A fetched entry
 	// is promoted into both local tiers, so an entry whose owner died
@@ -603,7 +604,7 @@ func (m *Manager) newLadder() []tier {
 			},
 			// Synchronous and not spilled: an entry adopted from a
 			// replica is not pushed back out as a replication.
-			put: func(e *store.Entry) { _ = m.store.Cache.Put(e) },
+			put: func(e *store.Entry) { _, _ = m.store.Cache.Put(e) },
 		})
 	}
 	return append(ladder, tier{stage: StageReplicaFetch, hits: &m.remoteHits,
@@ -779,16 +780,17 @@ func (m *Manager) Close() {
 	m.pools.close()
 }
 
-// PutEntry adopts an externally supplied cache entry into the disk
-// tier — the receive side of cluster replication and rebalancing. The
-// entry's internal CRC was verified when it was decoded off the wire;
-// content addressing makes the write idempotent. Returns ErrNoStore
-// when the manager runs without persistence.
-func (m *Manager) PutEntry(e *store.Entry) error {
+// PutWire adopts a record a peer sent — an entry or a checkpoint,
+// whichever its key names — into the disk tier as the bytes sent: the
+// receive side of replication and rebalancing. The store checks that
+// they decode as that record (an error wrapping store.ErrInvalidRecord
+// when they do not); content addressing makes the write idempotent.
+// Returns ErrNoStore when the manager runs without persistence.
+func (m *Manager) PutWire(key string, data []byte) error {
 	if m.store == nil {
 		return ErrNoStore
 	}
-	return m.store.Cache.Put(e)
+	return m.store.Cache.PutWire(key, data)
 }
 
 // GetEntry reads an entry from the disk tier (CRC-verified) — the send
@@ -801,21 +803,10 @@ func (m *Manager) GetEntry(hash string) (*store.Entry, bool) {
 	return m.store.Cache.Get(hash)
 }
 
-// PutSnapshot adopts an externally supplied checkpoint into the disk
-// tier — the receive side of snapshot replication. Idempotent like
-// PutEntry: the key is (prefix hash, iteration).
-func (m *Manager) PutSnapshot(s *store.Snapshot) error {
-	if m.store == nil {
-		return ErrNoStore
-	}
-	return m.store.Cache.PutSnapshot(s)
-}
-
-// GetEntryWire reads the raw CRC-verified record bytes for any object
-// key — result entry or snapshot; the record's magic line tells the
-// receiver which decoder to use. This is the kind-agnostic send side of
-// replication and rebalancing, so snapshot keys appearing in
-// EntryHashes move between nodes exactly like entries.
+// GetEntryWire reads the verified record bytes stored under any object
+// key, entry or snapshot: the send side of replication and rebalancing
+// (PutWire is the receive side), so snapshot keys in EntryHashes move
+// between nodes exactly like entries.
 func (m *Manager) GetEntryWire(key string) ([]byte, bool) {
 	if m.store == nil {
 		return nil, false

@@ -23,23 +23,21 @@ type spillReq struct {
 // no endpoint serves a cached run's image, so none is encoded — and
 // the periodic checkpoints. Spilling at completion (not at memory
 // eviction) is what makes a crash lose nothing — an entry that never
-// got evicted must still be on disk when the daemon dies.
+// got evicted must still be on disk when the daemon dies. Each record
+// is encoded once: the bytes Put stored are the bytes replication
+// pushes.
 func (m *Manager) spiller() {
 	defer m.spillWg.Done()
 	for req := range m.spill {
 		begin := time.Now()
 		stage, written := StageSpill, &m.spills
-		var err error
-		switch r := req.rec.(type) {
-		case *store.Entry:
-			err = m.store.Cache.Put(r)
-		case *store.Snapshot:
+		if _, ok := req.rec.(*store.Snapshot); ok {
 			// Checkpoint write-behind: once stored, the snapshot is what a
 			// crash-recovered job, or any submission sharing the iteration
 			// prefix, resumes from.
 			stage, written = StageSnapshot, &m.snapsWritten
-			err = m.store.Cache.PutSnapshot(r)
 		}
+		data, err := m.store.Cache.Put(req.rec)
 		m.span(stage, req.traceID, req.job, begin, time.Now(), err)
 		if err != nil {
 			m.spillErrs.Add(1)
@@ -48,8 +46,8 @@ func (m *Manager) spiller() {
 		written.Add(1)
 		if hook := m.hooks.Load().Spilled; hook != nil {
 			// Replication rides the spill: the record is durable locally,
-			// now the cluster layer pushes it to the ring successors.
-			hook(req.rec, req.traceID)
+			// now the cluster layer pushes its bytes to the ring successors.
+			hook(req.rec.Key(), data, req.traceID)
 		}
 	}
 }
@@ -129,18 +127,24 @@ func (m *Manager) runJob(j *job) {
 	computeStart := time.Now()
 	var out *core.RunOutput
 	var err error
+	sharded := false
 	if hook := m.hooks.Load().RunSharded; hook != nil && j.shards > 1 {
 		// Distributed execution: the coordinator hook splits the job into
 		// row bands across the cluster and returns rank 0's stitched
-		// output. The leased pool (if any) goes unused — each rank builds
-		// its own team — but mpi variants carry MPIRanks >= 2, so the
-		// warm-lease branch above already skipped them.
-		m.jobsCoordinated.Add(1)
-		out, err = hook(j.ctx, ShardJob{
+		// output. Sharding needs an mpi variant, whose MPIRanks >= 2 made
+		// the warm-lease branch above skip the lease: each rank builds its
+		// own team.
+		out, sharded, err = hook(j.ctx, ShardJob{
 			ID: j.id, TraceID: j.traceID, Config: j.cfg, Shards: j.shards,
 			Frames: j.frames != nil, Sink: opts.Sink, OnActivity: opts.OnActivity,
 		})
-	} else {
+		if sharded {
+			m.jobsCoordinated.Add(1)
+		}
+	}
+	if !sharded {
+		// Declined by the cluster (or no cluster): the plain run, with the
+		// leased pool and every option built above.
 		out, err = core.RunWith(j.ctx, j.cfg, opts)
 	}
 	m.span(StageCompute, j.traceID, j.id, computeStart, time.Now(), err)

@@ -123,9 +123,12 @@ type ShardJob struct {
 }
 
 // ShardRunner coordinates one sharded job end to end and returns rank
-// 0's output. The cluster layer installs one as ClusterHooks.RunSharded;
+// 0's output with sharded true. When the cluster cannot shard the job
+// (a declined plan, or a rank that failed to start) it returns sharded
+// false having computed nothing, and the manager runs the job on its
+// plain path. The cluster layer installs one as ClusterHooks.RunSharded;
 // without it, sharded submissions simply run locally.
-type ShardRunner func(ctx context.Context, job ShardJob) (*core.RunOutput, error)
+type ShardRunner func(ctx context.Context, job ShardJob) (out *core.RunOutput, sharded bool, err error)
 
 // StartShard begins executing one remote rank of a distributed session
 // asynchronously: the session is registered (so halo frames can be

@@ -16,12 +16,14 @@ import (
 // files content-addressed by key under objects/<hh>/, and nothing else.
 // The objects directory is its own index. Open walks it once, and every
 // regular file stored under its own key is an entry of the file's size.
-// A put writes a temp file and renames it into place, so the rename is
-// the commit: a SIGKILL leaves either the whole object or a .tmp- file
-// that the next open removes, and a restarted daemon serves yesterday's
-// results without recomputing them. Integrity is checked where it
-// matters, on read: an object that fails its CRC is dropped, never
-// served.
+// There are two ways in: Put encodes a record of this daemon's once,
+// and PutWire stores the bytes a peer sent, as sent, once they decode
+// as the record their key names. Both commit through commitFile, so the
+// rename is the commit: a SIGKILL leaves either the whole object or a
+// .tmp- file that the next open removes, and a restarted daemon serves
+// yesterday's results without recomputing them. Integrity is checked
+// where it matters, on read: an object that fails its CRC is dropped,
+// never served.
 //
 // Eviction is LRU by byte budget. Across a restart, recency is write
 // order: every put stamps its object's mtime from a strictly increasing
@@ -176,7 +178,11 @@ func (c *Cache) fetch(key string) ([]byte, Record, bool) {
 	}
 	c.mu.Unlock()
 	if ok {
-		data, rec, err := c.readObject(key)
+		data, err := os.ReadFile(c.objectPath(key))
+		var rec Record
+		if err == nil {
+			rec, err = decodeObject(key, data)
+		}
 		if err == nil {
 			c.hits.Add(1)
 			return data, rec, true
@@ -190,58 +196,47 @@ func (c *Cache) fetch(key string) ([]byte, Record, bool) {
 	return nil, nil, false
 }
 
-// readObject returns the bytes of the object stored under key and the
-// record they decode to, which must be the record its key names.
-func (c *Cache) readObject(key string) ([]byte, Record, error) {
-	data, err := os.ReadFile(c.objectPath(key))
-	if err != nil {
-		return nil, nil, err
-	}
-	var rec Record
-	if IsSnapshotKey(key) {
-		s, derr := DecodeSnapshot(bytes.NewReader(data))
-		rec, err = s, derr
-	} else {
-		e, derr := DecodeEntry(bytes.NewReader(data))
-		rec, err = e, derr
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if rec.Key() != key {
-		return nil, nil, fmt.Errorf("store: object %s holds record %s", key, rec.Key())
-	}
-	return data, rec, nil
-}
-
-// Put stores an entry, evicting least-recently-used entries beyond the
-// byte budget.
-func (c *Cache) Put(e *Entry) error {
-	if IsSnapshotKey(e.Hash) {
-		return fmt.Errorf("store: entry hash %q collides with the snapshot key space", e.Hash)
-	}
-	return c.put(e)
-}
-
-// PutSnapshot stores a checkpoint under its (prefix-hash, iter) key. It
-// shares the entry cache's objects directory and byte budget — a
-// snapshot is just another content-addressed object, except that
+// Put encodes r once, stores the bytes under its key, evicting
+// least-recently-used objects beyond the byte budget, and returns them
+// for replication. They are this build's own encoding, so they are not
+// decoded again. A snapshot is just another object, except that
 // eviction sacrifices snapshots (shallowest first) before any result.
-func (c *Cache) PutSnapshot(s *Snapshot) error { return c.put(s) }
-
-// put is the landing path of Put and PutSnapshot: the record's file
-// form is written to a temp file, stamped with the next write time and
-// renamed over its key, then accounted against the byte budget.
-func (c *Cache) put(r Record) error {
+func (c *Cache) Put(r Record) ([]byte, error) {
 	key := r.Key()
-	if !validToken(key) {
-		return fmt.Errorf("store: invalid object key %q", key)
+	if _, isSnap := r.(*Snapshot); isSnap != IsSnapshotKey(key) {
+		return nil, fmt.Errorf("store: key %q is outside its record kind's key space", key)
 	}
 	var buf bytes.Buffer
 	if err := r.Encode(&buf); err != nil {
+		return nil, err
+	}
+	if err := c.store(key, buf.Bytes()); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// PutWire stores the encoded record a peer sent under key, as sent,
+// once it decodes as the record key names (the check every read makes);
+// otherwise it writes nothing and returns an error wrapping
+// ErrInvalidRecord. Unlike a re-encoding, the bytes keep what this
+// build's decoder does not know, such as a result field a newer peer
+// added.
+func (c *Cache) PutWire(key string, data []byte) error {
+	if _, err := decodeObject(key, data); err != nil {
 		return err
 	}
-	size := int64(buf.Len())
+	return c.store(key, data)
+}
+
+// store is the landing path of Put and PutWire: data is committed under
+// key, stamped with the next write time, then accounted against the
+// byte budget.
+func (c *Cache) store(key string, data []byte) error {
+	if !validToken(key) {
+		return fmt.Errorf("store: invalid object key %q", key)
+	}
+	size := int64(len(data))
 	if size > maxPayload {
 		// The decoders refuse payloads beyond maxPayload, so a bigger
 		// object (possible with an unbounded budget) could never be read
@@ -251,43 +246,21 @@ func (c *Cache) put(r Record) error {
 	if c.maxBytes > 0 && size > c.maxBytes {
 		return fmt.Errorf("store: entry %s (%d bytes) exceeds the cache budget (%d)", key, size, c.maxBytes)
 	}
-
 	path := c.objectPath(key)
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, ".tmp-"+key+"-*")
-	if err != nil {
-		return err
-	}
-	_, err = tmp.Write(buf.Bytes())
-	if err == nil {
-		// The mtime is the object's recency at the next open.
-		t := c.stamp()
-		err = os.Chtimes(tmp.Name(), t, t)
-	}
-	if err == nil && c.fsync {
-		// Sync before the rename publishes the object: a power cut after
-		// Put returns must not leave an empty or torn file under its key.
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
+	// The mtime is the object's recency at the next open.
+	if err := commitFile(path, data, c.stamp(), c.fsync); err != nil {
 		return err
 	}
 
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		// Content-addressed: same key, same bytes. Refresh recency and
-		// byte accounting (the rewrite may differ only if the object was
-		// written by an older encoder).
+		// Content-addressed: same key, same record. Refresh recency and
+		// byte accounting (the bytes may differ if an older encoder or a
+		// newer peer wrote them).
 		c.bytes += size - el.Value.(*diskEntry).size
 		el.Value.(*diskEntry).size = size
 		c.order.MoveToFront(el)
@@ -296,11 +269,6 @@ func (c *Cache) put(r Record) error {
 		c.bytes += size
 	}
 	c.evictLocked()
-	c.mu.Unlock()
-	if c.fsync {
-		// The rename is the commit; the directory sync makes it durable.
-		return syncDir(dir)
-	}
 	return nil
 }
 
@@ -315,18 +283,6 @@ func (c *Cache) stamp() time.Time {
 			return time.Unix(0, next)
 		}
 	}
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // GetSnapshot returns the checkpoint stored for (prefixHash, iter),
@@ -366,8 +322,9 @@ func (c *Cache) DeepestSnapshot(prefixHash string, maxIter int) (*Snapshot, bool
 // GetWire returns the encoded object bytes stored under a key — entry or
 // snapshot, whichever kind the key names — once they have decoded as
 // that record; a failing object is dropped like one Get meets. This is
-// the cluster replication read path: peers exchange file bytes as-is,
-// and the magic line tells the receiver which decoder to apply.
+// the cluster replication read path, PutWire the write path: peers
+// exchange file bytes as they are, and the key tells the receiver which
+// decoder checks them.
 func (c *Cache) GetWire(key string) ([]byte, bool) {
 	data, _, ok := c.fetch(key)
 	return data, ok

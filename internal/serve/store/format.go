@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -231,10 +232,36 @@ func EncodeSnapshot(w io.Writer, s *Snapshot) error {
 }
 
 // Record is an object the cache holds under its key: a result entry or
-// a checkpoint. Encode writes its file form, which is also its wire form.
+// a checkpoint. Encode writes its file form, which is also its wire
+// form: Cache.Put encodes this daemon's records once, and Cache.PutWire
+// stores the bytes a peer sent, as sent, once they decode.
 type Record interface {
 	Key() string
 	Encode(w io.Writer) error
+}
+
+// ErrInvalidRecord is wrapped by every error of bytes that do not
+// decode as the record their key names.
+var ErrInvalidRecord = errors.New("store: invalid record")
+
+// decodeObject decodes the file (and wire) form of the record stored
+// under key — a snapshot under a snapshot key, else an entry — which
+// must verify and name key itself: the one place a key picks a decoder.
+func decodeObject(key string, data []byte) (Record, error) {
+	var rec Record
+	var err error
+	if IsSnapshotKey(key) {
+		rec, err = DecodeSnapshot(bytes.NewReader(data))
+	} else {
+		rec, err = DecodeEntry(bytes.NewReader(data))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w under %s: %w", ErrInvalidRecord, key, err)
+	}
+	if rec.Key() != key {
+		return nil, fmt.Errorf("%w: object %s holds record %s", ErrInvalidRecord, key, rec.Key())
+	}
+	return rec, nil
 }
 
 func (e *Entry) Key() string                 { return e.Hash }

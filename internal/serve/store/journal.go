@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"easypap/internal/core"
 )
@@ -50,6 +51,16 @@ func openJournal(path string, fsync bool) (*Journal, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	}
+	// A crash mid-rewrite may leave its temp file beside the log (or,
+	// from older daemons, journal.log.tmp). Removing it is best effort:
+	// a leftover is never read.
+	dir, base := filepath.Split(path)
+	files, _ := os.ReadDir(dir)
+	for _, f := range files {
+		if name := f.Name(); name == base+".tmp" || strings.HasPrefix(name, tmpPrefix+base+"-") {
+			os.Remove(filepath.Join(dir, name))
+		}
+	}
 	// Start each daemon generation from a compact journal.
 	if err := j.compactLocked(); err != nil {
 		return nil, err
@@ -57,41 +68,20 @@ func openJournal(path string, fsync bool) (*Journal, error) {
 	return j, nil
 }
 
-// rewrite replaces the log with data: a temp file renamed over it, then
-// a fresh append handle. With fsync the temp file is synced before the
-// rename and the directory after it, so a power cut leaves the old log
-// or the whole new one, never an empty file under the log's name.
+// rewrite replaces the log with data through commitFile, then opens a
+// fresh append handle on the committed log.
 func (j *Journal) rewrite(data []byte) error {
-	tmp := j.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := commitFile(j.path, data, time.Time{}, j.fsync); err != nil {
 		return err
 	}
-	_, err = f.Write(data)
-	if err == nil && j.fsync {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, j.path)
-	}
+	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// The rename committed the new log: appends go to it from now on.
-	if f, err = os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 		return err
 	}
 	if j.f != nil {
 		j.f.Close()
 	}
 	j.f = f
-	if j.fsync {
-		return syncDir(filepath.Dir(j.path))
-	}
 	return nil
 }
 

@@ -36,7 +36,7 @@ func TestCacheConcurrentChurn(t *testing.T) {
 				h := hashN((w*7 + i) % hashes)
 				switch i % 3 {
 				case 0:
-					if err := s.Cache.Put(testEntry(h, i%hashes)); err != nil {
+					if _, err := s.Cache.Put(testEntry(h, i%hashes)); err != nil {
 						t.Error(err)
 						return
 					}
@@ -86,7 +86,7 @@ func TestCacheSingleflightSharesOneRead(t *testing.T) {
 	}
 	defer s.Close()
 	e := testEntry(hashN(1), 4)
-	if err := s.Cache.Put(e); err != nil {
+	if _, err := s.Cache.Put(e); err != nil {
 		t.Fatal(err)
 	}
 

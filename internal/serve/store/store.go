@@ -26,6 +26,7 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"time"
 )
 
 // DefaultMaxBytes is the disk-cache budget when Options.MaxBytes is 0
@@ -86,3 +87,56 @@ func (s *Store) Dir() string { return s.dir }
 // stay valid; Close is not what makes anything durable (the rename and
 // CRC replay are).
 func (s *Store) Close() error { return s.Journal.close() }
+
+// tmpPrefix starts the name of every temp file commitFile writes; Open
+// removes the ones a crash leaves.
+const tmpPrefix = ".tmp-"
+
+// commitFile is how every file of a data directory is written: data
+// goes to a fresh temp file beside path, stamped with mtime unless it is
+// zero, synced under fsync, and renamed over path — the rename is the
+// commit — after which, under fsync, the directory is synced so the
+// rename is durable too. A crash leaves the old file or the whole new
+// one under path, and at most a tmpPrefix file beside it.
+func commitFile(path string, data []byte, mtime time.Time, fsync bool) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, tmpPrefix+filepath.Base(path)+"-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil && !mtime.IsZero() {
+		err = os.Chtimes(tmp.Name(), mtime, mtime)
+	}
+	if err == nil && fsync {
+		// A power cut after the commit must not leave an empty or torn
+		// file under path.
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if fsync {
+		return syncDir(dir)
+	}
+	return nil
+}
+
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -72,7 +73,7 @@ func TestCachePutGetEvict(t *testing.T) {
 	defer s.Close()
 
 	e := testEntry(hashN(1), 5)
-	if err := s.Cache.Put(e); err != nil {
+	if _, err := s.Cache.Put(e); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := s.Cache.Get(e.Hash)
@@ -95,7 +96,7 @@ func TestCachePutGetEvict(t *testing.T) {
 	}
 	defer s2.Close()
 	for i := 2; i <= 6; i++ {
-		if err := s2.Cache.Put(testEntry(hashN(i), 5)); err != nil {
+		if _, err := s2.Cache.Put(testEntry(hashN(i), 5)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,7 +140,7 @@ func TestCacheSurvivesReopen(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				e := testEntry(hashN(10+i), i+1)
 				want[e.Hash] = e
-				if err := s.Cache.Put(e); err != nil {
+				if _, err := s.Cache.Put(e); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -179,24 +180,24 @@ func TestCacheReopenAfterChurnHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := testEntry(hashN(1), 2)
-	if err := s.Cache.Put(e); err != nil {
+	if _, err := s.Cache.Put(e); err != nil {
 		t.Fatal(err)
 	}
 	s.Cache.Delete(e.Hash)
-	if err := s.Cache.Put(e); err != nil {
+	if _, err := s.Cache.Put(e); err != nil {
 		t.Fatal(err)
 	}
 	// A second entry re-put (refresh) must replay at its LAST position:
 	// after put(old)/put(e2)/put(old refresh), "old" is the most recent.
 	old := testEntry(hashN(2), 3)
-	if err := s.Cache.Put(old); err != nil {
+	if _, err := s.Cache.Put(old); err != nil {
 		t.Fatal(err)
 	}
 	e3 := testEntry(hashN(3), 4)
-	if err := s.Cache.Put(e3); err != nil {
+	if _, err := s.Cache.Put(e3); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Cache.Put(old); err != nil { // refresh
+	if _, err := s.Cache.Put(old); err != nil { // refresh
 		t.Fatal(err)
 	}
 	wantBytes := s.Cache.Bytes()
@@ -221,7 +222,7 @@ func TestCacheReopenAfterChurnHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s3.Close()
-	if err := s3.Cache.Put(testEntry(hashN(4), 5)); err != nil {
+	if _, err := s3.Cache.Put(testEntry(hashN(4), 5)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s3.Cache.Get(old.Hash); !ok {
@@ -240,7 +241,7 @@ func TestOpenSweepsOrphanObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := testEntry(hashN(1), 2)
-	if err := s.Cache.Put(e); err != nil {
+	if _, err := s.Cache.Put(e); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -288,7 +289,7 @@ func TestCacheReopenKeepsWriteOrder(t *testing.T) {
 	want := make([]string, n) // most recent first
 	for i := 0; i < n; i++ {
 		e := testEntry(hashN(n-i), 1)
-		if err := s.Cache.Put(e); err != nil {
+		if _, err := s.Cache.Put(e); err != nil {
 			t.Fatal(err)
 		}
 		want[n-1-i] = e.Hash
@@ -316,7 +317,7 @@ func TestCacheReopenKeepsWriteOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := testEntry(hashN(n+1), 1)
-	if err := s3.Cache.Put(last); err != nil {
+	if _, err := s3.Cache.Put(last); err != nil {
 		t.Fatal(err)
 	}
 	s3.Close()
@@ -338,7 +339,7 @@ func TestCacheRejectsCorruptObject(t *testing.T) {
 	}
 	defer s.Close()
 	e := testEntry(hashN(3), 2)
-	if err := s.Cache.Put(e); err != nil {
+	if _, err := s.Cache.Put(e); err != nil {
 		t.Fatal(err)
 	}
 	// Flip a payload bit behind the store's back.
@@ -534,8 +535,18 @@ func TestJournalRewriteFsync(t *testing.T) {
 		checkChurnRecovered(t, s2.Journal)
 		s2.Close()
 	}
-	if _, err := os.Stat(filepath.Join(dir, "journal.log.tmp")); !os.IsNotExist(err) {
-		t.Fatalf("a rewrite left its temp file behind (%v)", err)
+	// A crash mid-rewrite leaves a temp file (journal.log.tmp at older
+	// daemons); the next open removes it, and no rewrite leaves one.
+	writeFile(t, filepath.Join(dir, tmpPrefix+"journal.log-123"), "EZJRN torn")
+	writeFile(t, filepath.Join(dir, "journal.log.tmp"), "EZJRN torn")
+	s3, err := Open(dir, Options{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkChurnRecovered(t, s3.Journal)
+	s3.Close()
+	if files := dataDirFiles(t, dir); !reflect.DeepEqual(files, []string{"journal.log"}) {
+		t.Fatalf("data dir holds %v after the rewrites, want only journal.log", files)
 	}
 }
 
@@ -629,7 +640,7 @@ func TestDataDirHoldsOnlyObjectsAndJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		if err := s.Cache.Put(testEntry(hashN(i%5), 1)); err != nil {
+		if _, err := s.Cache.Put(testEntry(hashN(i%5), 1)); err != nil {
 			t.Fatal(err)
 		}
 		if i%5 == 4 {
@@ -650,8 +661,21 @@ func TestDataDirHoldsOnlyObjectsAndJournal(t *testing.T) {
 		t.Fatalf("live entries = %d, want 4", n)
 	}
 
+	want := []string{"journal.log"}
+	for _, h := range s2.Cache.Hashes() {
+		want = append(want, "objects/"+h[:2]+"/"+h)
+	}
+	sort.Strings(want)
+	if files := dataDirFiles(t, dir); !reflect.DeepEqual(files, want) {
+		t.Fatalf("data dir holds %v, want %v", files, want)
+	}
+}
+
+// dataDirFiles lists every regular file under dir, relative and sorted.
+func dataDirFiles(t *testing.T, dir string) []string {
+	t.Helper()
 	var files []string
-	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err == nil && !d.IsDir() {
 			rel, _ := filepath.Rel(dir, path)
 			files = append(files, filepath.ToSlash(rel))
@@ -661,14 +685,59 @@ func TestDataDirHoldsOnlyObjectsAndJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"journal.log"}
-	for _, h := range s2.Cache.Hashes() {
-		want = append(want, "objects/"+h[:2]+"/"+h)
-	}
 	sort.Strings(files)
-	sort.Strings(want)
-	if !reflect.DeepEqual(files, want) {
-		t.Fatalf("data dir holds %v, want %v", files, want)
+	return files
+}
+
+// TestPutWireStoresBytesSent: a peer's record lands as the bytes sent,
+// including a result field this build does not know, once they decode
+// as the record their key names. Bytes naming another key, and entry
+// and snapshot bytes under each other's key space, are refused with
+// ErrInvalidRecord and leave nothing on disk.
+func TestPutWireStoresBytesSent(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var entry, snap bytes.Buffer
+	e := testEntry(hashN(1), 3)
+	if err := e.Encode(&entry); err != nil {
+		t.Fatal(err)
+	}
+	sn := &Snapshot{PrefixHash: hashN(2), Iter: 64, State: []byte("EZK1state")}
+	if err := sn.Encode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, key string
+		data      []byte
+	}{
+		{"another key", hashN(9), entry.Bytes()},
+		{"entry under a snapshot key", SnapshotKey(hashN(1), 64), entry.Bytes()},
+		{"snapshot under an entry key", hashN(2), snap.Bytes()},
+	} {
+		if err := s.Cache.PutWire(tc.key, tc.data); !errors.Is(err, ErrInvalidRecord) {
+			t.Errorf("%s: PutWire = %v, want ErrInvalidRecord", tc.name, err)
+		}
+	}
+	if files := dataDirFiles(t, dir); !reflect.DeepEqual(files, []string{"journal.log"}) || s.Cache.Len() != 0 {
+		t.Fatalf("refused records left %v on disk, %d entries", files, s.Cache.Len())
+	}
+
+	res := `{"config":{"kernel":"mandel","dim":64,"iterations":3,"schedule":"static"},"iterations":3,"checksum":"c3","added_later":[1,2]}`
+	future := fmt.Sprintf("EZSTORE1 %s %d 0 %08x\n%s", hashN(3), len(res), checksum([]byte(res)), res)
+	for key, data := range map[string][]byte{hashN(3): []byte(future), e.Hash: entry.Bytes(), sn.Key(): snap.Bytes()} {
+		if err := s.Cache.PutWire(key, data); err != nil {
+			t.Fatalf("PutWire(%s): %v", key, err)
+		}
+		if got, err := os.ReadFile(objectFile(dir, key)); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("object %s holds %q (%v), want the bytes sent %q", key, got, err, data)
+		}
+	}
+	if got, ok := s.Cache.Get(hashN(3)); !ok || got.Result.Checksum != "c3" {
+		t.Fatalf("entry with an unknown field not served: ok=%v %+v", ok, got)
 	}
 }
 
@@ -684,10 +753,10 @@ func TestGetWireServesObjectBytes(t *testing.T) {
 	defer s.Close()
 	e := testEntry(hashN(4), 2)
 	snap := &Snapshot{PrefixHash: hashN(5), Iter: 64, State: []byte("EZK1state")}
-	if err := s.Cache.Put(e); err != nil {
+	if _, err := s.Cache.Put(e); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Cache.PutSnapshot(snap); err != nil {
+	if _, err := s.Cache.Put(snap); err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range []string{e.Hash, snap.Key()} {
