@@ -326,6 +326,54 @@ func TestEntryEndpointsVerifyContent(t *testing.T) {
 	}
 }
 
+// TestRemoteHitKeepsReplicaBytes: an entry the owner fetches from a
+// replica on a local miss lands in the owner's disk tier as the bytes
+// the replica sent. The replica holds an entry whose result carries a
+// field this build does not know (as a newer peer would write it); after
+// the owner's remote hit, both nodes serve it byte for byte, the field
+// included, where a re-encoding would have dropped it.
+func TestRemoteHitKeepsReplicaBytes(t *testing.T) {
+	cc := startChaosCluster(t, 2, 2)
+	cfg := mandelCfg(7, 16)
+	owner := cc.ownerOf(cfg)
+	replica := 1 - owner
+	hash := hashOf(t, cfg)
+	res := []byte(`{"config":{"kernel":"mandel","variant":"seq","dim":64,"iterations":7},"iterations":7,"checksum":"c7","added_later":{"note":"kept"}}`)
+	crc := crc32.Checksum(res, crc32.MakeTable(crc32.Castagnoli))
+	sent := fmt.Appendf(nil, "EZSTORE1 %s %d 0 %08x\n%s", hash, len(res), crc, res)
+	req, err := http.NewRequest(http.MethodPut, cc.urls[replica]+"/v1/cluster/entries/"+hash, bytes.NewReader(sent))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("replica refused the entry with status %d", resp.StatusCode)
+	}
+
+	st, err := client.New(cc.urls[owner]).Submit(context.Background(), cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.RemoteHit || st.Result == nil || st.Result.Checksum != "c7" {
+		t.Fatalf("owner's submission should be a remote hit with the replica's result: %+v", st)
+	}
+	for i, url := range cc.urls {
+		resp, err := http.Get(url + "/v1/cluster/entries/" + hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(got, sent) {
+			t.Errorf("node %d serves the entry as %d %q, want the bytes the replica was sent %q", i, resp.StatusCode, got, sent)
+		}
+	}
+}
+
 // TestRebalancerMigratesToJoiner: entries computed on a 2-node cluster
 // flow to a third node after it joins, without any submission traffic —
 // the rebalancer notices the ring change and pushes the entries whose

@@ -34,14 +34,15 @@ import (
 //	            them, under a bandwidth budget so a membership change
 //	            does not flatten the network.
 //
-// No push or rebalance transfer re-encodes a record. The sender sends
-// the bytes its store wrote (or, rebalancing, read back); the receiver
-// (PUT /v1/cluster/entries/{key}, Manager.PutWire) checks that they
-// decode as the record their key names — content addressing makes the
-// transfer self-verifying — and stores them as sent. A re-encode would
-// drop whatever this build's decoder does not know, such as a result
-// field a newer peer added, so during a rolling deploy older nodes
-// would strip what newer ones write.
+// No push, rebalance transfer or fetch re-encodes a record. The sender
+// sends the bytes its store wrote (or, rebalancing, read back); the
+// receiver (PUT /v1/cluster/entries/{key}, Manager.PutWire) checks that
+// they decode as the record their key names — content addressing makes
+// the transfer self-verifying — and stores them as sent, and so does
+// the manager's disk rung with the bytes a fetch returns. A re-encode
+// would drop whatever this build's decoder does not know, such as a
+// result field a newer peer added, so during a rolling deploy older
+// nodes would strip what newer ones write.
 
 // replTimeout bounds one entry transfer (push or fetch).
 const replTimeout = 2 * time.Second
@@ -145,15 +146,17 @@ func (n *Node) putRemoteEntry(m *member, hash string, body []byte, traceID strin
 // fetchEntry is the manager's replica tier (ClusterHooks.Fetch): on a
 // local miss it walks the entry's replica chain and returns the first
 // copy that decodes (CRC + hash verified by store.DecodeEntry plus an
-// explicit key check). Returns nil when no replica has it — the manager then
-// computes, which is the correct fallback, so errors here are silent.
-func (n *Node) fetchEntry(hash, traceID string) *store.Entry {
+// explicit key check), with the bytes the replica sent, which the
+// manager stores as they are. Returns nil when no replica has it — the
+// manager then computes, which is the correct fallback, so errors here
+// are silent.
+func (n *Node) fetchEntry(hash, traceID string) (*store.Entry, []byte) {
 	for _, m := range n.replicaTargets(hash) {
 		if m.state.Load() == stateDead {
 			continue
 		}
 		begin := time.Now()
-		e := n.getRemoteEntry(m, hash, traceID)
+		e, wire := n.getRemoteEntry(m, hash, traceID)
 		var spanErr error
 		if e == nil {
 			spanErr = fmt.Errorf("no entry on %s", m.id)
@@ -167,35 +170,41 @@ func (n *Node) fetchEntry(hash, traceID string) *store.Entry {
 		n.observeSpan(nil, traceID, serve.StageReplicaFetch, m.id, begin, time.Now(), spanErr)
 		if e != nil {
 			n.replFetched.Add(1)
-			return e
+			return e, wire
 		}
 	}
-	return nil
+	return nil, nil
 }
 
-func (n *Node) getRemoteEntry(m *member, hash, traceID string) *store.Entry {
+// getRemoteEntry reads hash's entry from peer m: the decoded entry and
+// the bytes it decoded from, or nil.
+func (n *Node) getRemoteEntry(m *member, hash, traceID string) (*store.Entry, []byte) {
 	ctx, cancel := context.WithTimeout(context.Background(), replTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.url+"/v1/cluster/entries/"+hash, nil)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
 	if traceID != "" {
 		req.Header.Set(serve.TraceHeader, traceID)
 	}
 	resp, err := n.opts.HTTP.Do(req)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil
+		return nil, nil
 	}
-	e, err := store.DecodeEntry(resp.Body)
+	wire, err := io.ReadAll(io.LimitReader(resp.Body, 1<<30))
 	if err != nil {
-		return nil
+		return nil, nil
 	}
-	return e
+	e, err := store.DecodeEntry(bytes.NewReader(wire))
+	if err != nil {
+		return nil, nil
+	}
+	return e, wire
 }
 
 // remoteHashes lists a peer's entry set (GET /v1/cluster/entries).

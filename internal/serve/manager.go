@@ -414,10 +414,12 @@ type ClusterHooks struct {
 	// the replication push point.
 	Spilled func(key string, data []byte, traceID string)
 	// Fetch is the last cache tier, asked after memory and disk both
-	// miss: a ring replica's copy of the entry, or nil. A fetched entry
-	// is promoted into both local tiers, so an entry whose owner died
-	// is a remote fetch, not a recompute.
-	Fetch func(hash, traceID string) *store.Entry
+	// miss: a ring replica's copy of the entry and the verified bytes it
+	// sent, or nil. A fetched entry is promoted into both local tiers,
+	// the disk tier as the bytes sent, so an entry whose owner died is a
+	// remote fetch, not a recompute, and the owner's copy is the
+	// replica's byte for byte.
+	Fetch func(hash, traceID string) (*store.Entry, []byte)
 	// RunSharded coordinates jobs submitted with shards > 1 (shard.go).
 	RunSharded ShardRunner
 }
@@ -573,14 +575,15 @@ func (m *Manager) SubmitShards(cfg core.Config, wantFrames bool, traceID string,
 }
 
 // tier is one rung of the cache ladder Submit walks, fastest first.
-// get answers with the entry or nil; asked is false when the rung has
-// no one to ask (no fetch hook installed). put takes a hit from a rung
-// below, so the next lookup stops higher.
+// get answers with the entry or nil, and with the wire bytes it arrived
+// as when it came from a peer; asked is false when the rung has no one
+// to ask (no fetch hook installed). put takes a hit from a rung below,
+// so the next lookup stops higher.
 type tier struct {
 	stage        string        // span and histogram label; names the answering tier in job status
 	hits, misses *atomic.Int64 // misses nil: the replica rung counts hits only
-	get          func(hash, traceID string) (e *store.Entry, asked bool)
-	put          func(e *store.Entry)
+	get          func(hash, traceID string) (e *store.Entry, wire []byte, asked bool)
+	put          func(e *store.Entry, wire []byte)
 }
 
 // newLadder builds the rungs: the memory LRU, the disk store when there
@@ -588,35 +591,37 @@ type tier struct {
 // and the cluster's replicas.
 func (m *Manager) newLadder() []tier {
 	ladder := []tier{{stage: StageCacheMem, hits: &m.cache.hits, misses: &m.cache.misses,
-		get: func(hash, _ string) (*store.Entry, bool) {
+		get: func(hash, _ string) (*store.Entry, []byte, bool) {
 			if r, ok := m.cache.get(hash); ok {
-				return &store.Entry{Hash: hash, Result: r}, true
+				return &store.Entry{Hash: hash, Result: r}, nil, true
 			}
-			return nil, true
+			return nil, nil, true
 		},
-		put: func(e *store.Entry) { m.cache.put(e.Hash, e.Result) },
+		put: func(e *store.Entry, _ []byte) { m.cache.put(e.Hash, e.Result) },
 	}}
 	if m.store != nil {
 		ladder = append(ladder, tier{stage: StageCacheDisk, hits: &m.diskHits, misses: &m.diskMisses,
-			get: func(hash, _ string) (*store.Entry, bool) {
+			get: func(hash, _ string) (*store.Entry, []byte, bool) {
 				e, _ := m.store.Cache.Get(hash) // nil on a miss
-				return e, true
+				return e, nil, true
 			},
+			// The replica's bytes as sent, never a re-encoding, which
+			// would drop what this build's decoder does not know.
 			// Synchronous and not spilled: an entry adopted from a
 			// replica is not pushed back out as a replication.
-			put: func(e *store.Entry) { _, _ = m.store.Cache.Put(e) },
+			put: func(e *store.Entry, wire []byte) { _ = m.store.Cache.PutWire(e.Hash, wire) },
 		})
 	}
 	return append(ladder, tier{stage: StageReplicaFetch, hits: &m.remoteHits,
-		get: func(hash, traceID string) (*store.Entry, bool) {
+		get: func(hash, traceID string) (*store.Entry, []byte, bool) {
 			fetch := m.hooks.Load().Fetch
 			if fetch == nil {
-				return nil, false
+				return nil, nil, false
 			}
-			if e := fetch(hash, traceID); e != nil && e.Hash == hash {
-				return e, true
+			if e, wire := fetch(hash, traceID); e != nil && e.Hash == hash {
+				return e, wire, true
 			}
-			return nil, true
+			return nil, nil, true
 		},
 	})
 }
@@ -628,7 +633,7 @@ func (m *Manager) newLadder() []tier {
 func (m *Manager) walkLadder(j *job) (*core.Result, string) {
 	for i, t := range m.ladder {
 		begin := time.Now()
-		e, asked := t.get(j.hash, j.traceID)
+		e, wire, asked := t.get(j.hash, j.traceID)
 		if !asked {
 			continue
 		}
@@ -641,7 +646,7 @@ func (m *Manager) walkLadder(j *job) (*core.Result, string) {
 		}
 		t.hits.Add(1)
 		for _, above := range m.ladder[:i] {
-			above.put(e)
+			above.put(e, wire)
 		}
 		return &e.Result, t.stage
 	}

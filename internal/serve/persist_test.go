@@ -8,6 +8,7 @@ package serve
 // interrupted-status surface.
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -99,18 +100,23 @@ func TestTwoTierLookup(t *testing.T) {
 	}
 
 	// The replica rung: a fetch hook answers C, which neither local
-	// tier holds, with an entry computed elsewhere.
+	// tier holds, with an entry computed elsewhere and its wire bytes.
 	c := testCfg(48)
 	other := NewManager(Options{Workers: 1})
 	defer other.Close()
 	ref := submitWait(t, other, c)
+	fetched := &store.Entry{Hash: ref.Hash, Result: *ref.Result}
+	var wire bytes.Buffer
+	if err := fetched.Encode(&wire); err != nil {
+		t.Fatal(err)
+	}
 	fetches := 0
-	m.SetClusterHooks(&ClusterHooks{Fetch: func(hash, traceID string) *store.Entry {
+	m.SetClusterHooks(&ClusterHooks{Fetch: func(hash, traceID string) (*store.Entry, []byte) {
 		if hash != ref.Hash || traceID == "" {
-			return nil
+			return nil, nil
 		}
 		fetches++
-		return &store.Entry{Hash: hash, Result: *ref.Result}
+		return fetched, wire.Bytes()
 	}})
 	counts := func() (mem, disk, replica uint64) {
 		return m.obs.stages[StageCacheMem].Count(), m.obs.stages[StageCacheDisk].Count(),
@@ -124,6 +130,9 @@ func TestTwoTierLookup(t *testing.T) {
 	if mem, disk, replica := counts(); mem != memN+1 || disk != diskN+1 || replica != replicaN+1 {
 		t.Fatalf("stage counts memory %d→%d, disk %d→%d, replica %d→%d: each rung asked once",
 			memN, mem, diskN, disk, replicaN, replica)
+	}
+	if got, ok := m.GetEntryWire(ref.Hash); !ok || !bytes.Equal(got, wire.Bytes()) {
+		t.Fatalf("disk tier holds %q (%v) for the fetched entry, want the bytes fetched %q", got, ok, wire.Bytes())
 	}
 	// Promotion: the replica hit filled memory (a memory hit next) and
 	// disk synchronously (a disk hit once B evicts C from memory).

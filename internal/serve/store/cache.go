@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,11 +26,18 @@ import (
 // where it matters, on read: an object that fails its CRC is dropped,
 // never served.
 //
-// Eviction is LRU by byte budget. Across a restart, recency is write
-// order: every put stamps its object's mtime from a strictly increasing
-// clock, and the open walk orders entries by it. Reads are deduplicated
-// per hash (singleflight): a thundering herd of identical submissions
-// costs one disk read, everyone else blocks on it.
+// Eviction is by byte budget: snapshots first, shallowest first, then
+// LRU (evictLocked). Across a restart, recency is write order: every put
+// stamps its object's mtime from a strictly increasing clock, and the
+// open walk orders entries by it. Reads are deduplicated per hash
+// (singleflight): a thundering herd of identical submissions costs one
+// disk read, everyone else blocks on it.
+//
+// Beside the LRU, the cache keeps an in-memory index of its snapshots
+// (snapIndex), derived from their keys alone and rebuilt by the open
+// walk, so a resume lookup and an eviction cost the same in a store of a
+// thousand objects as in one of a hundred thousand: neither visits a
+// result entry.
 type Cache struct {
 	dir      string // objects root
 	maxBytes int64
@@ -40,6 +48,7 @@ type Cache struct {
 	entries map[string]*list.Element // key -> element whose Value is *diskEntry
 	order   *list.List               // front = most recently used
 	bytes   int64
+	snaps   snapIndex // every entry whose key is a snapshot key
 
 	flight map[string]*flightCall // in-progress disk reads, per hash
 
@@ -51,6 +60,80 @@ type Cache struct {
 type diskEntry struct {
 	hash string
 	size int64
+	snap *list.Element // its place in snapIndex.atDepth; nil for a result entry
+}
+
+// snapIndex indexes the snapshots among the cache's entries by what
+// their keys say (ParseSnapshotKey), for the two questions only
+// snapshots answer: which iterations a prefix has stored
+// (DeepestSnapshot), and which snapshot eviction drops next
+// (victimLocked). It lives in memory only; the keys in the objects
+// directory are all it is built from. Cache.mu guards it.
+type snapIndex struct {
+	iters   map[string][]int   // prefix hash -> stored iterations, ascending
+	depths  []int              // the distinct stored iterations, ascending
+	atDepth map[int]*list.List // iteration -> its snapshots' *diskEntry, most recently used first
+}
+
+// add indexes d if its key is a snapshot key, as the most recently used
+// snapshot at its depth.
+func (x *snapIndex) add(d *diskEntry) {
+	prefix, iter, ok := ParseSnapshotKey(d.hash)
+	if !ok {
+		return
+	}
+	iters := x.iters[prefix]
+	i, _ := slices.BinarySearch(iters, iter)
+	x.iters[prefix] = slices.Insert(iters, i, iter)
+	at := x.atDepth[iter]
+	if at == nil {
+		at = list.New()
+		x.atDepth[iter] = at
+		i, _ := slices.BinarySearch(x.depths, iter)
+		x.depths = slices.Insert(x.depths, i, iter)
+	}
+	d.snap = at.PushFront(d)
+}
+
+// remove unindexes d, if it is an indexed snapshot.
+func (x *snapIndex) remove(d *diskEntry) {
+	if d.snap == nil {
+		return
+	}
+	prefix, iter, _ := ParseSnapshotKey(d.hash)
+	iters := x.iters[prefix]
+	i, _ := slices.BinarySearch(iters, iter)
+	if iters = slices.Delete(iters, i, i+1); len(iters) > 0 {
+		x.iters[prefix] = iters
+	} else {
+		delete(x.iters, prefix)
+	}
+	at := x.atDepth[iter]
+	at.Remove(d.snap)
+	d.snap = nil
+	if at.Len() == 0 {
+		delete(x.atDepth, iter)
+		i, _ := slices.BinarySearch(x.depths, iter)
+		x.depths = slices.Delete(x.depths, i, i+1)
+	}
+}
+
+// touch marks d, if it is an indexed snapshot, the most recently used
+// at its depth, as the LRU marks it in order.
+func (x *snapIndex) touch(d *diskEntry) {
+	if d.snap != nil {
+		_, iter, _ := ParseSnapshotKey(d.hash)
+		x.atDepth[iter].MoveToFront(d.snap)
+	}
+}
+
+// shallowest returns the least recently used of the shallowest stored
+// snapshots, or nil when none is stored.
+func (x *snapIndex) shallowest() *diskEntry {
+	if len(x.depths) == 0 {
+		return nil
+	}
+	return x.atDepth[x.depths[0]].Back().Value.(*diskEntry)
 }
 
 // flightCall is one in-flight disk read shared by concurrent getters.
@@ -60,10 +143,10 @@ type flightCall struct {
 }
 
 // openCache opens (or initializes) the disk cache under dir. One walk of
-// objects/<hh>/ seeds the LRU, the newest write at the front. Anything
-// else the walk meets there, such as the .tmp- file of an interrupted
-// put, is removed, and so is the cache.idx that older daemons kept
-// beside the objects.
+// objects/<hh>/ seeds the LRU, the newest write at the front, and the
+// snapshot index in the same order. Anything else the walk meets there,
+// such as the .tmp- file of an interrupted put, is removed, and so is
+// the cache.idx that older daemons kept beside the objects.
 func openCache(dir string, maxBytes int64, fsync bool) (*Cache, error) {
 	c := &Cache{
 		dir:      filepath.Join(dir, "objects"),
@@ -71,6 +154,7 @@ func openCache(dir string, maxBytes int64, fsync bool) (*Cache, error) {
 		fsync:    fsync,
 		entries:  make(map[string]*list.Element),
 		order:    list.New(),
+		snaps:    snapIndex{iters: make(map[string][]int), atDepth: make(map[int]*list.List)},
 		flight:   make(map[string]*flightCall),
 	}
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
@@ -116,7 +200,9 @@ func openCache(dir string, maxBytes int64, fsync bool) (*Cache, error) {
 		return found[a].key < found[b].key
 	})
 	for _, o := range found {
-		c.entries[o.key] = c.order.PushFront(&diskEntry{hash: o.key, size: o.size})
+		d := &diskEntry{hash: o.key, size: o.size}
+		c.entries[o.key] = c.order.PushFront(d)
+		c.snaps.add(d)
 		c.bytes += o.size
 		c.clock.Store(o.mtime)
 	}
@@ -175,6 +261,7 @@ func (c *Cache) fetch(key string) ([]byte, Record, bool) {
 	el, ok := c.entries[key]
 	if ok {
 		c.order.MoveToFront(el)
+		c.snaps.touch(el.Value.(*diskEntry))
 	}
 	c.mu.Unlock()
 	if ok {
@@ -261,11 +348,15 @@ func (c *Cache) store(key string, data []byte) error {
 		// Content-addressed: same key, same record. Refresh recency and
 		// byte accounting (the bytes may differ if an older encoder or a
 		// newer peer wrote them).
-		c.bytes += size - el.Value.(*diskEntry).size
-		el.Value.(*diskEntry).size = size
+		d := el.Value.(*diskEntry)
+		c.bytes += size - d.size
+		d.size = size
 		c.order.MoveToFront(el)
+		c.snaps.touch(d)
 	} else {
-		c.entries[key] = c.order.PushFront(&diskEntry{hash: key, size: size})
+		d := &diskEntry{hash: key, size: size}
+		c.entries[key] = c.order.PushFront(d)
+		c.snaps.add(d)
 		c.bytes += size
 	}
 	c.evictLocked()
@@ -300,19 +391,18 @@ func (c *Cache) GetSnapshot(prefixHash string, iter int) (*Snapshot, bool) {
 // DeepestSnapshot returns the deepest stored checkpoint of prefixHash
 // at or below maxIter — the best resume point for a run of maxIter
 // iterations. Corrupt candidates are dropped and the next-deepest is
-// tried, so one bad object degrades the resume, never fails it.
+// tried, so one bad object degrades the resume, never fails it. The
+// candidates come from the snapshot index: the lookup holds the lock
+// for a map lookup and a copy of the prefix's iterations, whatever the
+// number of stored objects, and only the reads touch the disk.
 func (c *Cache) DeepestSnapshot(prefixHash string, maxIter int) (*Snapshot, bool) {
 	c.mu.Lock()
-	var iters []int
-	for key := range c.entries {
-		if p, iter, ok := ParseSnapshotKey(key); ok && p == prefixHash && iter <= maxIter {
-			iters = append(iters, iter)
-		}
-	}
+	iters := c.snaps.iters[prefixHash]
+	n := sort.Search(len(iters), func(i int) bool { return iters[i] > maxIter })
+	iters = slices.Clone(iters[:n])
 	c.mu.Unlock()
-	sort.Sort(sort.Reverse(sort.IntSlice(iters)))
-	for _, iter := range iters {
-		if s, ok := c.GetSnapshot(prefixHash, iter); ok {
+	for i := len(iters) - 1; i >= 0; i-- {
+		if s, ok := c.GetSnapshot(prefixHash, iters[i]); ok {
 			return s, true
 		}
 	}
@@ -343,41 +433,38 @@ func (c *Cache) deleteLocked(hash string) {
 	if !ok {
 		return
 	}
-	c.bytes -= el.Value.(*diskEntry).size
+	d := el.Value.(*diskEntry)
+	c.bytes -= d.size
+	c.snaps.remove(d)
 	c.order.Remove(el)
 	delete(c.entries, hash)
 	os.Remove(c.objectPath(hash))
 }
 
-// evictLocked drops entries until under budget. Snapshots go first,
-// shallowest iteration first — a shallow checkpoint saves the least
-// recompute, and results are never sacrificed while a rebuildable
-// checkpoint remains. Only when no snapshots are left does plain LRU
-// take over.
+// evictLocked drops victimLocked's pick until the cache is under budget,
+// keeping at least one object. Each pick costs the same whatever the
+// number of stored objects: the front of the snapshot index, or the back
+// of the LRU.
 func (c *Cache) evictLocked() {
 	if c.maxBytes <= 0 {
 		return
 	}
 	for c.bytes > c.maxBytes && c.order.Len() > 1 {
-		if key, ok := c.shallowestSnapLocked(); ok {
-			c.deleteLocked(key)
-			continue
-		}
-		last := c.order.Back()
-		c.deleteLocked(last.Value.(*diskEntry).hash)
+		c.deleteLocked(c.victimLocked().hash)
 	}
 }
 
-// shallowestSnapLocked finds the stored snapshot with the lowest
-// iteration across all prefixes — the eviction policy's first victim.
-func (c *Cache) shallowestSnapLocked() (string, bool) {
-	best, bestIter := "", -1
-	for key := range c.entries {
-		if _, iter, ok := ParseSnapshotKey(key); ok && (bestIter < 0 || iter < bestIter) {
-			best, bestIter = key, iter
-		}
+// victimLocked is the entry eviction drops next (the cache must hold
+// one). Snapshots go first, shallowest iteration first — a shallow
+// checkpoint saves the least recompute, and results are never
+// sacrificed while a rebuildable checkpoint remains — and among equally
+// shallow snapshots, whatever their prefixes, the least recently used.
+// Only when no snapshots are left does plain LRU take over.
+func (c *Cache) victimLocked() *diskEntry {
+	if d := c.snaps.shallowest(); d != nil {
+		return d
 	}
-	return best, bestIter >= 0
+	return c.order.Back().Value.(*diskEntry)
 }
 
 // Hashes returns the hashes of every live entry, most recently used

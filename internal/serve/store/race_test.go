@@ -1,9 +1,10 @@
 package store
 
-// Concurrency torture for the disk tier: Put/Get/Delete from many
-// goroutines over a shrunken byte budget, so eviction, compaction and
-// the singleflight read path all run hot while the race detector
-// watches (CI runs this under -race -count=2).
+// Concurrency torture for the disk tier: Put/Get/Delete of entries and
+// snapshots and resume lookups from many goroutines over a shrunken
+// byte budget, so eviction, the snapshot index and the singleflight
+// read path all run hot while the race detector watches (CI runs this
+// under -race -count=2).
 
 import (
 	"fmt"
@@ -26,6 +27,7 @@ func TestCacheConcurrentChurn(t *testing.T) {
 		rounds  = 200
 		hashes  = 16 // > budget, so puts evict each other
 	)
+	prefixes := []string{hashN(0xa1), hashN(0xa2), hashN(0xa3)}
 	var wg sync.WaitGroup
 	var served atomic.Int64
 	for w := 0; w < workers; w++ {
@@ -34,7 +36,8 @@ func TestCacheConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				h := hashN((w*7 + i) % hashes)
-				switch i % 3 {
+				prefix := prefixes[(w+i)%len(prefixes)]
+				switch i % 5 {
 				case 0:
 					if _, err := s.Cache.Put(testEntry(h, i%hashes)); err != nil {
 						t.Error(err)
@@ -50,13 +53,25 @@ func TestCacheConcurrentChurn(t *testing.T) {
 						}
 						served.Add(1)
 					}
-				default:
+				case 2:
 					s.Cache.Delete(h)
+				case 3:
+					if _, err := s.Cache.Put(&Snapshot{PrefixHash: prefix, Iter: 32 * (1 + i%4), State: []byte("EZK1")}); err != nil {
+						t.Error(err)
+						return
+					}
+				default:
+					if snap, ok := s.Cache.DeepestSnapshot(prefix, 64); ok && (snap.PrefixHash != prefix || snap.Iter > 64) {
+						t.Errorf("DeepestSnapshot(%s, 64) returned %s at %d", prefix, snap.PrefixHash, snap.Iter)
+						return
+					}
+					s.Cache.Delete(SnapshotKey(prefix, 32*(1+i%4)))
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	checkIndexKeys(t, s.Cache)
 	if s.Cache.Corrupt() != 0 {
 		t.Fatalf("churn produced %d corrupt reads", s.Cache.Corrupt())
 	}
@@ -76,6 +91,7 @@ func TestCacheConcurrentChurn(t *testing.T) {
 			t.Fatalf("post-churn replay served wrong entry")
 		}
 	}
+	checkIndex(t, dir, s2.Cache, prefixes, 1<<30)
 }
 
 func TestCacheSingleflightSharesOneRead(t *testing.T) {

@@ -11,9 +11,10 @@
 //	<dir>/objects/<hh>/<key>  entry and snapshot files (EZSTORE1, EZSNAP1)
 //	<dir>/journal.log         append-only CRC'd write-ahead job log
 //
-// The objects directory is the cache's only index: opening the store
-// walks it once, and an object is committed by the rename that puts it
-// under its key. Every record format is ASCII-headed and CRC-32C
+// The objects directory is the cache's only on-disk index: opening the
+// store walks it once (building, from the keys alone, the in-memory
+// index of snapshots that resume lookups and eviction read), and an
+// object is committed by the rename that puts it under its key. Every record format is ASCII-headed and CRC-32C
 // checked (see format.go; pinned by testdata/store.golden and fuzzed by
 // FuzzEntryDecode / FuzzSnapshotDecode / FuzzJournalReplay), and the
 // journal replays after arbitrary truncation. Durability is

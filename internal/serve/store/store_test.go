@@ -119,7 +119,7 @@ func TestCachePutGetEvict(t *testing.T) {
 	}
 }
 
-func entryFileSize(t *testing.T, e *Entry) int {
+func entryFileSize(t testing.TB, e *Entry) int {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := EncodeEntry(&buf, e); err != nil {
