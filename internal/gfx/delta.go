@@ -81,7 +81,9 @@ type TileSet struct {
 type DirtySink interface {
 	// FrameDirty delivers the rendered image plus the set of tiles that
 	// changed since the previous frame of the same window. Implementations
-	// must not retain img or dirty after returning.
+	// must not retain img or dirty after returning; as with Frame, a sink
+	// that delivers later copies what it needs during the call, and may
+	// return an earlier frame's error.
 	FrameDirty(window string, iter int, img *img2d.Image, dirty *TileSet) error
 }
 

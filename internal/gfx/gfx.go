@@ -17,9 +17,14 @@ import (
 // "tiling", "activity", or "main-rank2" in MPI debug mode).
 type FrameSink interface {
 	// Frame delivers the rendered image for the given window and
-	// iteration. Implementations must not retain img after returning.
+	// iteration. Implementations must not retain img after returning:
+	// a sink that encodes or writes the frame later (the daemon's hub
+	// sink encodes on helper goroutines) copies it during the call. Such
+	// a sink may return an earlier frame's error from a later call.
 	Frame(window string, iter int, img *img2d.Image) error
-	// Close flushes any buffered output.
+	// Close flushes any buffered output: it returns once every frame
+	// accepted so far is delivered, with the first error a delivery met.
+	// The owner of a sink closes it on every path, failed runs included.
 	Close() error
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"easypap/internal/img2d"
@@ -200,9 +201,13 @@ func (rec *Record) Encode() []byte {
 	if rec.Kind == RecordDelta {
 		magic = deltaMagic
 	}
-	buf := make([]byte, 0, len(rec.Payload)+64)
-	buf = fmt.Appendf(buf, "%s %s %d %d\n", magic, rec.Window, rec.Iter, len(rec.Payload))
-	return append(buf, rec.Payload...)
+	// The header is "%s %s %d %d\n" of magic, window, iter and size,
+	// built without fmt so the record is the encode's only allocation.
+	buf := make([]byte, 0, len(magic)+len(rec.Window)+len(rec.Payload)+44)
+	buf = append(append(append(buf, magic...), ' '), rec.Window...)
+	buf = strconv.AppendInt(append(buf, ' '), int64(rec.Iter), 10)
+	buf = strconv.AppendInt(append(buf, ' '), int64(len(rec.Payload)), 10)
+	return append(append(buf, '\n'), rec.Payload...)
 }
 
 // EncodeFrameRecord builds the wire bytes of one EZFRAME record from an

@@ -56,6 +56,14 @@ func lease(dim int) *Image {
 	return &Image{dim: dim, pix: pixelLists.Get(dim * dim)}
 }
 
+// LeasedCopy is Clone drawing on the free list of the image's
+// dimension: hand the copy back with Release once nothing reads it.
+func (im *Image) LeasedCopy() *Image {
+	cp := lease(im.dim)
+	copy(cp.pix, im.pix)
+	return cp
+}
+
 // Release hands the image's pixels back to the free list of its
 // dimension, for a later NewBuffers. The image is empty afterwards: any
 // access panics instead of reading pixels another image now owns. Row

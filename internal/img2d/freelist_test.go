@@ -44,6 +44,12 @@ func TestLeaseRelease(t *testing.T) {
 			t.Fatal("a leased image is not zeroed")
 		}
 	}
+	again.Set(1, 2, White)
+	cp := again.LeasedCopy()
+	if !cp.Equal(again) {
+		t.Fatal("a leased copy differs from its source")
+	}
+	cp.Release()
 	b := NewBuffers(4)
 	keep := b.Cur()
 	b.Swap()

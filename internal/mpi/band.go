@@ -80,8 +80,15 @@ func (c *Comm) GatherBands(root int, band Band, full []uint32, paint func(dst []
 		return fmt.Errorf("mpi: rank %d: gather image has %d pixels, want %d", c.rank, len(full), dim*dim)
 	}
 	paint(full[band.Lo*dim : band.Hi*dim])
-	for i := 0; i < c.w.size-1; i++ {
-		got, from, err := c.Recv(AnySource, tagGather)
+	for r := 0; r < c.w.size; r++ {
+		if r == root {
+			continue
+		}
+		// One band from each rank, by source. Nothing collective separates
+		// a run's last refresh from its final one, so a rank may already
+		// have sent its band for the next gather; taken from any source,
+		// that band would stand in for a slower rank's.
+		got, from, err := c.Recv(r, tagGather)
 		if err != nil {
 			return err
 		}

@@ -17,8 +17,11 @@ package cluster_test
 //     successfully.
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -27,6 +30,7 @@ import (
 	"time"
 
 	"easypap/internal/core"
+	"easypap/internal/gfx"
 	"easypap/internal/serve"
 	"easypap/internal/serve/chaosnet"
 	"easypap/internal/serve/client"
@@ -190,6 +194,68 @@ func TestShardedSparseSkipsHalos(t *testing.T) {
 	}
 	if st.Result.HalosSkipped == 0 {
 		t.Errorf("result reports no skipped halos: %+v", st.Result)
+	}
+}
+
+// TestShardedFramesJobStreamsEveryFrame: a sharded frames job streams
+// rank 0's gathered frames through the coordinator's hub sink, which
+// encodes them on helper goroutines. A viewer that attaches once the job
+// is done must still get every frame (the runner flushes the sink before
+// it closes the hub on the sharded path too), each equal to a
+// single-node run's: three ranks, so the last frame's gather must not
+// take a fast rank's final band in place of a slower rank's.
+func TestShardedFramesJobStreamsEveryFrame(t *testing.T) {
+	tc := startCluster(t, 3, serve.Options{Workers: 2, QueueDepth: 16})
+	cfg := shardCfg("life", "random", 20, 5)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	norm, _, err := serve.NormalizeSubmission(cfg, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref bytes.Buffer
+	if _, err := core.RunWith(ctx, norm, core.RunOptions{Sink: gfx.NewStreamSink(&ref)}); err != nil {
+		t.Fatal(err)
+	}
+	var want [][]byte
+	for br := bufio.NewReader(&ref); ; {
+		f, err := gfx.ReadFrame(br)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, f.PNG)
+	}
+
+	before := shardsExecuted(tc.mgrs)
+	c := client.New(tc.urls[tc.ownerIndex(cfg, true)])
+	st, err := c.SubmitShards(ctx, cfg, true, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.Wait(ctx, st.ID); err != nil || st.State != serve.JobDone {
+		t.Fatalf("job ended %+v (%v)", st, err)
+	}
+	if plan, got := shardPlan(tc.mgrs, before); got != 3 {
+		t.Fatalf("%d shard ranks executed (%s), want 3", got, plan)
+	}
+	var got [][]byte
+	if err := c.Frames(ctx, st.ID, func(f *gfx.StreamFrame) bool {
+		got = append(got, f.PNG)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || len(want) != cfg.Iterations {
+		t.Fatalf("sharded job streamed %d frames, single-node %d, iterations %d", len(got), len(want), cfg.Iterations)
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("frame %d differs from the single-node run's", i+1)
+		}
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,8 +16,9 @@ import (
 
 // FrameHub is a bounded broadcast hub for one job's encoded frame stream.
 //
-// The run loop publishes records (via hubSink); any number of subscribers
-// read them, each through an independent cursor. The hub keeps a bounded
+// The run loop's frames become records through hubSink, whose encoders
+// publish them in frame order; any number of subscribers read them, each
+// through an independent cursor. The hub keeps a bounded
 // ring of records — bounded in records and bytes, not stream length — so
 // a long-running job cannot pin its whole history in memory. A subscriber
 // that falls off the back of the ring (slow or stalled) is skipped
@@ -296,28 +299,105 @@ func (r *HubReader) Close() error {
 }
 
 // hubSink adapts a FrameHub to the run loop's gfx.FrameSink (and
-// gfx.DirtySink): it encodes each frame once into its wire records and
-// publishes them. For dirty-frame deliveries outside the keyframe cadence
-// it additionally encodes the EZDELTA patch, unless the patch would not
-// actually be smaller than the keyframe.
+// gfx.DirtySink). The run loop pays for a copy of each frame and, off
+// the keyframe cadence, for its EZDELTA patch; helper goroutines
+// PNG-encode the frames and publish the records strictly in the order
+// the frames arrived (DESIGN.md §13):
+//
+//   - Each frame is copied, on the run loop, into a spare copy of the
+//     sink's or one leased from img2d's free lists. The copy is both the
+//     encoder's input and the window's previous frame, which the next
+//     frame of the window is diffed against; it is a spare again once
+//     both are done with it, and Close hands the spares back.
+//   - At most GOMAXPROCS frames are handed off and not yet published,
+//     and their copies hold at most maxInflightBytes (a frame larger
+//     than that goes alone). The run loop waits when either bound is
+//     reached.
+//   - Each window's first frame is encoded and published inline, so a
+//     viewer waiting for a job's first frame does not wait behind the
+//     encodes of later ones.
+//   - The records are those of a one-frame-at-a-time encode: the same
+//     encoders, the same previous frame, the same keyframe rule (a patch
+//     is sent only when its record is shorter than the full one).
+//   - The first encode or publish error (a hub closed under the sink
+//     refuses the record) is sticky: later frames are dropped, and the
+//     next Frame call or Close returns it.
+//
+// Close waits until every accepted frame is published, or dropped
+// after an error, and stops the helpers. Its owner calls it, whether
+// or not the run succeeded, before it closes the hub: viewers then see
+// EOF after the last record. The hub itself is closed by the job's
+// terminal path (manager.finish), not by the sink.
 //
 // The kernel's dirty set is its dispatch frontier — every tile it
 // *visited*, i.e. the 3x3 tile neighbourhood of last iteration's changes.
-// Most visited tiles end up unchanged, so the sink keeps the previously
-// published image per window and narrows the patch to tiles whose pixels
-// actually differ (the diff only scans the dispatched tiles, O(active)).
-// Each window's previous-frame buffer is allocated once and overwritten
-// after every publish.
+// Most visited tiles end up unchanged, so the patch is narrowed to tiles
+// whose pixels actually differ from the previous frame (the diff only
+// scans the dispatched tiles, O(active)).
 type hubSink struct {
 	h *FrameHub
 
-	mu     sync.Mutex // MPI ranks share the sink via core's lockedSink; be safe anyway
-	counts map[string]int
-	prev   map[string]*img2d.Image // last published frame per window
+	mu       sync.Mutex // the run loop's side; MPI ranks share the sink via core's lockedSink
+	counts   map[string]int
+	prev     map[string]*frameCopy // last frame per window
+	todo     chan encodeJob        // to the encoders
+	encoders int                   // encoders started: no more than frames ever in flight
+	wg       sync.WaitGroup        // the encoders
+	closed   bool
+
+	pmu     sync.Mutex   // the encoders' side
+	landed  sync.Cond    // on pmu: a record was published or dropped
+	pending []encoded    // encoded, not yet published; seq % len(pending)
+	handed  uint64       // sequence number of the next hand-off
+	next    uint64       // sequence number of the next record to publish
+	bytes   int          // bytes of the copies handed off and not yet published
+	spare   []*frameCopy // copies no one reads
+	err     error        // the first encode or publish error
 }
 
+// maxInflightBytes bounds the frame copies handed to the encoders and
+// not yet published: four 1024² frames, or 256 of 128².
+const maxInflightBytes = 16 << 20
+
+// frameCopy is the sink's copy of one frame. The encoder of the frame
+// and the window's prev slot each hold a reference; the last to let go
+// makes it a spare.
+type frameCopy struct {
+	img  *img2d.Image
+	refs int // on pmu
+}
+
+// encodeJob is one frame handed to the encoders.
+type encodeJob struct {
+	seq    uint64
+	window string
+	iter   int
+	frame  *frameCopy
+	delta  []byte // the EZDELTA record, nil for a keyframe whatever its size
+}
+
+// encoded is a frame's records waiting for their turn to publish.
+type encoded struct {
+	done        bool
+	window      string
+	full, delta []byte
+	size        int // bytes of the frame's copy
+	err         error
+}
+
+// pngScratch holds the buffers PNG encodes write into, one per encode
+// at work: the EZFRAME record built from it is then the encode's only
+// allocation.
+var pngScratch = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// errSinkClosed is returned by a frame delivered after Close.
+var errSinkClosed = errors.New("serve: frame sink closed")
+
 func newHubSink(h *FrameHub) *hubSink {
-	return &hubSink{h: h, counts: make(map[string]int), prev: make(map[string]*img2d.Image)}
+	s := &hubSink{h: h, counts: make(map[string]int), prev: make(map[string]*frameCopy),
+		pending: make([]encoded, runtime.GOMAXPROCS(0))}
+	s.landed.L = &s.pmu
+	return s
 }
 
 // Frame implements gfx.FrameSink: a full frame with no dirty information
@@ -332,47 +412,200 @@ func (s *hubSink) FrameDirty(window string, iter int, img *img2d.Image, dirty *g
 }
 
 func (s *hubSink) frame(window string, iter int, img *img2d.Image, dirty *gfx.TileSet) error {
-	var buf bytes.Buffer
-	if err := img.EncodePNG(&buf); err != nil {
-		return err
-	}
-	full, err := gfx.EncodeFrameRecord(window, iter, buf.Bytes())
-	if err != nil {
-		return err
-	}
-
-	// The lock spans the diff against prev and the copy into it.
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return errSinkClosed
+	}
+	if err := s.failed(); err != nil {
+		return err
+	}
 	n := s.counts[window]
 	s.counts[window]++
 	prev := s.prev[window]
 
-	every := s.h.opts.KeyframeEvery
-	key := dirty == nil || prev == nil || n == 0 || n%every == 0
 	var delta []byte
-	if !key {
-		changed := changedTiles(img, prev, dirty)
-		payload, err := gfx.EncodeDelta(img, changed)
+	if dirty != nil && prev != nil && n%s.h.opts.KeyframeEvery != 0 {
+		payload, err := gfx.EncodeDelta(img, changedTiles(img, prev.img, dirty))
 		if err != nil {
 			return err
 		}
-		rec, err := gfx.EncodeDeltaRecord(window, iter, payload)
-		if err != nil {
+		if delta, err = gfx.EncodeDeltaRecord(window, iter, payload); err != nil {
 			return err
 		}
-		if len(rec) < len(full) {
-			delta = rec
-		} else {
-			key = true // the patch is no cheaper; keyframe instead
+	}
+	if n == 0 {
+		s.prev[window] = s.copyFrame(img, 1, prev) // the prev slot's
+		return s.publishInline(window, iter, img)
+	}
+	cp := s.copyFrame(img, 2, prev) // the prev slot's and the encoder's
+	s.prev[window] = cp
+	return s.handOff(encodeJob{window: window, iter: iter, frame: cp, delta: delta})
+}
+
+// copyFrame drops the prev slot's reference to prev (nil for a window's
+// first frame) and returns a copy of img holding refs references: in a
+// spare of its size when there is one, prev itself if its encoder is
+// done, else in an image leased from img2d's free list.
+func (s *hubSink) copyFrame(img *img2d.Image, refs int, prev *frameCopy) *frameCopy {
+	s.pmu.Lock()
+	if prev != nil {
+		s.unrefLocked(prev)
+	}
+	var c *frameCopy
+	for i, sp := range s.spare {
+		if sp.img.Len() == img.Len() {
+			c = sp
+			s.spare = slices.Delete(s.spare, i, i+1)
+			break
 		}
 	}
-	if prev == nil {
-		s.prev[window] = img.Clone()
-	} else {
-		copy(prev.Pixels(), img.Pixels())
+	s.pmu.Unlock()
+	if c == nil {
+		return &frameCopy{img: img.LeasedCopy(), refs: refs}
 	}
-	return s.h.Publish(window, key, full, delta)
+	copy(c.img.Pixels(), img.Pixels())
+	c.refs = refs
+	return c
+}
+
+// unrefLocked drops one reference to c. Callers hold pmu.
+func (s *hubSink) unrefLocked(c *frameCopy) {
+	if c.refs--; c.refs == 0 {
+		s.spare = append(s.spare, c)
+	}
+}
+
+// failed returns the sticky error.
+func (s *hubSink) failed() error {
+	s.pmu.Lock()
+	defer s.pmu.Unlock()
+	return s.err
+}
+
+// publishInline encodes a window's first frame on the caller's
+// goroutine and publishes it once every earlier frame is.
+func (s *hubSink) publishInline(window string, iter int, img *img2d.Image) error {
+	full, err := encodeFull(window, iter, img)
+	s.pmu.Lock()
+	defer s.pmu.Unlock()
+	for s.next != s.handed {
+		s.landed.Wait()
+	}
+	s.publishLocked(encoded{window: window, full: full, err: err})
+	return s.err
+}
+
+// handOff queues a frame for the encoders once the in-flight bounds
+// leave room for it, and starts an encoder when every running one may
+// be busy.
+func (s *hubSink) handOff(j encodeJob) error {
+	size := 4 * j.frame.img.Len()
+	s.pmu.Lock()
+	for s.err == nil && s.next != s.handed &&
+		(s.handed-s.next >= uint64(len(s.pending)) || s.bytes+size > maxInflightBytes) {
+		s.landed.Wait()
+	}
+	if err := s.err; err != nil {
+		s.unrefLocked(j.frame)
+		s.pmu.Unlock()
+		return err
+	}
+	j.seq = s.handed
+	s.handed++
+	s.bytes += size
+	inflight := int(s.handed - s.next)
+	s.pmu.Unlock()
+	if s.todo == nil {
+		// Room for every frame in flight, so the send below never blocks.
+		s.todo = make(chan encodeJob, len(s.pending))
+	}
+	if inflight > s.encoders {
+		s.encoders++
+		s.wg.Add(1)
+		go s.encoder()
+	}
+	s.todo <- j
+	return nil
+}
+
+// encoder PNG-encodes handed-off frames until Close. Whichever encoder
+// lands the oldest pending frame publishes it, and every later one
+// already encoded.
+func (s *hubSink) encoder() {
+	defer s.wg.Done()
+	for j := range s.todo {
+		full, err := encodeFull(j.window, j.iter, j.frame.img)
+		size := 4 * j.frame.img.Len()
+		s.pmu.Lock()
+		s.unrefLocked(j.frame)
+		s.pending[j.seq%uint64(len(s.pending))] = encoded{done: true, window: j.window,
+			full: full, delta: j.delta, size: size, err: err}
+		for p := &s.pending[s.next%uint64(len(s.pending))]; p.done; p = &s.pending[s.next%uint64(len(s.pending))] {
+			s.publishLocked(*p)
+			s.bytes -= p.size
+			*p = encoded{}
+			s.next++
+		}
+		s.landed.Broadcast()
+		s.pmu.Unlock()
+	}
+}
+
+// publishLocked applies the keyframe rule to a frame's records and
+// publishes them, unless an earlier frame failed. Callers hold pmu.
+func (s *hubSink) publishLocked(e encoded) {
+	if s.err != nil {
+		return
+	}
+	if e.err != nil {
+		s.err = e.err
+		return
+	}
+	delta := e.delta
+	if len(delta) >= len(e.full) {
+		delta = nil // the patch is no cheaper; keyframe instead
+	}
+	s.err = s.h.Publish(e.window, delta == nil, e.full, delta)
+}
+
+// encodeFull PNG-encodes img into a scratch buffer and returns its
+// EZFRAME record.
+func encodeFull(window string, iter int, img *img2d.Image) ([]byte, error) {
+	buf := pngScratch.Get().(*bytes.Buffer)
+	defer pngScratch.Put(buf)
+	buf.Reset()
+	if err := img.EncodePNG(buf); err != nil {
+		return nil, err
+	}
+	return gfx.EncodeFrameRecord(window, iter, buf.Bytes())
+}
+
+// Close implements gfx.FrameSink: it returns once every accepted frame
+// is published (or dropped after an error), with the first error, and
+// hands the sink's copies back to img2d's free lists. Close is
+// idempotent.
+func (s *hubSink) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.closed = true
+		if s.todo != nil {
+			close(s.todo)
+			s.wg.Wait()
+		}
+		s.pmu.Lock()
+		for w, c := range s.prev {
+			s.unrefLocked(c)
+			delete(s.prev, w)
+		}
+		for _, c := range s.spare {
+			c.img.Release()
+		}
+		s.spare = nil
+		s.pmu.Unlock()
+	}
+	return s.failed()
 }
 
 // changedTiles narrows a dispatch frontier to the tiles whose pixels
@@ -398,8 +631,3 @@ func changedTiles(img, prev *img2d.Image, dirty *gfx.TileSet) *gfx.TileSet {
 	}
 	return out
 }
-
-// Close implements gfx.FrameSink. The hub itself is closed by the job's
-// terminal path (manager.finish), not by the sink: the sink closing only
-// means the run loop stopped rendering.
-func (s *hubSink) Close() error { return nil }

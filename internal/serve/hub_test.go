@@ -296,6 +296,9 @@ func TestHubSinkKeyframeCadence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
 	h.Close()
 
 	rd := h.Subscribe(context.Background(), gfx.FormatDelta)

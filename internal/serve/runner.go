@@ -120,8 +120,10 @@ func (m *Manager) runJob(j *job) {
 		m.span(StageLease, j.traceID, j.id, leaseStart, time.Now(), nil)
 		opts.Pool = leased
 	}
+	var sink *hubSink
 	if j.frames != nil {
-		opts.Sink = newHubSink(j.frames)
+		sink = newHubSink(j.frames)
+		opts.Sink = sink
 	}
 
 	computeStart := time.Now()
@@ -146,6 +148,15 @@ func (m *Manager) runJob(j *job) {
 		// Declined by the cluster (or no cluster): the plain run, with the
 		// leased pool and every option built above.
 		out, err = core.RunWith(j.ctx, j.cfg, opts)
+	}
+	if sink != nil {
+		// On either path, every frame the sink accepted is published
+		// before finish closes the hub, so viewers see EOF after the last
+		// record; a record the hub refused fails the job.
+		if cerr := sink.Close(); cerr != nil && err == nil {
+			out.Release()
+			out, err = nil, cerr
+		}
 	}
 	m.span(StageCompute, j.traceID, j.id, computeStart, time.Now(), err)
 

@@ -1,9 +1,11 @@
 package serve
 
-// Frame-path encoding cost: what one published frame costs the run loop
-// with the full-PNG path versus the dirty-tile delta path, and what the
-// hub's publish fan-out costs per subscriber. EXPERIMENTS.md records the
-// numbers together with the byte-shrink measurement from
+// Frame-path encoding cost: what one published frame costs with the
+// full-PNG path versus the dirty-tile delta path, and what the hub's
+// publish fan-out costs per subscriber. The sink encodes on helper
+// goroutines, so each benchmark closes it inside the timed region: the
+// numbers time records published, not frames handed off. EXPERIMENTS.md
+// records them together with the byte-shrink measurement from
 // TestDeltaStreamShrinksBytes.
 
 import (
@@ -57,6 +59,9 @@ func BenchmarkFramePublishFull(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // BenchmarkFramePublishDelta is the dirty-tile path: PNG still encoded
@@ -83,6 +88,9 @@ func BenchmarkFramePublishDelta(b *testing.B) {
 		if err := s.FrameDirty("main", i+2, img, set); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -116,5 +124,8 @@ func BenchmarkHubFanout(b *testing.B) {
 				}
 			}
 		}
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
 	}
 }
