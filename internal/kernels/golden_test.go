@@ -130,20 +130,29 @@ func goldenBlock(t *testing.T, c goldenCase) string {
 
 func TestStencilGolden(t *testing.T) {
 	cases := goldenCases()
+	names := make([]string, len(cases))
 	got := make([]string, len(cases))
 	for i, c := range cases {
-		got[i] = goldenBlock(t, c)
+		names[i], got[i] = c.name(), goldenBlock(t, c)
 	}
+	checkGolden(t, stencilGoldenPath, names, got)
+}
+
+// checkGolden compares each case's block with the one stored under its
+// name in path (blocks open with a "case <name>" line), or rewrites the
+// file from got under -update.
+func checkGolden(t *testing.T, path string, names, got []string) {
+	t.Helper()
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(stencilGoldenPath, []byte(strings.Join(got, "")), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "")), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	raw, err := os.ReadFile(stencilGoldenPath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
@@ -155,12 +164,12 @@ func TestStencilGolden(t *testing.T) {
 		}
 		want[name] += line
 	}
-	if len(want) != len(cases) {
-		t.Errorf("%s has %d cases, the test runs %d", stencilGoldenPath, len(want), len(cases))
+	if len(want) != len(names) {
+		t.Errorf("%s has %d cases, the test runs %d", path, len(want), len(names))
 	}
-	for i, c := range cases {
-		if want[c.name()] != got[i] {
-			t.Errorf("%s differs from %s:\n got:\n%s want:\n%s", c.name(), stencilGoldenPath, got[i], want[c.name()])
+	for i, n := range names {
+		if want[n] != got[i] {
+			t.Errorf("%s differs from %s:\n got:\n%s want:\n%s", n, path, got[i], want[n])
 		}
 	}
 }
