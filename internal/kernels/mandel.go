@@ -1,11 +1,11 @@
 package kernels
 
 // The mandel kernel computes the Mandelbrot set and zooms a little at each
-// iteration, exactly as the paper's Fig. 1. Checking set membership is
-// independent per pixel, so the kernel is trivially parallel — but the
-// wildly varying per-pixel cost (in-set pixels pay the full iteration
-// budget) makes it the canonical load-balancing study (paper §III-A,
-// Figs. 3, 4, 6, 8, 9a).
+// iteration, every pixel exactly as the paper's Fig. 1. Checking set
+// membership is independent per pixel, so the kernel is trivially
+// parallel — but the wildly varying per-pixel cost (in-set pixels pay the
+// full iteration budget) makes it the canonical load-balancing study
+// (paper §III-A, Figs. 3, 4, 6, 8, 9a).
 
 import (
 	"easypap/internal/core"
@@ -40,17 +40,29 @@ func (v *mandelView) zoom() {
 	v.bottomY += yr
 }
 
-// computeColor iterates z = z^2 + c for the pixel (y, x) and maps the
-// escape iteration to a color (black for in-set pixels). The escape
-// iteration count is also returned: it is the pixel's work-unit cost,
-// reported as the task's performance counter.
-func (v *mandelView) computeColor(y, x, dim int) (img2d.Pixel, int) {
-	xstep := (v.rightX - v.leftX) / float64(dim)
-	ystep := (v.topY - v.bottomY) / float64(dim)
-	cr := v.leftX + xstep*float64(x)
-	ci := v.topY - ystep*float64(y)
-	zr, zi := 0.0, 0.0
-	iter := 0
+// mandelColors maps an escape iteration modulo 256 to its color. The hue
+// wheel is the same for every pixel, so it is converted from HSV once
+// instead of once per pixel.
+var mandelColors = func() (t [256]img2d.Pixel) {
+	for i := range t {
+		t[i] = img2d.HSV(float64(i)/255*360, 0.8, 1)
+	}
+	return t
+}()
+
+// mandelLane is one pixel in flight: the real part of its c, its z and the
+// iterations done so far. Four fields, so the compiler keeps a lane in
+// registers.
+type mandelLane struct {
+	cr, zr, zi float64
+	iter       int
+}
+
+// escape iterates z = z^2 + c from the lane's state to the pixel's escape
+// iteration, or mandelMaxIter for a pixel in the set: Fig. 1's per-pixel
+// loop.
+func (l mandelLane) escape(ci float64) int {
+	zr, zi, iter := l.zr, l.zi, l.iter
 	for ; iter < mandelMaxIter; iter++ {
 		zr2 := zr * zr
 		zi2 := zi * zi
@@ -58,26 +70,106 @@ func (v *mandelView) computeColor(y, x, dim int) (img2d.Pixel, int) {
 			break
 		}
 		zi = 2*zr*zi + ci
-		zr = zr2 - zi2 + cr
+		zr = zr2 - zi2 + l.cr
 	}
-	if iter == mandelMaxIter {
-		return img2d.Black, iter
-	}
-	hue := float64(iter%256) / 255 * 360
-	return img2d.HSV(hue, 0.8, 1), iter
+	return iter
 }
 
-// mandelTile computes all pixels of a rectangle — the do_tile body — and
-// returns the tile's total work (escape iterations).
+// paint colors pixel x by its escape iteration (black for in-set pixels)
+// and returns that iteration: the pixel's work-unit cost, reported as the
+// task's performance counter.
+func paint(px []img2d.Pixel, x, iter int) int64 {
+	if iter == mandelMaxIter {
+		px[x] = img2d.Black
+	} else {
+		px[x] = mandelColors[iter%256]
+	}
+	return int64(iter)
+}
+
+// row computes the pixels [x0, x1) of row y into px and returns their
+// escape-iteration total. Every variant computes its pixels here.
+//
+// One pixel's loop is a chain of dependent float operations, so the row
+// keeps three pixels in flight, lanes a, b and c, and steps them together:
+// the float units overlap three chains instead of waiting on one. Each lane
+// runs escape's recurrence, the same expressions in the same order, so
+// every pixel and iteration count is what the one-pixel loop gives. A lane
+// whose pixel escapes or reaches mandelMaxIter paints it and takes the
+// segment's next pixel. Once none is left, the other two finish one at a
+// time, as do segments shorter than three pixels.
+func (v *mandelView) row(px []img2d.Pixel, y, x0, x1, dim int) int64 {
+	xstep := (v.rightX - v.leftX) / float64(dim)
+	ystep := (v.topY - v.bottomY) / float64(dim)
+	ci := v.topY - ystep*float64(y)
+	start := func(x int) mandelLane { return mandelLane{cr: v.leftX + xstep*float64(x)} }
+	var work int64
+	x := x0
+	if x1-x0 >= 3 {
+		ax, bx, cx := x, x+1, x+2
+		a, b, c := start(ax), start(bx), start(cx)
+		x += 3
+		for {
+			ar2 := a.zr * a.zr
+			ai2 := a.zi * a.zi
+			br2 := b.zr * b.zr
+			bi2 := b.zi * b.zi
+			cr2 := c.zr * c.zr
+			ci2 := c.zi * c.zi
+			if a.iter == mandelMaxIter || ar2+ai2 > 4.0 {
+				work += paint(px, ax, a.iter)
+				if x == x1 {
+					work += paint(px, bx, b.escape(ci)) + paint(px, cx, c.escape(ci))
+					break
+				}
+				ax, a = x, start(x)
+				x++
+				continue
+			}
+			if b.iter == mandelMaxIter || br2+bi2 > 4.0 {
+				work += paint(px, bx, b.iter)
+				if x == x1 {
+					work += paint(px, ax, a.escape(ci)) + paint(px, cx, c.escape(ci))
+					break
+				}
+				bx, b = x, start(x)
+				x++
+				continue
+			}
+			if c.iter == mandelMaxIter || cr2+ci2 > 4.0 {
+				work += paint(px, cx, c.iter)
+				if x == x1 {
+					work += paint(px, ax, a.escape(ci)) + paint(px, bx, b.escape(ci))
+					break
+				}
+				cx, c = x, start(x)
+				x++
+				continue
+			}
+			a.zi = 2*a.zr*a.zi + ci
+			a.zr = ar2 - ai2 + a.cr
+			b.zi = 2*b.zr*b.zi + ci
+			b.zr = br2 - bi2 + b.cr
+			c.zi = 2*c.zr*c.zi + ci
+			c.zr = cr2 - ci2 + c.cr
+			a.iter++
+			b.iter++
+			c.iter++
+		}
+	}
+	for ; x < x1; x++ {
+		work += paint(px, x, start(x).escape(ci))
+	}
+	return work
+}
+
+// mandelTile computes all pixels of a rectangle, one row segment at a
+// time — the do_tile body — and returns the tile's total work (escape
+// iterations).
 func mandelTile(v *mandelView, im *img2d.Image, dim, x, y, w, h int) int64 {
 	var work int64
 	for i := y; i < y+h; i++ {
-		row := im.Row(i)
-		for j := x; j < x+w; j++ {
-			p, iters := v.computeColor(i, j, dim)
-			row[j] = p
-			work += int64(iters)
-		}
+		work += v.row(im.Row(i), i, x, x+w, dim)
 	}
 	return work
 }
@@ -103,18 +195,16 @@ func init() {
 	})
 }
 
-// mandelSeq is the paper's Fig. 1 verbatim: two nested pixel loops per
-// iteration followed by zoom().
+// mandelSeq is the sequential loop of the paper's Fig. 1: every row of
+// pixels, then zoom(). The rows go through row, which the parallel
+// variants share, so their speedups over seq compare the same pixel code.
 func mandelSeq(ctx *core.Ctx, nbIter int) int {
 	dim := ctx.Dim()
 	v := mandelState(ctx)
 	return ctx.ForIterations(nbIter, func(int) bool {
 		im := ctx.Cur()
 		for y := 0; y < dim; y++ {
-			row := im.Row(y)
-			for x := 0; x < dim; x++ {
-				row[x], _ = v.computeColor(y, x, dim)
-			}
+			v.row(im.Row(y), y, 0, dim, dim)
 		}
 		v.zoom()
 		return true
@@ -122,7 +212,8 @@ func mandelSeq(ctx *core.Ctx, nbIter int) int {
 }
 
 // mandelOmp is the incremental first parallelization of §II-A: a parallel
-// for over the rows ("#pragma omp parallel for" before the y loop).
+// for over the rows ("#pragma omp parallel for" before the y loop), each
+// row one instrumented task.
 func mandelOmp(ctx *core.Ctx, nbIter int) int {
 	dim := ctx.Dim()
 	v := mandelState(ctx)
@@ -130,14 +221,7 @@ func mandelOmp(ctx *core.Ctx, nbIter int) int {
 		im := ctx.Cur()
 		ctx.Pool.ParallelFor(dim, ctx.Cfg.Schedule, func(y, worker int) {
 			ctx.StartTile(worker)
-			row := im.Row(y)
-			var work int64
-			for x := 0; x < dim; x++ {
-				var iters int
-				row[x], iters = v.computeColor(y, x, dim)
-				work += int64(iters)
-			}
-			ctx.AddWork(worker, work)
+			ctx.AddWork(worker, v.row(im.Row(y), y, 0, dim, dim))
 			ctx.EndTile(0, y, dim, 1, worker)
 		})
 		v.zoom()
