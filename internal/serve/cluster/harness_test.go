@@ -87,6 +87,14 @@ type testCluster struct {
 // healthy, so tests observe steady-state routing.
 func startCluster(t testing.TB, n int, opts serve.Options) *testCluster {
 	t.Helper()
+	return startClusterHTTP(t, n, opts, nil)
+}
+
+// startClusterHTTP is startCluster with httpc as every node's cluster
+// client (nil for the default), the client that carries proxying,
+// gossip, replication and halo traffic.
+func startClusterHTTP(t testing.TB, n int, opts serve.Options, httpc *http.Client) *testCluster {
+	t.Helper()
 	tc := &testCluster{
 		t:      t,
 		urls:   make([]string, n),
@@ -108,6 +116,7 @@ func startCluster(t testing.TB, n int, opts serve.Options) *testCluster {
 			Peers:         tc.urls,
 			ProbeInterval: 50 * time.Millisecond,
 			ProbeTimeout:  time.Second,
+			HTTP:          httpc,
 		})
 		if err != nil {
 			t.Fatal(err)

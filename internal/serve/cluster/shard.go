@@ -11,11 +11,14 @@ package cluster
 //     grid's tile rows, order the participants self-first (the
 //     coordinator is always rank 0 — it owns the job record, the frame
 //     stream, and the stitched result),
-//  2. start: POST /v1/shard/start to every remote rank. Any start
-//     failure aborts the ranks already started and hands the job back
-//     to the manager's plain run — nothing has been computed yet, so
-//     degrading is free and the client never sees the hiccup,
-//  3. run: execute rank 0 in-process via Manager.RunShard; the halo
+//  2. start: register rank 0's session here (Manager.PrepareShard), then
+//     POST /v1/shard/start to every remote rank, so no remote rank's
+//     first halo reaches rank 0 before its session exists. Any start
+//     failure aborts the ranks already started, releases rank 0 and
+//     hands the job back to the manager's plain run — nothing has been
+//     computed yet, so degrading is free and the client never sees the
+//     hiccup,
+//  3. run: execute rank 0 in-process (ShardRank.Run); the halo
 //     engine exchanges boundary rows directly between neighbor ranks
 //     (coordinator not in the loop), and the per-iteration convergence
 //     vote rides the same wire,
@@ -70,6 +73,12 @@ func (n *Node) runSharded(ctx context.Context, job serve.ShardJob) (*core.RunOut
 		}
 	}
 
+	// Rank 0 is registered before any remote rank starts, so a remote
+	// rank's first halo to it never arrives ahead of its session.
+	rank0, err := n.mgr.PrepareShard(ctx, mkReq(0), n.opts.HTTP)
+	if err != nil {
+		return nil, true, err
+	}
 	var started []*member
 	for rank := 1; rank < len(ranks); rank++ {
 		if err := n.startRemoteShard(ctx, ranks[rank], mkReq(rank)); err != nil {
@@ -78,6 +87,7 @@ func (n *Node) runSharded(ctx context.Context, job serve.ShardJob) (*core.RunOut
 			for _, m := range started {
 				n.abortRemoteShard(m, session, "coordinator start failed")
 			}
+			rank0.Release()
 			n.markDown(ranks[rank])
 			return nil, false, nil
 		}
@@ -90,7 +100,7 @@ func (n *Node) runSharded(ctx context.Context, job serve.ShardJob) (*core.RunOut
 			n.abortRemoteShard(m, session, "coordinator finished")
 		}
 	}()
-	out, err := n.mgr.RunShard(ctx, mkReq(0), n.opts.HTTP, job.Sink, job.OnActivity)
+	out, err := rank0.Run(job.Sink, job.OnActivity)
 	return out, true, err
 }
 

@@ -26,6 +26,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -194,6 +195,96 @@ func TestShardedSparseSkipsHalos(t *testing.T) {
 	}
 	if st.Result.HalosSkipped == 0 {
 		t.Errorf("result reports no skipped halos: %+v", st.Result)
+	}
+}
+
+// shardProbe is a cluster transport for the start-order tests. It
+// counts the /v1/shard/halo responses that are 404: a halo that reached
+// a node before its rank's session was registered there, which the
+// sender retries after a pause. With refuseStart it answers every
+// /v1/shard/start with 503 instead of sending it.
+type shardProbe struct {
+	refuseStart bool
+	haloMisses  atomic.Int64
+}
+
+func (p *shardProbe) RoundTrip(r *http.Request) (*http.Response, error) {
+	if p.refuseStart && r.URL.Path == "/v1/shard/start" {
+		return &http.Response{StatusCode: http.StatusServiceUnavailable, Body: http.NoBody, Request: r}, nil
+	}
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil && r.URL.Path == "/v1/shard/halo" && resp.StatusCode == http.StatusNotFound {
+		p.haloMisses.Add(1)
+	}
+	return resp, err
+}
+
+// TestShardedStartRegistersCoordinatorFirst: the coordinator registers
+// rank 0's session before it starts the remote rank, so in a two-node
+// cluster no halo ever finds its session missing. Were rank 0 registered
+// only after the remote start, the remote rank's first halos would race
+// it, get 404 and wait out a retry pause.
+func TestShardedStartRegistersCoordinatorFirst(t *testing.T) {
+	probe := &shardProbe{}
+	tc := startClusterHTTP(t, 2, serve.Options{Workers: 2, QueueDepth: 16}, &http.Client{Transport: probe})
+	c := client.New(tc.urls[0])
+	const jobs = 12
+	before := shardsExecuted(tc.mgrs)
+	for seed := int64(1); seed <= jobs; seed++ {
+		cfg := shardCfg("life", "random", 8, seed)
+		st, err := c.SubmitShards(context.Background(), cfg, false, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !st.State.Terminal() {
+			if st, err = c.Wait(context.Background(), st.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st.State != serve.JobDone || st.Result == nil {
+			t.Fatalf("seed %d: job ended %s: %s", seed, st.State, st.Error)
+		}
+	}
+	if plan, ranks := shardPlan(tc.mgrs, before); ranks != 2*jobs {
+		t.Fatalf("%d shard ranks ran (%s), want %d: every job must shard", ranks, plan, 2*jobs)
+	}
+	if n := probe.haloMisses.Load(); n != 0 {
+		t.Errorf("%d halos over %d two-shard jobs got 404: a rank's session was not registered before its peer's halos arrived", n, jobs)
+	}
+}
+
+// TestShardedStartFailureReleasesRankZero: when the remote rank cannot
+// start, the coordinator releases the rank 0 session it registered first
+// and runs the job on its plain path: the single-node result, no shard
+// rank run, and no session left behind on either node.
+func TestShardedStartFailureReleasesRankZero(t *testing.T) {
+	probe := &shardProbe{refuseStart: true}
+	tc := startClusterHTTP(t, 2, serve.Options{Workers: 2, QueueDepth: 16}, &http.Client{Transport: probe})
+	cfg := shardCfg("life", "random", 8, 3)
+	ref := singleNodeRef(t, cfg)
+	c := client.New(tc.urls[0])
+	st, err := c.SubmitShards(context.Background(), cfg, false, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.State.Terminal() {
+		if st, err = c.Wait(context.Background(), st.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.State != serve.JobDone || st.Result == nil {
+		t.Fatalf("job ended %s: %s", st.State, st.Error)
+	}
+	if st.Result.Checksum != ref.Checksum {
+		t.Errorf("checksum %s, single-node %s", st.Result.Checksum, ref.Checksum)
+	}
+	for i, m := range tc.mgrs {
+		if n := m.Stats().ShardsExecuted; n != 0 {
+			t.Errorf("node %d ran %d shard ranks, want 0: no remote rank started", i, n)
+		}
+		if n := m.ShardSessions(); n != 0 {
+			t.Errorf("node %d holds %d shard sessions after the fallback, want 0", i, n)
+		}
 	}
 }
 

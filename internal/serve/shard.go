@@ -53,7 +53,8 @@ var (
 	ErrShardFailed = errors.New("serve: shard execution failed")
 	// ErrUnknownShard is returned for halo/abort calls naming no live
 	// session (HTTP 404 — the sender retries until its halo timeout,
-	// which also absorbs the start-ordering race).
+	// which also absorbs a start-ordering race between remote ranks; the
+	// coordinator's rank 0 is registered before any of them starts).
 	ErrUnknownShard = errors.New("serve: unknown shard session")
 	// ErrShardExists rejects a duplicate session id (HTTP 409).
 	ErrShardExists = errors.New("serve: shard session already exists")
@@ -159,16 +160,39 @@ func (m *Manager) StartShard(req StartShardRequest, httpc *http.Client) error {
 	return nil
 }
 
-// RunShard executes one rank synchronously and returns its output — the
-// coordinator's path for its own rank 0. sink and onActivity are the
-// job's live observers (nil for non-frames / eager jobs).
-func (m *Manager) RunShard(ctx context.Context, req StartShardRequest, httpc *http.Client, sink gfx.FrameSink, onActivity func(core.IterActivity)) (*core.RunOutput, error) {
+// ShardRank is one rank of a distributed session, registered on this
+// node but not yet running: halo frames addressed to it are buffered in
+// its mailbox from the moment PrepareShard returns. The owner calls Run
+// or Release, once.
+type ShardRank struct {
+	m    *Manager
+	sess *shardSession
+	sctx context.Context
+	req  StartShardRequest
+}
+
+// PrepareShard registers one rank for the coordinator, which runs it
+// later in-process (rank 0). Registering rank 0 before any remote rank
+// starts means no remote rank's first halo finds the session missing
+// and waits out shardTransport's retry pause.
+func (m *Manager) PrepareShard(ctx context.Context, req StartShardRequest, httpc *http.Client) (*ShardRank, error) {
 	sess, sctx, err := m.prepareShard(ctx, req, httpc)
 	if err != nil {
 		return nil, err
 	}
-	return m.executeShard(sctx, sess, req, sink, onActivity)
+	return &ShardRank{m: m, sess: sess, sctx: sctx, req: req}, nil
 }
+
+// Run executes the rank synchronously, releases it and returns its
+// output. sink and onActivity are the job's live observers (nil for
+// non-frames / eager jobs).
+func (r *ShardRank) Run(sink gfx.FrameSink, onActivity func(core.IterActivity)) (*core.RunOutput, error) {
+	return r.m.executeShard(r.sctx, r.sess, r.req, sink, onActivity)
+}
+
+// Release unregisters a rank that will not run: the job fell back to its
+// plain path before computing anything.
+func (r *ShardRank) Release() { r.m.releaseShard(r.req.Session, r.sess) }
 
 // prepareShard validates the request, builds the rank's NetWorld, and
 // registers the session so incoming halo frames find their mailbox.
