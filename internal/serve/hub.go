@@ -38,8 +38,8 @@ type FrameHub struct {
 	opts HubOptions
 
 	mu       sync.Mutex
-	notify   chan struct{} // closed and replaced on every publish/close
-	ring     []hubRecord   // ring[i] has sequence firstSeq+i
+	parked   []chan struct{} // wake channels of the readers parked since the last wake-up
+	ring     []hubRecord     // ring[i] has sequence firstSeq+i
 	firstSeq uint64
 	nextSeq  uint64
 	bytes    int64 // sum of encoded sizes in ring
@@ -100,7 +100,7 @@ var ErrHubClosed = errors.New("serve: frame hub closed")
 
 // NewFrameHub returns an empty open hub.
 func NewFrameHub(opts HubOptions) *FrameHub {
-	return &FrameHub{opts: opts.withDefaults(), notify: make(chan struct{})}
+	return &FrameHub{opts: opts.withDefaults()}
 }
 
 // Publish appends one record to the ring, evicting from the front to keep
@@ -126,8 +126,7 @@ func (h *FrameHub) Publish(window string, key bool, full, delta []byte) error {
 		h.ring = h.ring[1:]
 		h.firstSeq++
 	}
-	close(h.notify)
-	h.notify = make(chan struct{})
+	h.wakeLocked()
 	h.mu.Unlock()
 	if s := h.opts.Stats; s != nil {
 		s.FullBytes.Add(int64(len(full)))
@@ -146,10 +145,23 @@ func (h *FrameHub) Close() {
 	h.mu.Lock()
 	if !h.closed {
 		h.closed = true
-		close(h.notify)
-		h.notify = make(chan struct{})
+		h.wakeLocked()
 	}
 	h.mu.Unlock()
+}
+
+// wakeLocked wakes every parked reader and empties the parked list. Each
+// reader parks on a channel of its own, made once, so a publish allocates
+// nothing to wake them.
+func (h *FrameHub) wakeLocked() {
+	for i, wake := range h.parked {
+		select {
+		case wake <- struct{}{}:
+		default: // already signaled
+		}
+		h.parked[i] = nil
+	}
+	h.parked = h.parked[:0]
 }
 
 // Subscribe attaches a new cursor positioned at the oldest retained
@@ -181,6 +193,7 @@ type HubReader struct {
 	seq    uint64          // next sequence number to deliver
 	synced map[string]bool // delta format: windows synced on a keyframe
 	cur    []byte          // undelivered tail of the current record
+	wake   chan struct{}   // signaled when the hub publishes or closes
 	err    error           // sticky terminal error
 	closed bool
 }
@@ -227,10 +240,13 @@ func (r *HubReader) next() ([]byte, error) {
 			h.mu.Unlock()
 			return nil, io.EOF
 		}
-		notify := h.notify
+		if r.wake == nil {
+			r.wake = make(chan struct{}, 1)
+		}
+		h.parked = append(h.parked, r.wake)
 		h.mu.Unlock()
 		select {
-		case <-notify:
+		case <-r.wake:
 		case <-r.ctx.Done():
 			return nil, r.ctx.Err()
 		}

@@ -134,6 +134,106 @@ func TestHubSubscriberCancelUnblocks(t *testing.T) {
 	}
 }
 
+// waitParked blocks until n readers are parked on h.
+func waitParked(t *testing.T, h *FrameHub, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		h.mu.Lock()
+		parked := len(h.parked)
+		h.mu.Unlock()
+		if parked == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d readers parked after 5s, want %d", parked, n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestHubParkedReadersWake: readers parked before a publish all wake and
+// read it, publish after publish, and readers parked before Close all
+// see EOF. A reader canceled while parked leaves the others waking.
+func TestHubParkedReadersWake(t *testing.T) {
+	h := NewFrameHub(HubOptions{})
+	const readers, publishes, cancelAt = 6, 40, 10
+	ctx0, cancel0 := context.WithCancel(context.Background())
+	defer cancel0()
+	type read struct {
+		rec []byte
+		err error
+	}
+	got := make([]chan read, readers)
+	for i := range got {
+		ctx := context.Background()
+		if i == 0 {
+			ctx = ctx0
+		}
+		rd := h.Subscribe(ctx, gfx.FormatFull)
+		got[i] = make(chan read)
+		go func(out chan<- read) {
+			defer rd.Close()
+			buf := make([]byte, 256)
+			for {
+				n, err := rd.Read(buf)
+				out <- read{append([]byte(nil), buf[:n]...), err}
+				if err != nil {
+					return
+				}
+			}
+		}(got[i])
+	}
+	live := readers
+	for i := 0; i < publishes; i++ {
+		if i == cancelAt {
+			waitParked(t, h, live)
+			cancel0()
+			if r := <-got[0]; !errors.Is(r.err, context.Canceled) {
+				t.Fatalf("canceled reader: got %v, want context.Canceled", r.err)
+			}
+			live--
+		}
+		// Every live reader is parked before the publish, and the one
+		// canceled above may still be listed.
+		for {
+			h.mu.Lock()
+			parked := len(h.parked)
+			h.mu.Unlock()
+			if parked >= live {
+				break
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		want := testRecord(t, "main", i)
+		if err := h.Publish("main", true, want, nil); err != nil {
+			t.Fatal(err)
+		}
+		for r := readers - live; r < readers; r++ {
+			select {
+			case rd := <-got[r]:
+				if rd.err != nil || !bytes.Equal(rd.rec, want) {
+					t.Fatalf("publish %d: reader %d read %d bytes, err %v", i, r, len(rd.rec), rd.err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("publish %d: reader %d still parked after 5s", i, r)
+			}
+		}
+	}
+	waitParked(t, h, live)
+	h.Close()
+	for r := readers - live; r < readers; r++ {
+		select {
+		case rd := <-got[r]:
+			if rd.err != io.EOF {
+				t.Errorf("after Close: reader %d got %v, want EOF", r, rd.err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("after Close: reader %d still parked after 5s", r)
+		}
+	}
+}
+
 // A stalled subscriber must never stall the writer: with a tiny ring the
 // writer keeps evicting and publishing at full speed, and when the
 // subscriber finally reads it lands on the latest keyframe (counted as a
