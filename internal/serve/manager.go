@@ -323,7 +323,7 @@ type Manager struct {
 	// The registry of shard ranks this node is currently executing for
 	// remote coordinators (shard.go).
 	shardMu       sync.Mutex
-	shardSessions map[string]*shardSession
+	shardSessions map[string]*ShardRank
 	shardWg       sync.WaitGroup
 
 	// Observability: the metrics registry + stage histograms behind
@@ -384,7 +384,7 @@ func NewManager(opts Options) *Manager {
 		kernels: make(map[string]*kernelStats),
 		flights: make(map[string]*flight),
 
-		shardSessions: make(map[string]*shardSession),
+		shardSessions: make(map[string]*ShardRank),
 	}
 	m.obs = newManagerObs(m)
 	m.SetClusterHooks(nil)

@@ -104,12 +104,6 @@ func (r *StartShardRequest) validate() error {
 	return nil
 }
 
-// shardSession is one live rank of a distributed session on this node.
-type shardSession struct {
-	nw     *mpi.NetWorld
-	cancel context.CancelCauseFunc
-}
-
 // ShardJob describes a sharded submission handed to the coordinator hook
 // (ClusterHooks.RunSharded): the job's identity plus the live observers the
 // manager would have wired into a local run.
@@ -131,6 +125,18 @@ type ShardJob struct {
 // without it, sharded submissions simply run locally.
 type ShardRunner func(ctx context.Context, job ShardJob) (out *core.RunOutput, sharded bool, err error)
 
+// ShardRank is one rank of a distributed session, registered on this
+// node: halo frames addressed to it are buffered in its mailbox from the
+// moment PrepareShard returns, whether or not it runs yet. Its owner
+// calls Run or Release, once.
+type ShardRank struct {
+	m      *Manager
+	req    StartShardRequest
+	nw     *mpi.NetWorld
+	ctx    context.Context // the session's; canceled with a cause
+	cancel context.CancelCauseFunc
+}
+
 // StartShard begins executing one remote rank of a distributed session
 // asynchronously: the session is registered (so halo frames can be
 // injected) before StartShard returns, and the rank runs on its own
@@ -138,14 +144,14 @@ type ShardRunner func(ctx context.Context, job ShardJob) (out *core.RunOutput, s
 // outgoing halo frames — the cluster layer passes its own client so
 // fault injection and connection pooling apply.
 func (m *Manager) StartShard(req StartShardRequest, httpc *http.Client) error {
-	sess, sctx, err := m.prepareShard(m.baseCtx, req, httpc)
+	r, err := m.PrepareShard(m.baseCtx, req, httpc)
 	if err != nil {
 		return err
 	}
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		m.releaseShard(req.Session, sess)
+		r.Release()
 		return ErrClosed
 	}
 	m.shardWg.Add(1)
@@ -154,94 +160,68 @@ func (m *Manager) StartShard(req StartShardRequest, httpc *http.Client) error {
 		defer m.shardWg.Done()
 		// Remote ranks contribute their band through the collectives; the
 		// output object is rank 0's concern. Errors land in the span.
-		out, _ := m.executeShard(sctx, sess, req, nil, nil)
+		out, _ := r.Run(nil, nil)
 		out.Release()
 	}()
 	return nil
 }
 
-// ShardRank is one rank of a distributed session, registered on this
-// node but not yet running: halo frames addressed to it are buffered in
-// its mailbox from the moment PrepareShard returns. The owner calls Run
-// or Release, once.
-type ShardRank struct {
-	m    *Manager
-	sess *shardSession
-	sctx context.Context
-	req  StartShardRequest
-}
-
-// PrepareShard registers one rank for the coordinator, which runs it
-// later in-process (rank 0). Registering rank 0 before any remote rank
-// starts means no remote rank's first halo finds the session missing
-// and waits out shardTransport's retry pause.
+// PrepareShard validates the request, builds the rank's NetWorld, and
+// registers the session so incoming halo frames find their mailbox. The
+// coordinator prepares its own rank 0 before it starts any remote rank,
+// so no remote rank's first halo finds the session missing and waits out
+// shardTransport's retry pause.
 func (m *Manager) PrepareShard(ctx context.Context, req StartShardRequest, httpc *http.Client) (*ShardRank, error) {
-	sess, sctx, err := m.prepareShard(ctx, req, httpc)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardRank{m: m, sess: sess, sctx: sctx, req: req}, nil
-}
-
-// Run executes the rank synchronously, releases it and returns its
-// output. sink and onActivity are the job's live observers (nil for
-// non-frames / eager jobs).
-func (r *ShardRank) Run(sink gfx.FrameSink, onActivity func(core.IterActivity)) (*core.RunOutput, error) {
-	return r.m.executeShard(r.sctx, r.sess, r.req, sink, onActivity)
-}
-
-// Release unregisters a rank that will not run: the job fell back to its
-// plain path before computing anything.
-func (r *ShardRank) Release() { r.m.releaseShard(r.req.Session, r.sess) }
-
-// prepareShard validates the request, builds the rank's NetWorld, and
-// registers the session so incoming halo frames find their mailbox.
-func (m *Manager) prepareShard(ctx context.Context, req StartShardRequest, httpc *http.Client) (*shardSession, context.Context, error) {
 	if err := req.validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sctx, cancel := context.WithCancelCause(ctx)
 	nw, err := mpi.NewNetWorld(sctx, cancel, req.Shards, req.Rank,
 		mpi.Config{RecvTimeout: m.opts.HaloTimeout}, m.shardTransport(req, httpc))
 	if err != nil {
 		cancel(context.Canceled)
-		return nil, nil, err
+		return nil, err
 	}
-	sess := &shardSession{nw: nw, cancel: cancel}
+	r := &ShardRank{m: m, req: req, nw: nw, ctx: sctx, cancel: cancel}
 	m.shardMu.Lock()
 	if _, ok := m.shardSessions[req.Session]; ok {
 		m.shardMu.Unlock()
 		cancel(context.Canceled)
 		nw.Close()
-		return nil, nil, fmt.Errorf("%w: %q", ErrShardExists, req.Session)
+		return nil, fmt.Errorf("%w: %q", ErrShardExists, req.Session)
 	}
-	m.shardSessions[req.Session] = sess
+	m.shardSessions[req.Session] = r
 	m.shardMu.Unlock()
-	return sess, sctx, nil
+	return r, nil
 }
 
-// releaseShard unregisters a session and releases its world.
-func (m *Manager) releaseShard(session string, sess *shardSession) {
+// Release unregisters the session and releases its world. Run calls it
+// when the rank ends; a coordinator whose job falls back to its plain
+// path before computing anything calls it instead of Run.
+func (r *ShardRank) Release() {
+	m := r.m
 	m.shardMu.Lock()
-	if m.shardSessions[session] == sess {
-		delete(m.shardSessions, session)
+	if m.shardSessions[r.req.Session] == r {
+		delete(m.shardSessions, r.req.Session)
 	}
 	m.shardMu.Unlock()
-	sess.cancel(context.Canceled)
-	sess.nw.Close()
+	r.cancel(context.Canceled)
+	r.nw.Close()
 }
 
-// executeShard runs the rank's band of the kernel and cleans the session
-// up. The run's halo observer feeds the node counters, the halo stage
-// histogram, and (sampled) halo spans; the whole rank run is one
-// StageShard span.
-func (m *Manager) executeShard(sctx context.Context, sess *shardSession, req StartShardRequest, sink gfx.FrameSink, onActivity func(core.IterActivity)) (*core.RunOutput, error) {
-	defer m.releaseShard(req.Session, sess)
+// Run executes the rank's band of the kernel synchronously, releases the
+// session and returns the rank's output. sink and onActivity are the
+// job's live observers (nil for remote ranks and eager jobs). The run's
+// halo observer feeds the node counters, the halo stage histogram, and
+// (sampled) halo spans; the whole rank run is one StageShard span.
+func (r *ShardRank) Run(sink gfx.FrameSink, onActivity func(core.IterActivity)) (*core.RunOutput, error) {
+	defer r.Release()
+	m, req := r.m, r.req
 	m.shardsExecuted.Add(1)
 
 	haloSpans := 0
 	opts := core.RunOptions{
-		Comm:       sess.nw.Comm(),
+		Comm:       r.nw.Comm(),
 		OnActivity: onActivity,
 		OnHalo: func(sent, skipped, bytes int64, d time.Duration) {
 			m.halosSent.Add(sent)
@@ -265,14 +245,14 @@ func (m *Manager) executeShard(sctx context.Context, sess *shardSession, req Sta
 	}
 
 	begin := time.Now()
-	out, err := core.RunWith(sctx, req.Config, opts)
+	out, err := core.RunWith(r.ctx, req.Config, opts)
 	if err != nil {
 		// A session canceled because a peer was lost is a shard failure;
 		// any other cancellation (client DELETE, shutdown) keeps its cause
 		// so Manager.finish classifies it as canceled, not failed. The
 		// cause is flattened with %v on purpose: ErrShardFailed must not
 		// transitively wrap context.Canceled.
-		if cause := context.Cause(sctx); cause != nil && errors.Is(cause, mpi.ErrPeerLost) {
+		if cause := context.Cause(r.ctx); cause != nil && errors.Is(cause, mpi.ErrPeerLost) {
 			err = fmt.Errorf("%w: rank %d of session %s: %v", ErrShardFailed, req.Rank, req.Session, cause)
 		}
 	}
