@@ -15,6 +15,7 @@ package kernels
 // frontier-collapse curves from one kernel, a nice serving-demo workload.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -83,28 +84,66 @@ func fireSeed(ctx *core.Ctx, b *board[uint8]) error {
 // burning 4-neighbour ignites; everything else is inert. Beyond the world
 // edge lies bare ground.
 func fireStep(b *board[uint8], x, y, w, h int) bool {
-	changed := false
-	last := b.dim - 1
+	var diff uint64
 	for yy := y; yy < y+h; yy++ {
-		up, mid, dn := b.rowOrZero(b.cur, yy-1), b.row(b.cur, yy), b.rowOrZero(b.cur, yy+1)
-		out := b.row(b.next, yy)
-		for xx := x; xx < x+w; xx++ {
-			v := mid[xx]
-			switch v {
-			case fireBurning:
-				v = fireAsh
-			case fireTree:
-				if up[xx] == fireBurning || dn[xx] == fireBurning ||
-					(xx > 0 && mid[xx-1] == fireBurning) ||
-					(xx < last && mid[xx+1] == fireBurning) {
-					v = fireBurning
-				}
-			}
-			if v != mid[xx] {
-				changed = true
-			}
-			out[xx] = v
-		}
+		diff |= fireRow(b.rowOrZero(b.cur, yy-1), b.row(b.cur, yy), b.rowOrZero(b.cur, yy+1),
+			b.row(b.next, yy), x, x+w)
 	}
-	return changed
+	return diff != 0
 }
+
+// fireRow computes cells [x0, x1) of one row into out, eight per word
+// between the world's edge columns, and returns the OR of every cell's
+// next^cur, as lifeRow does.
+func fireRow(up, mid, dn, out []uint8, x0, x1 int) uint64 {
+	le := binary.LittleEndian
+	var diff uint64
+	x := x0
+	if x == 0 && x < x1 {
+		diff |= fireCell(up, mid, dn, out, 0)
+		x = 1
+	}
+	for end := min(x1, len(mid)-1); x+8 <= end; x += 8 {
+		m := (*[10]uint8)(mid[x-1:])
+		c := le.Uint64(m[1:])
+		v := fireNext(c, le.Uint64(up[x:]), le.Uint64(dn[x:]), le.Uint64(m[0:]), le.Uint64(m[2:]))
+		le.PutUint64(out[x:], v)
+		diff |= v ^ c
+	}
+	for ; x < x1; x++ {
+		diff |= fireCell(up, mid, dn, out, x)
+	}
+	return diff
+}
+
+// fireCell is the rule for the one cell x; beyond the world's side
+// edges lies bare ground.
+func fireCell(up, mid, dn, out []uint8, x int) uint64 {
+	var left, right uint8
+	if x > 0 {
+		left = mid[x-1]
+	}
+	if x < len(mid)-1 {
+		right = mid[x+1]
+	}
+	c := uint64(mid[x])
+	v := fireNext(c, uint64(up[x]), uint64(dn[x]), uint64(left), uint64(right))
+	out[x] = uint8(v)
+	return v ^ c
+}
+
+// fireNext is the rule on the byte cells (0–3) of a word: a burning cell
+// (2) adds 1 and turns to ash (3), a tree (1) adds 1 and ignites when a
+// 4-neighbour burns, and nothing else moves. No byte exceeds 3, so no
+// add carries into the next byte.
+func fireNext(c, up, dn, left, right uint64) uint64 {
+	return c + burningBits(c) + treeBits(c)&(burningBits(up)|burningBits(dn)|burningBits(left)|burningBits(right))
+}
+
+// burningBits sets bit 0 of each byte that holds fireBurning (bit 1 set,
+// bit 0 clear).
+func burningBits(x uint64) uint64 { return x >> 1 &^ x & lanes }
+
+// treeBits sets bit 0 of each byte that holds fireTree (bit 0 set, bit 1
+// clear).
+func treeBits(x uint64) uint64 { return x &^ (x >> 1) & lanes }

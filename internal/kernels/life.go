@@ -10,6 +10,7 @@ package kernels
 // bit-packed variant (life_bitpack.go) has its own compute function.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -93,28 +94,68 @@ func placeGlider(b *board[uint8], y, x int, mirror bool) {
 // beyond the world edge read as dead; a band's ghost rows are ordinary
 // board rows.
 func lifeStep(b *board[uint8], x, y, w, h int) bool {
-	changed := false
-	last := b.dim - 1
+	var diff uint64
 	for yy := y; yy < y+h; yy++ {
-		up, mid, dn := b.rowOrZero(b.cur, yy-1), b.row(b.cur, yy), b.rowOrZero(b.cur, yy+1)
-		out := b.row(b.next, yy)
-		for xx := x; xx < x+w; xx++ {
-			n := up[xx] + dn[xx]
-			if xx > 0 {
-				n += up[xx-1] + mid[xx-1] + dn[xx-1]
-			}
-			if xx < last {
-				n += up[xx+1] + mid[xx+1] + dn[xx+1]
-			}
-			v := uint8(0)
-			if n == 3 || n == 2 && mid[xx] != 0 {
-				v = 1
-			}
-			if v != mid[xx] {
-				changed = true
-			}
-			out[xx] = v
-		}
+		diff |= lifeRow(b.rowOrZero(b.cur, yy-1), b.row(b.cur, yy), b.rowOrZero(b.cur, yy+1),
+			b.row(b.next, yy), x, x+w)
 	}
-	return changed
+	return diff != 0
+}
+
+// lifeRow computes cells [x0, x1) of one row into out from the rows
+// above (up), at (mid) and below (dn), and returns the OR of every
+// cell's next^cur: nonzero iff a cell changed. Cells with both side
+// neighbours inside the world go eight per word (DESIGN.md §15, "Row
+// routines"); the world's edge columns and a segment's last cells go
+// one at a time through the same rule.
+func lifeRow(up, mid, dn, out []uint8, x0, x1 int) uint64 {
+	le := binary.LittleEndian
+	var diff uint64
+	x := x0
+	if x == 0 && x < x1 {
+		diff |= lifeCell(up, mid, dn, out, 0)
+		x = 1
+	}
+	for end := min(x1, len(mid)-1); x+8 <= end; x += 8 {
+		u, m, d := (*[10]uint8)(up[x-1:]), (*[10]uint8)(mid[x-1:]), (*[10]uint8)(dn[x-1:])
+		n := le.Uint64(u[0:]) + le.Uint64(u[1:]) + le.Uint64(u[2:]) +
+			le.Uint64(m[0:]) + le.Uint64(m[2:]) +
+			le.Uint64(d[0:]) + le.Uint64(d[1:]) + le.Uint64(d[2:])
+		c := le.Uint64(m[1:])
+		v := lifeNext(n, c)
+		le.PutUint64(out[x:], v)
+		diff |= v ^ c
+	}
+	for ; x < x1; x++ {
+		diff |= lifeCell(up, mid, dn, out, x)
+	}
+	return diff
+}
+
+// lifeCell is the rule for the one cell x; neighbours beyond the
+// world's side edges read as dead.
+func lifeCell(up, mid, dn, out []uint8, x int) uint64 {
+	n := up[x] + dn[x]
+	if x > 0 {
+		n += up[x-1] + mid[x-1] + dn[x-1]
+	}
+	if x < len(mid)-1 {
+		n += up[x+1] + mid[x+1] + dn[x+1]
+	}
+	c := uint64(mid[x])
+	v := lifeNext(uint64(n), c)
+	out[x] = uint8(v)
+	return v ^ c
+}
+
+// lanes has bit 0 of each of a word's eight byte cells set.
+const lanes = 0x0101010101010101
+
+// lifeNext maps each byte's live-neighbour count n (0–8, so sums never
+// carry into the next byte) and cell c (0 or 1) to the next cell: alive
+// iff (n|c) == 3, which is B3/S23 for a cell in {0, 1}. t is 0 exactly
+// there and at most 15, so adding 15 sets bit 4 of every other byte.
+func lifeNext(n, c uint64) uint64 {
+	t := (n | c) ^ 3*lanes
+	return ^(t + 15*lanes) >> 4 & lanes
 }

@@ -51,22 +51,27 @@ func sandSeed(_ *core.Ctx, b *board[uint32]) error {
 // re-enters the lazy frontier exactly when the eager variants would keep
 // iterating. Border cells (the absorbing rim) always stay zero.
 func sandStep(b *board[uint32], x, y, w, h int) bool {
-	active := false
+	var active uint32
 	dim := b.dim
 	for yy := y; yy < y+h; yy++ {
-		for xx := x; xx < x+w; xx++ {
-			idx := yy*dim + xx
-			if yy == 0 || yy == dim-1 || xx == 0 || xx == dim-1 {
-				b.next[idx] = 0
-				continue
-			}
-			v := b.cur[idx] % 4
-			v += b.cur[idx-1]/4 + b.cur[idx+1]/4 + b.cur[idx-dim]/4 + b.cur[idx+dim]/4
-			b.next[idx] = v
-			if v != b.cur[idx] || v >= 4 {
-				active = true
-			}
+		out := b.next[yy*dim:][:dim]
+		if yy == 0 || yy == dim-1 {
+			clear(out[x : x+w])
+			continue
+		}
+		if x == 0 {
+			out[0] = 0
+		}
+		if x+w == dim {
+			out[dim-1] = 0
+		}
+		up, mid, dn := b.cur[(yy-1)*dim:][:dim], b.cur[yy*dim:][:dim], b.cur[(yy+1)*dim:][:dim]
+		for xx := max(x, 1); xx < min(x+w, dim-1); xx++ {
+			c := mid[xx]
+			v := c%4 + mid[xx-1]/4 + mid[xx+1]/4 + up[xx]/4 + dn[xx]/4
+			out[xx] = v
+			active |= (v ^ c) | v>>2
 		}
 	}
-	return active
+	return active != 0
 }
