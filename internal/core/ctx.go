@@ -243,22 +243,9 @@ func (ctx *Ctx) EndTask(x, y, w, h, worker int) {
 //	}
 func (ctx *Ctx) ForIterations(nbIter int, body func(it int) bool) int {
 	done := 0
-	for it := 1; it <= nbIter; it++ {
-		// Cancellation is honored at iteration boundaries: the construct in
-		// flight finishes (workers join at its implicit barrier), so the
-		// pool is idle and reusable the moment the run returns.
-		if ctx.goCtx != nil && ctx.goCtx.Err() != nil {
-			break
-		}
-		iter := ctx.iters + it
-		ctx.curIter.Store(int32(iter))
-		if ctx.mon != nil {
-			ctx.mon.StartIteration(iter)
-		}
+	for it := 1; it <= nbIter && ctx.StartIteration(it); it++ {
 		cont := body(it)
-		if ctx.mon != nil {
-			ctx.mon.EndIteration()
-		}
+		ctx.EndIteration()
 		done = it
 		if !cont {
 			ctx.steady = true
@@ -266,6 +253,36 @@ func (ctx *Ctx) ForIterations(nbIter int, body func(it int) bool) int {
 		}
 	}
 	return done
+}
+
+// StartIteration opens iteration it (1-based) of the current compute
+// call, or returns false and opens nothing when the run is canceled.
+// Cancellation is honored at iteration boundaries: the construct in
+// flight finishes (workers join at its implicit barrier), so the pool is
+// idle and reusable the moment the run returns. An opened iteration
+// carries its absolute number (the iterations of earlier calls plus it)
+// into Iter, trace events and activity reports, and starts the
+// monitor's iteration; EndIteration closes it. ForIterations brackets
+// every iteration with the pair. A variant that keeps its iteration loop
+// inside one parallel region calls them from Single blocks, and its
+// members stop together when StartIteration says so.
+func (ctx *Ctx) StartIteration(it int) bool {
+	if ctx.goCtx != nil && ctx.goCtx.Err() != nil {
+		return false
+	}
+	iter := ctx.iters + it
+	ctx.curIter.Store(int32(iter))
+	if ctx.mon != nil {
+		ctx.mon.StartIteration(iter)
+	}
+	return true
+}
+
+// EndIteration closes the iteration StartIteration opened.
+func (ctx *Ctx) EndIteration() {
+	if ctx.mon != nil {
+		ctx.mon.EndIteration()
+	}
 }
 
 // Monitor exposes the per-iteration statistics collected so far (nil when

@@ -251,19 +251,23 @@ func mandelOmpTiled(ctx *core.Ctx, nbIter int) int {
 // literal structure of Fig. 2 ("#pragma omp parallel" around the iteration
 // loop, "#pragma omp for collapse(2)" inside, zoom under "#pragma omp
 // single"). Iteration bracketing must happen inside the region, so this
-// variant manages it through Single blocks rather than ForIterations.
+// variant opens and closes each iteration in Single blocks rather than
+// through ForIterations. Single's closing barrier publishes done to every
+// member, so on cancellation they all leave at the same boundary.
 func mandelTeam(ctx *core.Ctx, nbIter int) int {
 	dim := ctx.Dim()
 	v := mandelState(ctx)
-	mon := ctx.Monitor()
+	done := 0
 	ctx.Pool.Team(func(tc *sched.TeamCtx) {
 		for it := 1; it <= nbIter; it++ {
-			iter := it
 			tc.Single(func() {
-				if mon != nil {
-					mon.StartIteration(iter)
+				if ctx.StartIteration(it) {
+					done = it
 				}
 			})
+			if done < it {
+				return
+			}
 			im := ctx.Cur()
 			tc.ForTiles(ctx.Grid, ctx.Cfg.Schedule, func(x, y, w, h, worker int) {
 				ctx.StartTile(worker)
@@ -272,13 +276,11 @@ func mandelTeam(ctx *core.Ctx, nbIter int) int {
 			})
 			tc.Single(func() {
 				v.zoom()
-				if mon != nil {
-					mon.EndIteration()
-				}
+				ctx.EndIteration()
 			})
 		}
 	})
-	return nbIter
+	return done
 }
 
 // mandelTask expresses every tile as an independent task — no dependencies,
