@@ -99,7 +99,7 @@ func fireRow(up, mid, dn, out []uint8, x0, x1 int) uint64 {
 	le := binary.LittleEndian
 	var diff uint64
 	x := x0
-	if x == 0 && x < x1 {
+	if x == 0 {
 		diff |= fireCell(up, mid, dn, out, 0)
 		x = 1
 	}

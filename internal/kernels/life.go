@@ -112,7 +112,7 @@ func lifeRow(up, mid, dn, out []uint8, x0, x1 int) uint64 {
 	le := binary.LittleEndian
 	var diff uint64
 	x := x0
-	if x == 0 && x < x1 {
+	if x == 0 {
 		diff |= lifeCell(up, mid, dn, out, 0)
 		x = 1
 	}

@@ -2,12 +2,12 @@ package kernels
 
 // Bit-packed Game of Life: 64 cells per machine word, one bit per cell,
 // next-state computed branch-free with bit-parallel full adders ("life in
-// a register"). Where the byte-per-cell kernel executes a rule branch per
-// cell, this variant advances 64 cells per handful of word operations —
-// the kind of data-layout optimization the paper's §III-C asks students to
-// discover, and the showcase workload for the zero-overhead scheduling
-// core (DESIGN.md §5): at these speeds, dispatch overhead is the
-// difference the tiling experiments measure.
+// a register"). Where the byte-per-cell rule sums eight byte cells per
+// word (DESIGN.md §15, "Row routines"), this variant advances 64 cells per
+// handful of word operations — the kind of data-layout optimization the
+// paper's §III-C asks students to discover, and the showcase workload for
+// the zero-overhead scheduling core (DESIGN.md §5): at these speeds,
+// dispatch overhead is the difference the tiling experiments measure.
 
 import (
 	"sync/atomic"

@@ -54,6 +54,8 @@ func sandStep(b *board[uint32], x, y, w, h int) bool {
 	var active uint32
 	dim := b.dim
 	for yy := y; yy < y+h; yy++ {
+		// Rows sliced to length dim let the compiler drop most bounds
+		// checks in the cell loop.
 		out := b.next[yy*dim:][:dim]
 		if yy == 0 || yy == dim-1 {
 			clear(out[x : x+w])

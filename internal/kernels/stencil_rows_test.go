@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"time"
 
 	"easypap/internal/core"
 )
@@ -212,7 +211,6 @@ func BenchmarkStencilRules(b *testing.B) {
 			cfg := core.Config{Kernel: s.kernel, Variant: "seq", Arg: s.arg, Dim: s.dim,
 				TileW: s.dim, TileH: s.dim, Iterations: s.iters, Threads: 1, NoDisplay: true}
 			var cells int64
-			start := time.Now()
 			for i := 0; i < b.N; i++ {
 				out, err := core.Run(cfg)
 				if err != nil {
@@ -220,7 +218,7 @@ func BenchmarkStencilRules(b *testing.B) {
 				}
 				cells += int64(out.Result.Iterations) * int64(s.dim*s.dim)
 			}
-			b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(cells), "ns/cell")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cell")
 		})
 	}
 }
