@@ -30,7 +30,7 @@
 // The daemon binds its port before it opens the data directory,
 // recovers journaled jobs or starts probing peers, so a taken port
 // fails at once and changes nothing, and a peer's probe reaches a
-// listener from this node's first announcement on. Daemons started as
+// listener from this node's first gossip exchange on. Daemons started as
 // separate processes can still probe a peer before that peer listens:
 // the contact fails and the peer is suspected until the next probe
 // round refutes it.
@@ -65,7 +65,8 @@
 // into one image, so a sharded run is byte-identical to a single-node
 // run and caches under the same config hash. A shard node dying mid-job
 // fails the job within -halo-timeout with error_kind "shard_failed";
-// clients (serve/client RunConfigSharded) resubmit unsharded.
+// clients recognize it (serve/client ShardFailed) and resubmit the same
+// config unsharded.
 //
 //	curl -s -X POST hostA:8080/v1/jobs -d '{"config":{"kernel":"life",
 //	     "variant":"mpi_omp","dim":512,"iterations":100},"shards":3}'
@@ -157,7 +158,7 @@ func run(args []string) error {
 		idlePools = fs.Int("idle-pools", 4, "warm pools kept per thread count (0 keeps the default 4; -cold-pools disables reuse)")
 		coldPools = fs.Bool("cold-pools", false, "disable warm-pool reuse (every job builds its own pool)")
 		recvTO    = fs.Duration("mpi-recv-timeout", 2*time.Second, "MPI receive watchdog for distributed jobs")
-		haloTO    = fs.Duration("halo-timeout", 2*time.Second, "sharded jobs: how long a shard waits for a neighbor's halo before declaring the peer lost")
+		haloTO    = fs.Duration("halo-timeout", 2*time.Second, "sharded jobs: how long a shard waits for a neighbor's halo, or for a halo send to be answered, before declaring the peer lost")
 		self      = fs.String("self", "", "cluster mode: this node's advertised base URL (e.g. http://10.0.0.3:8080)")
 		peers     = fs.String("peers", "", "cluster mode: comma-separated peer base URLs")
 		join      = fs.String("join", "", "cluster mode: comma-separated seed URLs of any live members; gossip spreads the join to the whole fleet")
@@ -188,9 +189,9 @@ func run(args []string) error {
 	}
 
 	// Bind first: a taken port fails before the store is opened, jobs
-	// are recovered or the cluster prober announces this node, and peers
-	// probing this node from now on reach a listener (their requests
-	// wait in the accept queue until Serve starts).
+	// are recovered or the cluster prober gossips with its seeds, and
+	// peers probing this node from now on reach a listener (their
+	// requests wait in the accept queue until Serve starts).
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err

@@ -104,8 +104,8 @@
 // The shard count is advisory (clamped to healthy peers and band rows;
 // never part of the cache key). If a shard node dies mid-job the
 // coordinator fails the job within the halo timeout with
-// error_kind="shard_failed"; client.RunConfigSharded resubmits such
-// failures unsharded automatically.
+// error_kind="shard_failed"; client.ShardFailed recognizes such a
+// failure, and the same config resubmitted unsharded succeeds.
 //
 // # Durability
 //

@@ -185,8 +185,7 @@ func (c *Client) Submit(ctx context.Context, cfg core.Config, frames bool) (*ser
 // (mpi-variant) job across up to that many nodes. Advisory — a daemon
 // that cannot shard runs the job locally. A job that fails with
 // ErrorKind "shard_failed" (a shard node died mid-run) should be
-// resubmitted unsharded; ShardFailed and RunConfigSharded wrap that
-// protocol.
+// resubmitted unsharded; ShardFailed recognizes it.
 func (c *Client) SubmitShards(ctx context.Context, cfg core.Config, frames bool, shards int) (*serve.JobStatus, error) {
 	var st serve.JobStatus
 	req := serve.SubmitRequest{Config: cfg, Frames: frames, Shards: shards}
@@ -357,38 +356,4 @@ func (c *Client) RunConfig(cfg core.Config) (core.Result, error) {
 // config is expected to succeed resubmitted unsharded.
 func ShardFailed(st *serve.JobStatus) bool {
 	return st != nil && st.State == serve.JobFailed && st.ErrorKind == serve.ErrorKindShardFailed
-}
-
-// RunConfigSharded submits cfg for distributed execution across shards
-// nodes, waits, and returns the terminal status. When the sharded run
-// fails with the typed shard-failure kind — a participant died or
-// partitioned mid-job — the job is resubmitted unsharded, which cannot
-// lose a peer; any other failure is returned as-is. The fallback is
-// correct because sharding never changes results (byte-identical by
-// construction) or cache keys.
-func (c *Client) RunConfigSharded(ctx context.Context, cfg core.Config, shards int) (*serve.JobStatus, error) {
-	st, err := c.SubmitShards(ctx, cfg, false, shards)
-	if err != nil {
-		return nil, err
-	}
-	if !st.State.Terminal() {
-		if st, err = c.Wait(ctx, st.ID); err != nil {
-			return nil, err
-		}
-	}
-	if !ShardFailed(st) {
-		return st, nil
-	}
-	// Typed shard failure: same config, unsharded. The result cache is
-	// keyed identically, so nothing about the retry is special.
-	st, err = c.Submit(ctx, cfg, false)
-	if err != nil {
-		return nil, err
-	}
-	if !st.State.Terminal() {
-		if st, err = c.Wait(ctx, st.ID); err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
 }

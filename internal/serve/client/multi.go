@@ -61,17 +61,6 @@ func NewMulti(bases ...string) *Multi {
 	return m
 }
 
-// Endpoints returns the configured base URLs.
-func (m *Multi) Endpoints() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]string, len(m.clients))
-	for i, c := range m.clients {
-		out[i] = c.Base
-	}
-	return out
-}
-
 // RefreshRing fetches the membership view from the first endpoint that
 // answers and rebuilds the hash-aware routing table. Against a
 // single-node daemon (no cluster layer) every endpoint 404s and Multi

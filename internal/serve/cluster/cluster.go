@@ -32,11 +32,13 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"slices"
 	"sort"
@@ -69,9 +71,9 @@ type Options struct {
 	// Self is this node's advertised base URL (e.g. "http://10.0.0.3:8080"),
 	// the address peers use to reach it. Required.
 	Self string
-	// Peers are the other members' base URLs (Self may be included; it is
-	// recognized and deduplicated). Static membership: the list every node
-	// is started with should agree.
+	// Peers are seed members' base URLs (Self may be included; it is
+	// recognized and deduplicated). The lists need not agree: gossip
+	// spreads every member to every node, so one live seed suffices.
 	Peers []string
 	// VirtualNodes is the ring points per node (DefaultVirtualNodes if 0).
 	VirtualNodes int
@@ -100,9 +102,9 @@ type Options struct {
 	// RebalanceBPS caps rebalance transfer bandwidth in bytes/second
 	// (default 8 MiB/s; negative disables the rebalancer).
 	RebalanceBPS int64
-	// HTTP is the client used for proxying, gossip and replication. The
-	// default has no overall timeout (frame-stream proxies are
-	// long-lived); probes are bounded per-request.
+	// HTTP is the client of every request to a peer. The default has no
+	// overall timeout (frame-stream proxies are long-lived); every other
+	// request is bounded by its own deadline (Node.call).
 	HTTP *http.Client
 }
 
@@ -244,7 +246,7 @@ func NewNode(mgr *serve.Manager, opts Options) (*Node, error) {
 	self.lastSeen.Store(time.Now().UnixNano())
 	n.members[n.id] = self
 	for _, p := range opts.Peers {
-		n.addMemberLocked(p)
+		n.addSeed(p)
 	}
 	n.rebuildRingLocked()
 	n.registerObs()
@@ -287,34 +289,22 @@ func (n *Node) Close() {
 // RingVersion returns the ring-swap counter (the convergence clock).
 func (n *Node) RingVersion() uint64 { return n.ringVersion.Load() }
 
-// addMemberLocked registers a peer URL; the caller holds no lock during
-// NewNode (single-threaded) or n.mu elsewhere. Returns true when new.
-func (n *Node) addMemberLocked(baseURL string) bool {
+// addSeed registers a seed peer URL. NewNode calls it before the node is
+// shared, so it takes no lock; members learned later arrive through the
+// gossip merge (applyRemoteLocked).
+func (n *Node) addSeed(baseURL string) {
 	baseURL = strings.TrimRight(baseURL, "/")
 	if baseURL == "" {
-		return false
+		return
 	}
 	id := NodeID(baseURL)
 	if _, ok := n.members[id]; ok {
-		return false
+		return
 	}
 	// Optimistic start: new members begin alive (the zero state) and the
 	// prober demotes dead peers, so a cluster booting in any order routes
 	// correctly as soon as peers are up.
 	n.members[id] = &member{id: id, url: baseURL}
-	return true
-}
-
-// AddMember registers a peer at runtime (the join endpoint) and rebuilds
-// the ring. Returns true when the peer was new.
-func (n *Node) AddMember(baseURL string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.addMemberLocked(baseURL) {
-		return false
-	}
-	n.rebuildRingLocked()
-	return true
 }
 
 // rebuildRingLocked rebuilds the ring over the non-dead members,
@@ -382,14 +372,6 @@ func (n *Node) candidates(key uint64) []*member {
 	return append(alive, suspect...)
 }
 
-// markDown records a failed contact with a peer: proxy and probe
-// failures both land here, so a dead node is demoted (to suspect — only
-// the SuspectTimeout sweep declares dead) on first contact rather than
-// on the next probe tick.
-func (n *Node) markDown(m *member) {
-	n.suspect(m)
-}
-
 // markUp records a successful direct contact. It only refreshes
 // liveness bookkeeping — state revival flows through gossip merge, so
 // a one-off lucky response to a proxied request cannot resurrect a
@@ -400,11 +382,76 @@ func (n *Node) markUp(m *member) {
 	m.nextProbe.Store(0)
 }
 
+// --- requests to a peer -----------------------------------------------
+
+// jsonLimit bounds a peer's JSON answer: a gossip view, stats, a trace.
+const jsonLimit = 4 << 20
+
+// peerCall is one bounded request to a peer (Node.call).
+type peerCall struct {
+	method, url string
+	body        []byte // sent as ctype when non-nil
+	ctype       string
+	traceID     string // sent as serve.TraceHeader when set
+	limit       int64  // most response bytes read
+	ok          []int  // accepted statuses (200 alone when empty)
+}
+
+// statusError is a peer's answer with a status its caller does not
+// accept.
+type statusError struct {
+	url  string
+	code int
+}
+
+func (e *statusError) Error() string {
+	return fmt.Sprintf("cluster: %s answered HTTP %d", e.url, e.code)
+}
+
+// call makes one bounded request to a peer. Every node-to-node exchange
+// goes through it except the two stream relays (proxy, pumpEdge), which
+// have no deadline by design. ctx carries the caller's deadline. call
+// returns at most pc.limit bytes of the response body, and on every path
+// reads the body up to that limit and closes it. It only moves bytes:
+// what a failure says about the peer is the caller's to record.
+func (n *Node) call(ctx context.Context, pc peerCall) ([]byte, error) {
+	var body io.Reader
+	if pc.body != nil {
+		body = bytes.NewReader(pc.body)
+	}
+	req, err := http.NewRequestWithContext(ctx, pc.method, pc.url, body)
+	if err != nil {
+		return nil, err
+	}
+	if pc.body != nil {
+		req.Header.Set("Content-Type", pc.ctype)
+	}
+	if pc.traceID != "" {
+		req.Header.Set(serve.TraceHeader, pc.traceID)
+	}
+	resp, err := n.opts.HTTP.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	var data []byte
+	if resp.ContentLength != 0 { // a bodiless answer, such as a halo's 204, needs no buffer
+		data, err = io.ReadAll(io.LimitReader(resp.Body, pc.limit))
+	}
+	resp.Body.Close()
+	ok := pc.ok
+	if len(ok) == 0 {
+		ok = []int{http.StatusOK}
+	}
+	if !slices.Contains(ok, resp.StatusCode) {
+		return nil, &statusError{url: pc.url, code: resp.StatusCode}
+	}
+	return data, err
+}
+
 // --- gossip probing ---------------------------------------------------
 
 func (n *Node) probeLoop() {
 	defer n.wg.Done()
-	n.announce() // tell configured peers we exist (no-op if they know)
 	n.probeAll()
 	ticker := time.NewTicker(n.opts.ProbeInterval)
 	defer ticker.Stop()
@@ -444,66 +491,7 @@ func (n *Node) probeAll() {
 	wg.Wait()
 }
 
-// announce joins this node to every known peer and merges the
-// membership each returns, so a node pointed at any live member learns
-// the whole cluster. Rounds repeat while the merge keeps teaching us
-// new members (bounded: membership only grows), so members discovered
-// *from* a join response are announced to as well — otherwise they
-// would never learn about us and the cluster would run with divergent
-// rings. Best-effort: static --peers lists remain the source of truth
-// when every node is started with the full list.
-func (n *Node) announce() {
-	announced := map[string]bool{n.id: true}
-	for round := 0; round < 8; round++ {
-		if !n.announceRound(announced) {
-			return // everyone known has been told
-		}
-	}
-}
-
-// announceRound joins to every not-yet-announced member and returns
-// whether any new announcements were made.
-func (n *Node) announceRound(announced map[string]bool) bool {
-	_, ms := n.snapshot()
-	progressed := false
-	for _, m := range ms {
-		if m.self || announced[m.id] {
-			continue
-		}
-		announced[m.id] = true
-		progressed = true
-		ctx, cancel := context.WithTimeout(context.Background(), n.opts.ProbeTimeout)
-		body, _ := json.Marshal(JoinRequest{URL: n.opts.Self})
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.url+"/v1/cluster/join", strings.NewReader(string(body)))
-		if err != nil {
-			cancel()
-			continue
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := n.opts.HTTP.Do(req)
-		cancel()
-		if err != nil {
-			continue
-		}
-		var mem Membership
-		if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&mem) == nil {
-			for _, mi := range mem.Members {
-				if mi.URL != "" {
-					n.AddMember(mi.URL)
-				}
-			}
-		}
-		resp.Body.Close()
-	}
-	return progressed
-}
-
 // --- wire types ------------------------------------------------------
-
-// JoinRequest is the POST /v1/cluster/join body.
-type JoinRequest struct {
-	URL string `json:"url"`
-}
 
 // HealthInfo is the GET /v1/cluster/health body: liveness plus cache
 // warmth, so peers (and operators) can see that a restarted node still
@@ -743,20 +731,12 @@ func (n *Node) AggregateStats(ctx context.Context) ClusterAggregate {
 func (n *Node) fetchStats(ctx context.Context, m *member) (*NodeStats, error) {
 	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.url+"/v1/stats", nil)
+	data, err := n.call(ctx, peerCall{method: http.MethodGet, url: m.url + "/v1/stats", limit: jsonLimit})
 	if err != nil {
 		return nil, err
-	}
-	resp, err := n.opts.HTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: %s returned %s", m.url, resp.Status)
 	}
 	var st NodeStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil

@@ -131,7 +131,7 @@ func (n *Node) pumpEdge(ctx context.Context, es *edgeStream, m *member, fullID s
 	req.Header.Set(HopHeader, n.id)
 	resp, err := n.opts.HTTP.Do(req)
 	if err != nil {
-		n.markDown(m)
+		n.suspect(m)
 		es.err = fmt.Errorf("cluster: node %s (%s) unreachable: %w", m.id, m.url, err)
 		close(es.ready)
 		return

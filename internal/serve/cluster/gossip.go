@@ -143,8 +143,9 @@ func (n *Node) applyRemoteLocked(gm GossipMember, claimed int32) bool {
 	m, ok := n.members[gm.ID]
 	if !ok {
 		// A member we have never heard of: adopt the claim as-is. This is
-		// how --join propagates — the joining node appears in its contact
-		// peer's view and every gossip exchange spreads it further.
+		// how --join propagates — a joiner's first exchange with its seed
+		// carries its self-report, and every later exchange spreads it
+		// further.
 		url := strings.TrimRight(gm.URL, "/")
 		if NodeID(url) != gm.ID {
 			return false // id must be derivable from the URL; drop forgeries
@@ -243,27 +244,16 @@ func (n *Node) gossipWith(m *member) bool {
 			n.gossipHist.Observe(time.Since(begin).Nanoseconds())
 		}
 	}()
-	ctx, cancel := context.WithTimeout(context.Background(), n.opts.ProbeTimeout)
-	defer cancel()
 	body, err := json.Marshal(n.view())
 	if err != nil {
 		return false
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.url+"/v1/cluster/gossip", strings.NewReader(string(body)))
-	if err != nil {
-		return false
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.opts.HTTP.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false
-	}
+	ctx, cancel := context.WithTimeout(context.Background(), n.opts.ProbeTimeout)
+	defer cancel()
+	data, err := n.call(ctx, peerCall{method: http.MethodPost, url: m.url + "/v1/cluster/gossip",
+		body: body, ctype: "application/json", limit: jsonLimit})
 	var peer GossipView
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<22)).Decode(&peer); err != nil {
+	if err != nil || json.Unmarshal(data, &peer) != nil {
 		return false
 	}
 	if peer.From.ID != "" && peer.From.ID != m.id {
@@ -277,7 +267,9 @@ func (n *Node) gossipWith(m *member) bool {
 // suspect marks a failed contact: alive members degrade to suspect
 // (ring unchanged — flapping must not move keys), suspect members are
 // left to the SuspectTimeout sweep, dead members just extend their
-// probe backoff. The suspicion spreads on the next gossip rounds.
+// probe backoff. The suspicion spreads on the next gossip rounds. Probe,
+// proxy, edge and shard-start failures all land here, so a dead node is
+// demoted on first contact rather than on the next probe tick.
 func (n *Node) suspect(m *member) {
 	if m.self {
 		return

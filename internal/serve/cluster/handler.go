@@ -18,8 +18,8 @@ import (
 // Handler serves the cluster-mode /v1 API. It is a superset of the
 // single-node API (internal/serve/http.go): the job endpoints route by
 // ring ownership and job-id prefix, /v1/stats gains a "cluster"
-// section, and /v1/cluster* expose membership, health, join and the
-// aggregated view.
+// section, and /v1/cluster* expose membership, health, the gossip
+// exchange and the aggregated view.
 //
 //	POST   /v1/jobs                submit — proxied to the ring owner
 //	GET    /v1/jobs/{id}           status — follows the id's node prefix
@@ -32,7 +32,6 @@ import (
 //	GET    /v1/cluster             membership + health view
 //	GET    /v1/cluster/health      liveness probe
 //	POST   /v1/cluster/gossip      SWIM view exchange (the probe wire)
-//	POST   /v1/cluster/join        add a member {"url": "..."}
 //	GET    /v1/cluster/stats       cluster-aggregated stats
 //	GET    /v1/cluster/owner/{hash} ring ownership of a config hash
 //	GET    /v1/cluster/entries     local durable entry hashes
@@ -114,15 +113,6 @@ func (n *Node) Handler() http.Handler {
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})
-	mux.HandleFunc("POST /v1/cluster/join", func(w http.ResponseWriter, r *http.Request) {
-		var req JoinRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil || req.URL == "" {
-			serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("cluster: join needs {\"url\": \"...\"}"))
-			return
-		}
-		n.AddMember(req.URL)
-		serve.WriteJSON(w, http.StatusOK, n.Membership())
-	})
 	mux.HandleFunc("GET /v1/cluster/stats", func(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSON(w, http.StatusOK, n.AggregateStats(r.Context()))
 	})
@@ -201,7 +191,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		n.observeSpan(n.proxyHist, traceID, serve.StageProxy, m.id, begin, time.Now(), err)
 		// The replica is unreachable (or draining): demote it and walk on.
-		n.markDown(m)
+		n.suspect(m)
 		n.failovers.Add(1)
 		lastErr = err
 	}
@@ -312,7 +302,7 @@ func (n *Node) proxyJobRequest(w http.ResponseWriter, r *http.Request, nodeID, p
 	if ok {
 		return
 	}
-	n.markDown(m)
+	n.suspect(m)
 	serve.WriteError(w, http.StatusBadGateway,
 		fmt.Errorf("cluster: node %s (%s) unreachable: %v", m.id, m.url, err))
 }

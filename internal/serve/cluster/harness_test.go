@@ -503,7 +503,7 @@ func lastFrames(t *testing.T, submit func() (string, *client.Client)) [][]byte {
 }
 
 // TestClusterJoinMerge: a node pointed at a single member learns the
-// whole cluster through the join handshake.
+// whole cluster through its first gossip exchange with that member.
 func TestClusterJoinMerge(t *testing.T) {
 	tc := startCluster(t, 2, serve.Options{Workers: 1, QueueDepth: 8})
 

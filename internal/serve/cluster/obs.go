@@ -8,7 +8,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -153,21 +152,9 @@ func (n *Node) TraceJob(ctx context.Context, id string) (*serve.TraceDoc, error)
 func (n *Node) remoteTraceID(ctx context.Context, m *member, id string) string {
 	ctx, cancel := context.WithTimeout(ctx, replTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.url+"/v1/trace/"+id+"?scope=local", nil)
-	if err != nil {
-		return ""
-	}
-	req.Header.Set(HopHeader, n.id)
-	resp, err := n.opts.HTTP.Do(req)
-	if err != nil {
-		return ""
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return ""
-	}
+	data, err := n.call(ctx, peerCall{method: http.MethodGet, url: m.url + "/v1/trace/" + id + "?scope=local", limit: jsonLimit})
 	var doc serve.TraceDoc
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<22)).Decode(&doc); err != nil {
+	if err != nil || json.Unmarshal(data, &doc) != nil {
 		return ""
 	}
 	return doc.TraceID
@@ -179,20 +166,9 @@ func (n *Node) remoteTraceID(ctx context.Context, m *member, id string) string {
 func (n *Node) remoteSpans(ctx context.Context, m *member, traceID string) []trace.Span {
 	ctx, cancel := context.WithTimeout(ctx, replTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.url+"/v1/cluster/spans/"+traceID, nil)
-	if err != nil {
-		return nil
-	}
-	resp, err := n.opts.HTTP.Do(req)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
+	data, err := n.call(ctx, peerCall{method: http.MethodGet, url: m.url + "/v1/cluster/spans/" + traceID, limit: jsonLimit})
 	var spans []trace.Span
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<22)).Decode(&spans); err != nil {
+	if err != nil || json.Unmarshal(data, &spans) != nil {
 		return nil
 	}
 	return spans

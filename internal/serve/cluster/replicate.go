@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -126,21 +125,10 @@ func (n *Node) push(key string, body []byte, traceID string) {
 func (n *Node) putRemoteEntry(m *member, hash string, body []byte, traceID string) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), replTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, m.url+"/v1/cluster/entries/"+hash, bytes.NewReader(body))
-	if err != nil {
-		return false
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if traceID != "" {
-		req.Header.Set(serve.TraceHeader, traceID)
-	}
-	resp, err := n.opts.HTTP.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNoContent
+	_, err := n.call(ctx, peerCall{method: http.MethodPut, url: m.url + "/v1/cluster/entries/" + hash,
+		body: body, ctype: "application/octet-stream", traceID: traceID,
+		limit: 1 << 16, ok: []int{http.StatusOK, http.StatusNoContent}})
+	return err == nil
 }
 
 // fetchEntry is the manager's replica tier (ClusterHooks.Fetch): on a
@@ -181,22 +169,8 @@ func (n *Node) fetchEntry(hash, traceID string) (*store.Entry, []byte) {
 func (n *Node) getRemoteEntry(m *member, hash, traceID string) (*store.Entry, []byte) {
 	ctx, cancel := context.WithTimeout(context.Background(), replTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.url+"/v1/cluster/entries/"+hash, nil)
-	if err != nil {
-		return nil, nil
-	}
-	if traceID != "" {
-		req.Header.Set(serve.TraceHeader, traceID)
-	}
-	resp, err := n.opts.HTTP.Do(req)
-	if err != nil {
-		return nil, nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, nil
-	}
-	wire, err := io.ReadAll(io.LimitReader(resp.Body, 1<<30))
+	wire, err := n.call(ctx, peerCall{method: http.MethodGet, url: m.url + "/v1/cluster/entries/" + hash,
+		traceID: traceID, limit: 1 << 30})
 	if err != nil {
 		return nil, nil
 	}
@@ -211,20 +185,12 @@ func (n *Node) getRemoteEntry(m *member, hash, traceID string) (*store.Entry, []
 func (n *Node) remoteHashes(m *member) (map[string]bool, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), replTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.url+"/v1/cluster/entries", nil)
+	data, err := n.call(ctx, peerCall{method: http.MethodGet, url: m.url + "/v1/cluster/entries", limit: 1 << 24})
 	if err != nil {
 		return nil, err
-	}
-	resp, err := n.opts.HTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: %s entries list returned %s", m.url, resp.Status)
 	}
 	var body EntryList
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<24)).Decode(&body); err != nil {
+	if err := json.Unmarshal(data, &body); err != nil {
 		return nil, err
 	}
 	set := make(map[string]bool, len(body.Hashes))

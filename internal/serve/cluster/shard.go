@@ -22,16 +22,15 @@ package cluster
 //     engine exchanges boundary rows directly between neighbor ranks
 //     (coordinator not in the loop), and the per-iteration convergence
 //     vote rides the same wire,
-//  4. finish: rank 0's GatherBands stitches the final image; deferred
-//     abort POSTs tear down any session still live on a peer (no-ops on
-//     the common path where every rank completed).
+//  4. finish: rank 0's GatherBands stitches the final image. A rank that
+//     completes unregisters its own session, so only a failed rank 0 run
+//     POSTs aborts to tear down the sessions still live on its peers.
 //
 // A rank lost mid-run surfaces as serve.ErrShardFailed within the halo
 // timeout — the job fails typed (ErrorKind "shard_failed"), and the
 // client resubmits unsharded.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -75,7 +74,7 @@ func (n *Node) runSharded(ctx context.Context, job serve.ShardJob) (*core.RunOut
 
 	// Rank 0 is registered before any remote rank starts, so a remote
 	// rank's first halo to it never arrives ahead of its session.
-	rank0, err := n.mgr.PrepareShard(ctx, mkReq(0), n.opts.HTTP)
+	rank0, err := n.mgr.PrepareShard(ctx, mkReq(0), n.sendHalo)
 	if err != nil {
 		return nil, true, err
 	}
@@ -88,19 +87,17 @@ func (n *Node) runSharded(ctx context.Context, job serve.ShardJob) (*core.RunOut
 				n.abortRemoteShard(m, session, "coordinator start failed")
 			}
 			rank0.Release()
-			n.markDown(ranks[rank])
+			n.suspect(ranks[rank])
 			return nil, false, nil
 		}
 		started = append(started, ranks[rank])
 	}
-	defer func() {
-		// Best-effort teardown: a rank that completed normally already
-		// unregistered its session, so these are no-ops on the happy path.
-		for _, m := range started {
-			n.abortRemoteShard(m, session, "coordinator finished")
-		}
-	}()
 	out, err := rank0.Run(job.Sink, job.OnActivity)
+	if err != nil {
+		for _, m := range started {
+			n.abortRemoteShard(m, session, "coordinator run failed")
+		}
+	}
 	return out, true, err
 }
 
@@ -163,43 +160,51 @@ func (n *Node) startRemoteShard(ctx context.Context, m *member, req serve.StartS
 	}
 	ctx, cancel := context.WithTimeout(ctx, shardStartTimeout)
 	defer cancel()
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, m.url+"/v1/shard/start", bytes.NewReader(body))
-	if err != nil {
+	if _, err := n.call(ctx, peerCall{method: http.MethodPost, url: m.url + "/v1/shard/start",
+		body: body, ctype: "application/json", traceID: req.TraceID,
+		limit: 4096, ok: []int{http.StatusAccepted}}); err != nil {
 		return err
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	if req.TraceID != "" {
-		hr.Header.Set(serve.TraceHeader, req.TraceID)
-	}
-	resp, err := n.opts.HTTP.Do(hr)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("cluster: %s refused shard start: HTTP %d", m.url, resp.StatusCode)
 	}
 	n.markUp(m)
 	return nil
 }
 
-// abortRemoteShard tears a session down on a peer, best-effort.
+// abortRemoteShard tears a session down on a peer, best-effort: a peer
+// that cannot be told still fails the session within its halo timeout.
 func (n *Node) abortRemoteShard(m *member, session, reason string) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	target := m.url + "/v1/shard/abort?session=" + url.QueryEscape(session) +
 		"&reason=" + url.QueryEscape(reason)
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, target, nil)
-	if err != nil {
-		return
+	_, _ = n.call(ctx, peerCall{method: http.MethodPost, url: target, limit: 4096, ok: []int{http.StatusNoContent}})
+}
+
+// sendHalo is the serve.HaloSender of this node's shard ranks: it POSTs
+// one EZMSG1 frame to rank dst's halo endpoint within ctx, which serve
+// bounds by the halo timeout and cancels with the session. A 404 or 503
+// means the peer is up but the session is not registered there yet
+// (start order) or its manager is momentarily unavailable, so the send
+// retries every 10 ms until ctx ends; any other failure is final.
+func (n *Node) sendHalo(ctx context.Context, req *serve.StartShardRequest, dst int, frame []byte) error {
+	peer := strings.TrimRight(req.Peers[dst], "/")
+	target := peer + "/v1/shard/halo?session=" + url.QueryEscape(req.Session)
+	for {
+		_, err := n.call(ctx, peerCall{method: http.MethodPost, url: target,
+			body: frame, ctype: "application/x-easypap-halo", traceID: req.TraceID,
+			limit: 4096, ok: []int{http.StatusNoContent, http.StatusOK}})
+		if err == nil {
+			return nil
+		}
+		var se *statusError
+		if !errors.As(err, &se) || (se.code != http.StatusNotFound && se.code != http.StatusServiceUnavailable) {
+			return fmt.Errorf("halo to rank %d (%s): %w", dst, peer, err)
+		}
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("halo to rank %d (%s): session not ready (HTTP %d): %w", dst, peer, se.code, ctx.Err())
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
-	resp, err := n.opts.HTTP.Do(hr)
-	if err != nil {
-		return
-	}
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
 }
 
 // --- HTTP endpoints ---------------------------------------------------
@@ -212,7 +217,7 @@ func (n *Node) handleShardStart(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("decoding shard start: %w", err))
 		return
 	}
-	if err := n.mgr.StartShard(req, n.opts.HTTP); err != nil {
+	if err := n.mgr.StartShard(req, n.sendHalo); err != nil {
 		code := http.StatusBadRequest
 		switch {
 		case errors.Is(err, serve.ErrShardExists):

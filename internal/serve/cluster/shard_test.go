@@ -10,11 +10,11 @@ package cluster_test
 //     same normalized config,
 //   - frontier-awareness: a sparse board (one blinker) must skip more
 //     halo exchanges than it performs, without changing the output,
-//   - chaos: killing a shard node (or partitioning two shard neighbors)
-//     mid-job must fail the job with the typed "shard_failed" error
-//     within the halo timeout — never a hang — drain every shard
-//     session and goroutine, and let the client resubmit unsharded
-//     successfully.
+//   - chaos: killing a shard node, partitioning two shard neighbors or
+//     holding the coordinator's requests to one of them mid-job must
+//     fail the job with the typed "shard_failed" error within the halo
+//     timeout — never a hang — drain every shard session and goroutine,
+//     and let the client resubmit unsharded successfully.
 
 import (
 	"bufio"
@@ -201,16 +201,21 @@ func TestShardedSparseSkipsHalos(t *testing.T) {
 // shardProbe is a cluster transport for the start-order tests. It
 // counts the /v1/shard/halo responses that are 404: a halo that reached
 // a node before its rank's session was registered there, which the
-// sender retries after a pause. With refuseStart it answers every
-// /v1/shard/start with 503 instead of sending it.
+// sender retries after a pause. It also counts /v1/shard/abort
+// requests. With refuseStart it answers every /v1/shard/start with 503
+// instead of sending it.
 type shardProbe struct {
 	refuseStart bool
 	haloMisses  atomic.Int64
+	aborts      atomic.Int64
 }
 
 func (p *shardProbe) RoundTrip(r *http.Request) (*http.Response, error) {
 	if p.refuseStart && r.URL.Path == "/v1/shard/start" {
 		return &http.Response{StatusCode: http.StatusServiceUnavailable, Body: http.NoBody, Request: r}, nil
+	}
+	if r.URL.Path == "/v1/shard/abort" {
+		p.aborts.Add(1)
 	}
 	resp, err := http.DefaultTransport.RoundTrip(r)
 	if err == nil && r.URL.Path == "/v1/shard/halo" && resp.StatusCode == http.StatusNotFound {
@@ -223,7 +228,8 @@ func (p *shardProbe) RoundTrip(r *http.Request) (*http.Response, error) {
 // rank 0's session before it starts the remote rank, so in a two-node
 // cluster no halo ever finds its session missing. Were rank 0 registered
 // only after the remote start, the remote rank's first halos would race
-// it, get 404 and wait out a retry pause.
+// it, get 404 and wait out a retry pause. A remote rank that completes
+// unregisters its own session, so no successful job sends an abort.
 func TestShardedStartRegistersCoordinatorFirst(t *testing.T) {
 	probe := &shardProbe{}
 	tc := startClusterHTTP(t, 2, serve.Options{Workers: 2, QueueDepth: 16}, &http.Client{Transport: probe})
@@ -250,6 +256,9 @@ func TestShardedStartRegistersCoordinatorFirst(t *testing.T) {
 	}
 	if n := probe.haloMisses.Load(); n != 0 {
 		t.Errorf("%d halos over %d two-shard jobs got 404: a rank's session was not registered before its peer's halos arrived", n, jobs)
+	}
+	if n := probe.aborts.Load(); n != 0 {
+		t.Errorf("%d aborts sent over %d successful two-shard jobs, want 0", n, jobs)
 	}
 }
 
@@ -398,6 +407,9 @@ type shardChaosCluster struct {
 	srvs   []*httptest.Server
 	chaos  []*chaosnet.Transport
 	killed []bool
+	// heal, when an injected fault sets it, lifts the fault before the
+	// unsharded resubmit, which the fault would otherwise stall.
+	heal func()
 }
 
 func startShardChaosCluster(t *testing.T, n int) *shardChaosCluster {
@@ -601,6 +613,9 @@ func runShardChaos(t *testing.T, inject func(sc *shardChaosCluster, owner int)) 
 	}
 
 	sc.drainAssert(baseline)
+	if sc.heal != nil {
+		sc.heal()
+	}
 
 	// The typed error's contract: the same config resubmitted unsharded
 	// must succeed. Bound the iteration count so the retry finishes.
@@ -637,5 +652,17 @@ func TestShardChaosKillNode(t *testing.T) {
 func TestShardChaosNeighborPartition(t *testing.T) {
 	runShardChaos(t, func(sc *shardChaosCluster, owner int) {
 		sc.partition((owner+1)%3, (owner+2)%3)
+	})
+}
+
+// TestShardChaosSilentNeighbor: the coordinator's requests to one shard
+// node are held, so that peer neither answers nor refuses. A halo send
+// to it must fail the job within the halo timeout as a refused one does,
+// not wait out the hold.
+func TestShardChaosSilentNeighbor(t *testing.T) {
+	runShardChaos(t, func(sc *shardChaosCluster, owner int) {
+		held := sc.hosts[(owner+1)%3]
+		sc.chaos[owner].Delay(held, 20*time.Second)
+		sc.heal = func() { sc.chaos[owner].Delay(held, 0) }
 	})
 }

@@ -108,10 +108,10 @@ type Options struct {
 	// (zero keeps mpi.DefaultRecvTimeout).
 	RecvTimeout time.Duration
 	// HaloTimeout bounds how long a shard rank of a distributed job waits
-	// for a neighbor's halo message (or for a peer's session to appear)
-	// before declaring the peer lost and aborting the session (default
-	// 2s). It is the upper bound on how long a shard-node death can stall
-	// the coordinating job.
+	// for a neighbor's halo message, and how long one halo send may take
+	// (a peer's session to appear included), before declaring the peer
+	// lost and aborting the session (default 2s). It is the upper bound
+	// on how long a shard-node death can stall the coordinating job.
 	HaloTimeout time.Duration
 	// MaxJobHistory bounds how many *terminal* job records (and their
 	// frame buffers) are kept for status queries (default 4096). Oldest

@@ -13,31 +13,26 @@ package serve
 //
 // Each rank runs the ordinary mpi_omp kernel variant against an
 // mpi.NetWorld: Send to a remote rank encodes the message with the wire
-// codec (mpi/wire.go) and POSTs it to the peer's halo endpoint over the
-// cluster's persistent HTTP client; frames arriving there are injected
-// into the local mailbox. The frontier-aware halo engine (mpi/halo.go)
-// is shared verbatim with the in-process --mpirun path, so a sharded run
-// is byte-identical to a single-node run of the same config — and is
-// cached under the same canonical hash.
+// codec (mpi/wire.go) and hands it to the cluster's HaloSender, which
+// POSTs it to the peer's halo endpoint; frames arriving there are
+// injected into the local mailbox. The frontier-aware halo engine
+// (mpi/halo.go) is shared verbatim with the in-process --mpirun path, so
+// a sharded run is byte-identical to a single-node run of the same
+// config — and is cached under the same canonical hash.
 //
 // Failure semantics: a dead or partitioned peer surfaces as a transport
-// error (immediately) or a receive timeout (within Options.HaloTimeout);
-// either cancels the session with an mpi.ErrPeerLost cause, which the
-// executor maps to ErrShardFailed. The coordinator's job fails with
-// ErrorKind "shard_failed", a typed signal clients use to resubmit the
-// job unsharded. ErrShardFailed deliberately does not wrap
-// context.Canceled: Manager.finish must classify a shard failure as
-// JobFailed, not JobCanceled.
+// error (immediately), or as a send or receive timeout (within
+// Options.HaloTimeout); either cancels the session with an
+// mpi.ErrPeerLost cause, which the executor maps to ErrShardFailed. The
+// coordinator's job fails with ErrorKind "shard_failed", a typed signal
+// clients use to resubmit the job unsharded. ErrShardFailed deliberately
+// does not wrap context.Canceled: Manager.finish must classify a shard
+// failure as JobFailed, not JobCanceled.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
-	"net/url"
-	"strings"
 	"time"
 
 	"easypap/internal/core"
@@ -117,6 +112,12 @@ type ShardJob struct {
 	OnActivity func(core.IterActivity)
 }
 
+// HaloSender sends one EZMSG1 frame to rank dst of req's session. ctx
+// carries the send's deadline (Options.HaloTimeout) and is canceled with
+// the session. The cluster layer supplies it: the wire (endpoint,
+// headers, retry while the peer's session is not registered yet) is its.
+type HaloSender func(ctx context.Context, req *StartShardRequest, dst int, frame []byte) error
+
 // ShardRunner coordinates one sharded job end to end and returns rank
 // 0's output with sharded true. When the cluster cannot shard the job
 // (a declined plan, or a rank that failed to start) it returns sharded
@@ -140,11 +141,10 @@ type ShardRank struct {
 // StartShard begins executing one remote rank of a distributed session
 // asynchronously: the session is registered (so halo frames can be
 // injected) before StartShard returns, and the rank runs on its own
-// goroutine until completion or abort. httpc is the transport for
-// outgoing halo frames — the cluster layer passes its own client so
-// fault injection and connection pooling apply.
-func (m *Manager) StartShard(req StartShardRequest, httpc *http.Client) error {
-	r, err := m.PrepareShard(m.baseCtx, req, httpc)
+// goroutine until completion or abort. send carries its outgoing halo
+// frames.
+func (m *Manager) StartShard(req StartShardRequest, send HaloSender) error {
+	r, err := m.PrepareShard(m.baseCtx, req, send)
 	if err != nil {
 		return err
 	}
@@ -170,14 +170,22 @@ func (m *Manager) StartShard(req StartShardRequest, httpc *http.Client) error {
 // registers the session so incoming halo frames find their mailbox. The
 // coordinator prepares its own rank 0 before it starts any remote rank,
 // so no remote rank's first halo finds the session missing and waits out
-// shardTransport's retry pause.
-func (m *Manager) PrepareShard(ctx context.Context, req StartShardRequest, httpc *http.Client) (*ShardRank, error) {
+// the sender's retry pause.
+func (m *Manager) PrepareShard(ctx context.Context, req StartShardRequest, send HaloSender) (*ShardRank, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
 	sctx, cancel := context.WithCancelCause(ctx)
+	// A send is bounded like a wait: a peer that neither answers nor
+	// refuses fails the session within the halo timeout, and a canceled
+	// session unblocks a send in flight.
+	sendFrame := func(dst int, frame []byte) error {
+		sendCtx, cancelSend := context.WithTimeout(sctx, m.opts.HaloTimeout)
+		defer cancelSend()
+		return send(sendCtx, &req, dst, frame)
+	}
 	nw, err := mpi.NewNetWorld(sctx, cancel, req.Shards, req.Rank,
-		mpi.Config{RecvTimeout: m.opts.HaloTimeout}, m.shardTransport(req, httpc))
+		mpi.Config{RecvTimeout: m.opts.HaloTimeout}, sendFrame)
 	if err != nil {
 		cancel(context.Canceled)
 		return nil, err
@@ -276,9 +284,9 @@ func (m *Manager) InjectShardHalo(session string, frame []byte) error {
 	return sess.nw.Inject(frame)
 }
 
-// AbortShard cancels a session (no-op when it already finished) — the
-// coordinator's cleanup broadcast, and the fast path when gossip reports
-// a participant dead before any message times out.
+// AbortShard cancels a session (no-op when it already finished): the
+// body of POST /v1/shard/abort, which a coordinator sends its remote
+// ranks when its own rank's run fails.
 func (m *Manager) AbortShard(session, reason string) bool {
 	m.shardMu.Lock()
 	sess := m.shardSessions[session]
@@ -296,53 +304,4 @@ func (m *Manager) ShardSessions() int {
 	m.shardMu.Lock()
 	defer m.shardMu.Unlock()
 	return len(m.shardSessions)
-}
-
-// shardTransport builds the rank's outgoing-frame sender: POST the frame
-// to the destination rank's halo endpoint. A connection error fails the
-// send immediately (the peer is gone — the session aborts within one
-// round trip); a 404/503 means the peer is up but the session is not
-// registered there yet (start ordering) or its manager is momentarily
-// unavailable, so the send retries until the halo timeout.
-func (m *Manager) shardTransport(req StartShardRequest, httpc *http.Client) func(dst int, frame []byte) error {
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	timeout := m.opts.HaloTimeout
-	if timeout <= 0 {
-		timeout = mpi.DefaultRecvTimeout
-	}
-	return func(dst int, frame []byte) error {
-		target := strings.TrimRight(req.Peers[dst], "/") +
-			"/v1/shard/halo?session=" + url.QueryEscape(req.Session)
-		deadline := time.Now().Add(timeout)
-		for {
-			hr, err := http.NewRequest(http.MethodPost, target, bytes.NewReader(frame))
-			if err != nil {
-				return err
-			}
-			hr.Header.Set("Content-Type", "application/x-easypap-halo")
-			if req.TraceID != "" {
-				hr.Header.Set(TraceHeader, req.TraceID)
-			}
-			resp, err := httpc.Do(hr)
-			if err != nil {
-				return fmt.Errorf("halo to rank %d (%s): %w", dst, req.Peers[dst], err)
-			}
-			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-			switch resp.StatusCode {
-			case http.StatusNoContent, http.StatusOK:
-				return nil
-			case http.StatusNotFound, http.StatusServiceUnavailable:
-				if time.Now().After(deadline) {
-					return fmt.Errorf("halo to rank %d (%s): session not ready after %v (HTTP %d)",
-						dst, req.Peers[dst], timeout, resp.StatusCode)
-				}
-				time.Sleep(10 * time.Millisecond)
-			default:
-				return fmt.Errorf("halo to rank %d (%s): HTTP %d", dst, req.Peers[dst], resp.StatusCode)
-			}
-		}
-	}
 }

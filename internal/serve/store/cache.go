@@ -495,7 +495,5 @@ func (c *Cache) Bytes() int64 {
 	return c.bytes
 }
 
-// Hits, Misses and Corrupt expose the read counters.
-func (c *Cache) Hits() int64    { return c.hits.Load() }
-func (c *Cache) Misses() int64  { return c.misses.Load() }
+// Corrupt reports how many objects reads rejected and dropped.
 func (c *Cache) Corrupt() int64 { return c.corrupt.Load() }

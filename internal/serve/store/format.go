@@ -445,17 +445,11 @@ func ReadJournal(r io.Reader) []JournalRec {
 	return recs
 }
 
-// ReplayJournal reduces a journal log to the set of jobs that were
+// reduceOpen reduces decoded journal records to the jobs that were
 // admitted but never reached a terminal state — the jobs a restarted
-// daemon must recover. Last-record-wins per id: duplicated opens
-// overwrite, a done for an unknown id is a no-op.
-func ReplayJournal(r io.Reader) []JournalRec {
-	return reduceOpen(ReadJournal(r))
-}
-
-// reduceOpen applies the replay semantics (last record wins per id) to
-// decoded records, returning the open set in admission order. The ONE
-// implementation of this reduction — openJournal recovery and the
+// daemon must recover — in admission order. Last record wins per id:
+// duplicated opens overwrite, a done for an unknown id is a no-op. The
+// ONE implementation of this reduction — openJournal recovery and the
 // fuzz/golden oracles must not be allowed to diverge.
 func reduceOpen(recs []JournalRec) []JournalRec {
 	open := make(map[string]JournalRec)

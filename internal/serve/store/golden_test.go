@@ -203,7 +203,7 @@ func TestStoreGolden(t *testing.T) {
 	if jr[3].Submitted != 1700000000000000000 || jr[3].Config.Kernel != "mandel" {
 		t.Fatalf("golden wrapper open lost fields: %+v", jr[3])
 	}
-	open := ReplayJournal(strings.NewReader(journalBytes))
+	open := reduceOpen(ReadJournal(strings.NewReader(journalBytes)))
 	if len(open) != 2 || open[0].ID != "j-000008" || open[1].ID != "j-000009" {
 		t.Fatalf("golden journal replay: %+v", open)
 	}

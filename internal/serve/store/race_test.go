@@ -127,7 +127,7 @@ func TestCacheSingleflightSharesOneRead(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if h := s.Cache.Hits(); h != readers {
+	if h := s.Cache.hits.Load(); h != readers {
 		t.Fatalf("hits=%d, want %d (every waiter counts its hit)", h, readers)
 	}
 }

@@ -83,7 +83,7 @@ func TestCachePutGetEvict(t *testing.T) {
 	if _, ok := s.Cache.Get(hashN(99)); ok {
 		t.Fatal("phantom hit")
 	}
-	if h, m := s.Cache.Hits(), s.Cache.Misses(); h != 1 || m != 1 {
+	if h, m := s.Cache.hits.Load(), s.Cache.misses.Load(); h != 1 || m != 1 {
 		t.Fatalf("hits=%d misses=%d, want 1/1", h, m)
 	}
 
@@ -560,7 +560,7 @@ func TestJournalTornTail(t *testing.T) {
 	full := buf.String()
 
 	for cut := 0; cut <= len(full); cut++ {
-		recs := ReplayJournal(strings.NewReader(full[:cut]))
+		recs := reduceOpen(ReadJournal(strings.NewReader(full[:cut])))
 		for _, r := range recs {
 			if r.ID != "j-000001" && r.ID != "j-000002" {
 				t.Fatalf("cut %d: phantom job %q", cut, r.ID)
@@ -624,7 +624,7 @@ func TestJournalDuplicateOpenLastWins(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteString(encodeJournalOpen("j-000001", hashN(1), false, cfgA))
 	buf.WriteString(encodeJournalOpen("j-000001", hashN(2), false, cfgB))
-	recs := ReplayJournal(strings.NewReader(buf.String()))
+	recs := reduceOpen(ReadJournal(strings.NewReader(buf.String())))
 	if len(recs) != 1 || recs[0].Hash != hashN(2) || recs[0].Config.Dim != 128 {
 		t.Fatalf("duplicate open: %+v, want last record to win", recs)
 	}
