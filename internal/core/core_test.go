@@ -38,9 +38,9 @@ var testKernelOnce = func() bool {
 					shade := uint8(*n * 10 % 256)
 					im := ctx.Cur()
 					ctx.Pool.ParallelForTiles(ctx.Grid, ctx.Cfg.Schedule, func(x, y, w, h, worker int) {
-						ctx.DoTile(x, y, w, h, worker, func() {
-							im.FillRect(x, y, w, h, img2d.RGB(shade, shade, shade))
-						})
+						ctx.StartTile(worker)
+						im.FillRect(x, y, w, h, img2d.RGB(shade, shade, shade))
+						ctx.EndTile(x, y, w, h, worker)
 					})
 					return true
 				})

@@ -10,7 +10,6 @@ import (
 	"easypap/internal/mpi"
 	"easypap/internal/sched"
 	"easypap/internal/tilegrid"
-	"easypap/internal/trace"
 )
 
 // Ctx is the execution context handed to kernel functions: the image
@@ -29,9 +28,7 @@ type Ctx struct {
 	Comm *mpi.Comm
 	Band mpi.Band
 
-	mon     *monitor.Monitor
-	rec     *trace.Recorder
-	instr   bool // mon != nil || rec != nil, precomputed for the hot path
+	mon     *monitor.Monitor // the run's tile recorder; nil when neither monitoring nor tracing
 	curIter atomic.Int32
 	iters   int  // completed iterations (run loop bookkeeping)
 	steady  bool // a ForIterations body returned false: the run converged
@@ -91,46 +88,19 @@ func (ctx *Ctx) Iter() int { return int(ctx.curIter.Load()) }
 
 // StartTile opens an instrumented tile span for the worker —
 // monitoring_start_tile(who). It reduces to one branch when neither
-// monitoring nor tracing is active.
+// monitoring nor tracing is active: the monitor records for both.
 func (ctx *Ctx) StartTile(worker int) {
-	if !ctx.instr {
-		return
-	}
 	if ctx.mon != nil {
 		ctx.mon.StartTile(worker)
-	}
-	if ctx.rec != nil {
-		ctx.rec.StartTile(worker)
 	}
 }
 
 // EndTile closes the span with the computed rectangle —
 // monitoring_end_tile(x, y, w, h, who).
 func (ctx *Ctx) EndTile(x, y, w, h, worker int) {
-	if !ctx.instr {
-		return
-	}
 	if ctx.mon != nil {
 		ctx.mon.EndTile(x, y, w, h, worker)
 	}
-	if ctx.rec != nil {
-		ctx.rec.EndTile(x, y, w, h, worker, int(ctx.curIter.Load()))
-	}
-}
-
-// DoTile runs body bracketed by StartTile/EndTile — the do_tile pattern of
-// the paper's Fig. 2 with the instrumentation already in place. Hot loops
-// prefer calling StartTile/EndTile directly around straight-line code: that
-// avoids materializing a closure per tile. DoTile remains for call sites
-// where the closure is already at hand.
-func (ctx *Ctx) DoTile(x, y, w, h, worker int, body func()) {
-	if !ctx.instr {
-		body()
-		return
-	}
-	ctx.StartTile(worker)
-	body()
-	ctx.EndTile(x, y, w, h, worker)
 }
 
 // ReportActivity records the tile frontier a lazy kernel dispatches this
@@ -197,26 +167,20 @@ func (ctx *Ctx) ReportHalo(sent, skipped, bytes int64, d time.Duration) {
 }
 
 // AddWork accumulates per-task performance-counter units into the
-// worker's open tile/task span (no-op without an active tracer). Kernels
+// worker's open tile/task span (no-op without instrumentation). Kernels
 // report hardware-independent work units — escape iterations, touched
 // pixels — standing in for the PAPI counters of the paper's future work.
 func (ctx *Ctx) AddWork(worker int, units int64) {
-	if ctx.rec != nil {
-		ctx.rec.AddWork(worker, units)
+	if ctx.mon != nil {
+		ctx.mon.AddWork(worker, units)
 	}
 }
 
 // StartTask opens an instrumented task span (traced as KindTask so
 // EASYVIEW distinguishes dependent tasks from plain tiles).
 func (ctx *Ctx) StartTask(worker int) {
-	if !ctx.instr {
-		return
-	}
 	if ctx.mon != nil {
-		ctx.mon.StartTile(worker)
-	}
-	if ctx.rec != nil {
-		ctx.rec.StartSpan(worker, trace.KindTask)
+		ctx.mon.StartTask(worker)
 	}
 }
 
@@ -226,7 +190,8 @@ func (ctx *Ctx) EndTask(x, y, w, h, worker int) {
 }
 
 // ForIterations is the kernel-side iteration loop: it brackets every
-// iteration for the monitor and the tracer and honours early convergence.
+// iteration for the monitor (and so the trace) and honours early
+// convergence.
 // body returns false to stop iterating (steady state); ForIterations
 // returns the number of iterations actually executed, the steady one
 // included, and records the convergence on the Ctx so the run loop stops
@@ -283,31 +248,6 @@ func (ctx *Ctx) EndIteration() {
 	if ctx.mon != nil {
 		ctx.mon.EndIteration()
 	}
-}
-
-// Monitor exposes the per-iteration statistics collected so far (nil when
-// monitoring is off). Figure benchmarks use it to examine loads and tile
-// assignments.
-func (ctx *Ctx) Monitor() *monitor.Monitor { return ctx.mon }
-
-// Recorder exposes the trace recorder (nil when tracing is off).
-func (ctx *Ctx) Recorder() *trace.Recorder { return ctx.rec }
-
-// RecordTaskEvent lets the task engine log a span with explicit timing
-// (used by taskdep observers).
-func (ctx *Ctx) RecordTaskEvent(e trace.Event) {
-	if ctx.rec != nil {
-		e.Iter = ctx.curIter.Load()
-		ctx.rec.RecordEvent(e)
-	}
-}
-
-// TraceNow returns the tracer-relative timestamp, or 0 with no tracer.
-func (ctx *Ctx) TraceNow() int64 {
-	if ctx.rec == nil {
-		return 0
-	}
-	return ctx.rec.Now()
 }
 
 // Context returns the run's cancellation context. Kernels with long

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -154,7 +155,6 @@ func RunWith(ctx context.Context, cfg Config, opts RunOptions) (*RunOutput, erro
 	if err != nil {
 		return nil, err
 	}
-	compute := k.Variants[cfg.Variant]
 
 	sink := opts.Sink
 	if sink == nil {
@@ -173,10 +173,9 @@ func RunWith(ctx context.Context, cfg Config, opts RunOptions) (*RunOutput, erro
 	if opts.Comm != nil {
 		// One rank of an external (distributed) world: the caller owns the
 		// world's lifecycle and failure handling; this process only
-		// computes its band. Checkpointing is single-process only, so the
-		// ckpt options are dropped here.
+		// computes its band.
 		out := &RunOutput{}
-		if err := runRank(ctx, cfg, k, compute, sink, opts.Pool, opts.Sink != nil, opts.OnActivity, opts.OnHalo, opts.Comm, ckpt{}, out); err != nil {
+		if err := runRank(ctx, cfg, k, sink, opts.rank(opts.Comm), out); err != nil {
 			return nil, err
 		}
 		return out, nil
@@ -185,30 +184,28 @@ func RunWith(ctx context.Context, cfg Config, opts RunOptions) (*RunOutput, erro
 		if opts.Pool != nil {
 			return nil, fmt.Errorf("core: a leased pool cannot serve %d MPI ranks (each rank owns a private pool)", cfg.MPIRanks)
 		}
-		return runMPI(ctx, cfg, k, compute, sink, opts)
+		return runMPI(ctx, cfg, k, sink, opts)
 	}
-	ck := ckpt{resume: opts.Resume, every: opts.SnapshotEvery, onSnapshot: opts.OnSnapshot, codec: k.Codec}
 	out := &RunOutput{}
-	if err := runRank(ctx, cfg, k, compute, sink, opts.Pool, opts.Sink != nil, opts.OnActivity, opts.OnHalo, nil, ck, out); err != nil {
+	if err := runRank(ctx, cfg, k, sink, opts, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// ckpt bundles runRank's checkpointing inputs: the state to restore (if
-// any), the snapshot cadence, and the kernel's codec. The zero value
-// means no checkpointing — the exact pre-checkpointing behavior.
-type ckpt struct {
-	resume     *ResumeState
-	every      int
-	onSnapshot func(iter int, state []byte)
-	codec      StateCodec
+// rank returns the options of one rank of a band decomposition running
+// on comm. Checkpointing is single-process only (a snapshot captures
+// whole-grid state), so its fields are cleared.
+func (o RunOptions) rank(comm *mpi.Comm) RunOptions {
+	o.Comm = comm
+	o.Resume, o.SnapshotEvery, o.OnSnapshot = nil, 0, nil
+	return o
 }
 
-// active reports whether periodic snapshots should be taken.
-func (c ckpt) active() bool {
-	return c.every > 0 && c.onSnapshot != nil && c.codec != nil
-}
+// windows reports whether the run draws the monitoring windows and
+// returns its monitors (Monitoring or HeatMode). Tracing records through
+// a monitor as well, but draws and returns none.
+func (c Config) windows() bool { return c.Monitoring || c.HeatMode }
 
 // makeSink builds the display sink: performance mode discards frames, the
 // default mode writes PNG sequences under OutputDir.
@@ -222,7 +219,7 @@ func makeSink(cfg Config) (gfx.FrameSink, error) {
 // runMPI runs one rank group per simulated process. Rank 0 is the master:
 // it owns the display (and, with --debug M, every rank additionally
 // renders its own monitoring windows, as in the paper's Fig. 13).
-func runMPI(ctx context.Context, cfg Config, k *Kernel, compute ComputeFunc, sink gfx.FrameSink, opts RunOptions) (*RunOutput, error) {
+func runMPI(ctx context.Context, cfg Config, k *Kernel, sink gfx.FrameSink, opts RunOptions) (*RunOutput, error) {
 	out := &RunOutput{Monitors: make([]*monitor.Monitor, cfg.MPIRanks)}
 	var sinkMu sync.Mutex
 	lockedSink := &lockedSink{inner: sink, mu: &sinkMu}
@@ -232,7 +229,7 @@ func runMPI(ctx context.Context, cfg Config, k *Kernel, compute ComputeFunc, sin
 	perRankHalos := make([][3]int64, cfg.MPIRanks)
 	err := mpi.RunContext(ctx, cfg.MPIRanks, mpi.Config{RecvTimeout: opts.RecvTimeout}, func(comm *mpi.Comm) error {
 		rankOut := &RunOutput{}
-		if err := runRank(ctx, cfg, k, compute, lockedSink, nil, opts.Sink != nil, opts.OnActivity, opts.OnHalo, comm, ckpt{}, rankOut); err != nil {
+		if err := runRank(ctx, cfg, k, lockedSink, opts.rank(comm), rankOut); err != nil {
 			return err
 		}
 		out.Monitors[comm.Rank()] = rankMonitor(rankOut)
@@ -297,6 +294,40 @@ func mergeActivity(perRank [][]IterActivity) []IterActivity {
 	return merged
 }
 
+// exportTrace builds the EZPT trace of one rank from its monitor: one
+// event per tile record, ordered by start time, then worker, as
+// EASYVIEW reads them. Record times are ns since the monitor's epoch,
+// which is the trace's start.
+func exportTrace(cfg Config, mon *monitor.Monitor) *trace.Trace {
+	n := 0
+	for _, it := range mon.Iterations() {
+		n += len(it.Tiles)
+	}
+	events := make([]trace.Event, 0, n)
+	for _, it := range mon.Iterations() {
+		for _, r := range it.Tiles {
+			events = append(events, trace.Event{
+				Iter: int32(it.Iter), CPU: int16(r.Worker), Rank: int16(r.Rank), Kind: r.Kind,
+				Start: r.Start, End: r.End,
+				X: int32(r.X), Y: int32(r.Y), W: int32(r.W), H: int32(r.H), Work: r.Work,
+			})
+		}
+	}
+	sort.Slice(events, func(i, j int) bool {
+		if events[i].Start != events[j].Start {
+			return events[i].Start < events[j].Start
+		}
+		return events[i].CPU < events[j].CPU
+	})
+	return &trace.Trace{Meta: trace.Meta{
+		Kernel: cfg.Kernel, Variant: cfg.Variant, Dim: cfg.Dim,
+		TileW: cfg.TileW, TileH: cfg.TileH, Threads: cfg.Threads,
+		Ranks: cfg.MPIRanks, Iterations: cfg.Iterations,
+		Schedule: cfg.Schedule.String(), Label: cfg.Label,
+		Recorded: mon.Epoch(),
+	}, Events: events}
+}
+
 // mergeTraces concatenates per-rank traces into one (nil if none traced).
 func mergeTraces(traces []*trace.Trace) *trace.Trace {
 	var merged *trace.Trace
@@ -331,10 +362,13 @@ func (s *lockedSink) Frame(w string, iter int, img *img2d.Image) error {
 
 func (s *lockedSink) Close() error { return nil } // owner closes the inner sink
 
-// runRank executes the kernel on one rank (or locally when comm is nil)
-// and fills out. A non-nil pool is a lease: the caller owns its lifecycle
-// and runRank only borrows it for the duration of the run.
-func runRank(goCtx context.Context, cfg Config, k *Kernel, compute ComputeFunc, sink gfx.FrameSink, pool *sched.Pool, forceDisplay bool, onActivity func(IterActivity), onHalo func(int64, int64, int64, time.Duration), comm *mpi.Comm, ck ckpt, out *RunOutput) error {
+// runRank executes the kernel on one rank (or locally when opts.Comm is
+// nil), renders frames to sink, and fills out. A non-nil opts.Pool is a
+// lease: the caller owns its lifecycle and runRank only borrows it for
+// the duration of the run. A caller's own sink (opts.Sink) forces the
+// per-iteration display path.
+func runRank(goCtx context.Context, cfg Config, k *Kernel, sink gfx.FrameSink, opts RunOptions, out *RunOutput) error {
+	pool, comm := opts.Pool, opts.Comm
 	if pool == nil {
 		pool = sched.NewPool(cfg.Threads)
 		defer pool.Close()
@@ -369,9 +403,9 @@ func runRank(goCtx context.Context, cfg Config, k *Kernel, compute ComputeFunc, 
 	}()
 	rank := 0
 	if comm == nil || comm.Rank() == 0 {
-		ctx.onActivity = onActivity
+		ctx.onActivity = opts.OnActivity
 	}
-	ctx.onHalo = onHalo
+	ctx.onHalo = opts.OnHalo
 	if comm != nil {
 		rank = comm.Rank()
 		// Tile-aligned bands: every band boundary falls on a tile-row
@@ -383,20 +417,12 @@ func runRank(goCtx context.Context, cfg Config, k *Kernel, compute ComputeFunc, 
 		ctx.Band = mpi.Band{Lo: 0, Hi: cfg.Dim, Dim: cfg.Dim}
 	}
 
-	if cfg.Monitoring || cfg.HeatMode {
+	// One recorder serves both instruments: the windows read the
+	// monitor's iterations, and the trace is exported from them.
+	if cfg.windows() || cfg.TracePath != "" {
 		ctx.mon = monitor.New(cfg.Threads, cfg.Dim)
 		ctx.mon.SetRank(rank)
 	}
-	if cfg.TracePath != "" {
-		ctx.rec = trace.NewRecorder(trace.Meta{
-			Kernel: cfg.Kernel, Variant: cfg.Variant, Dim: cfg.Dim,
-			TileW: cfg.TileW, TileH: cfg.TileH, Threads: cfg.Threads,
-			Ranks: cfg.MPIRanks, Iterations: cfg.Iterations,
-			Schedule: cfg.Schedule.String(), Label: cfg.Label,
-		})
-		ctx.rec.SetRank(rank)
-	}
-	ctx.instr = ctx.mon != nil || ctx.rec != nil
 
 	if k.Init != nil {
 		if err := k.Init(ctx); err != nil {
@@ -405,21 +431,21 @@ func runRank(goCtx context.Context, cfg Config, k *Kernel, compute ComputeFunc, 
 	}
 
 	resumedFrom := 0
-	if ck.resume != nil {
-		if ck.codec == nil {
+	if res := opts.Resume; res != nil {
+		if k.Codec == nil {
 			return fmt.Errorf("core: kernel %s has no state codec to resume from", cfg.Kernel)
 		}
-		if ck.resume.Iter <= 0 || ck.resume.Iter >= cfg.Iterations {
-			return fmt.Errorf("core: resume iteration %d outside (0, %d)", ck.resume.Iter, cfg.Iterations)
+		if res.Iter <= 0 || res.Iter >= cfg.Iterations {
+			return fmt.Errorf("core: resume iteration %d outside (0, %d)", res.Iter, cfg.Iterations)
 		}
-		if err := ck.codec.DecodeState(ctx, ck.resume.State); err != nil {
-			return fmt.Errorf("core: restoring kernel %s checkpoint at iteration %d: %w", cfg.Kernel, ck.resume.Iter, err)
+		if err := k.Codec.DecodeState(ctx, res.State); err != nil {
+			return fmt.Errorf("core: restoring kernel %s checkpoint at iteration %d: %w", cfg.Kernel, res.Iter, err)
 		}
-		resumedFrom = ck.resume.Iter
+		resumedFrom = res.Iter
 		ctx.iters = resumedFrom
 	}
 
-	displaying := forceDisplay || (!cfg.NoDisplay && cfg.OutputDir != "")
+	displaying := opts.Sink != nil || (!cfg.NoDisplay && cfg.OutputDir != "")
 	// Dirty-tile capture feeds delta frames. Single-process runs only: under
 	// MPI the master's gathered image spans every band while its frontier
 	// covers just its own, so the reported set would not bound the changes.
@@ -430,15 +456,17 @@ func runRank(goCtx context.Context, cfg Config, k *Kernel, compute ComputeFunc, 
 	}
 	// snapshot checkpoints the state after the iteration whose absolute
 	// index is ctx.iters, when that index falls on a cadence boundary.
+	every := opts.SnapshotEvery
+	snapshots := every > 0 && opts.OnSnapshot != nil && k.Codec != nil
 	snapshot := func() error {
-		if !ck.active() || ctx.iters <= resumedFrom || ctx.iters%ck.every != 0 {
+		if !snapshots || ctx.iters <= resumedFrom || ctx.iters%every != 0 {
 			return nil
 		}
-		state, err := ck.codec.EncodeState(ctx)
+		state, err := k.Codec.EncodeState(ctx)
 		if err != nil {
 			return fmt.Errorf("core: snapshotting kernel %s at iteration %d: %w", cfg.Kernel, ctx.iters, err)
 		}
-		ck.onSnapshot(ctx.iters, state)
+		opts.OnSnapshot(ctx.iters, state)
 		return nil
 	}
 
@@ -455,13 +483,14 @@ func runRank(goCtx context.Context, cfg Config, k *Kernel, compute ComputeFunc, 
 	// resumed from it would count a second steady iteration. A call that
 	// comes back short (cancellation, or a kernel that signals
 	// convergence by its return value alone) stops it as well.
+	compute := k.Variants[cfg.Variant]
 	start := time.Now()
 	for ctx.iters < cfg.Iterations && goCtx.Err() == nil {
 		step := cfg.Iterations - ctx.iters
 		if displaying {
 			step = 1
-		} else if ck.active() {
-			step = min(step, ck.every-ctx.iters%ck.every)
+		} else if snapshots {
+			step = min(step, every-ctx.iters%every)
 		}
 		n := compute(ctx, step)
 		ctx.iters += n
@@ -504,11 +533,11 @@ func runRank(goCtx context.Context, cfg Config, k *Kernel, compute ComputeFunc, 
 		out.Final = ctx.Cur()
 		out.Result.Checksum = imageChecksum(out.Final)
 	}
-	if ctx.mon != nil {
+	if cfg.windows() {
 		out.Monitors = []*monitor.Monitor{ctx.mon}
 	}
-	if ctx.rec != nil {
-		tr := ctx.rec.Trace()
+	if cfg.TracePath != "" {
+		tr := exportTrace(cfg, ctx.mon)
 		out.Trace = tr
 		// Local runs save immediately; MPI runs merge at the caller and
 		// the master saves.
@@ -576,7 +605,7 @@ func refreshDisplay(ctx *Ctx, k *Kernel, sink gfx.FrameSink, iter int) error {
 			return err
 		}
 	}
-	if ctx.mon == nil {
+	if !ctx.Cfg.windows() {
 		return nil
 	}
 	if !ctx.IsMaster() && !showAll {

@@ -192,39 +192,59 @@ func TestMPIWithoutDebugOnlyMasterWindows(t *testing.T) {
 }
 
 func TestCtxInstrumentationHelpers(t *testing.T) {
-	// TraceNow and RecordTaskEvent on a traced run; both no-ops without a
-	// recorder are covered implicitly by other tests.
-	path := filepath.Join(t.TempDir(), "t.evt")
+	// StartTask, AddWork and EndTask record a task span with its work
+	// units beside a plain tile. The recording serves both instruments,
+	// but each stays behind its own option: a trace-only run returns and
+	// draws no monitor windows, and a monitor-only run writes no trace.
 	Register(&Kernel{
 		Name: "testctx",
 		Init: func(ctx *Ctx) error { return nil },
 		Variants: map[string]ComputeFunc{
 			"seq": func(ctx *Ctx, nbIter int) int {
 				return ctx.ForIterations(nbIter, func(int) bool {
-					start := ctx.TraceNow()
 					ctx.StartTask(0)
+					ctx.AddWork(0, 7)
 					ctx.EndTask(0, 0, 8, 8, 0)
-					ctx.RecordTaskEvent(trace.Event{
-						CPU: 0, Kind: trace.KindOther, Start: start, End: ctx.TraceNow(),
-					})
+					ctx.StartTile(0)
+					ctx.EndTile(8, 0, 8, 8, 0)
 					return true
 				})
 			},
 		},
 	})
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.evt")
 	out, err := Run(Config{Kernel: "testctx", Dim: 64, TileW: 16, TileH: 16,
-		Iterations: 1, NoDisplay: true, TracePath: path})
+		Iterations: 1, OutputDir: dir, TracePath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Trace.Events) != 2 {
-		t.Fatalf("events = %d, want task + other", len(out.Trace.Events))
+		t.Fatalf("events = %d, want task + tile", len(out.Trace.Events))
 	}
-	kinds := map[trace.EventKind]int{}
+	kinds := map[trace.EventKind]int64{}
 	for _, e := range out.Trace.Events {
-		kinds[e.Kind]++
+		kinds[e.Kind] += e.Work + 1
 	}
-	if kinds[trace.KindTask] != 1 || kinds[trace.KindOther] != 1 {
-		t.Errorf("kinds = %v", kinds)
+	if kinds[trace.KindTask] != 8 || kinds[trace.KindTile] != 1 {
+		t.Errorf("kind -> work+1 = %v, want a task with 7 units and a tile with none", kinds)
+	}
+	if out.Monitors != nil {
+		t.Error("trace-only run returned monitors")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "tiling_0001.png")); err == nil {
+		t.Error("trace-only run drew a tiling window")
+	}
+
+	out, err = Run(Config{Kernel: "testctx", Dim: 64, TileW: 16, TileH: 16,
+		Iterations: 1, NoDisplay: true, Monitoring: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Trace != nil {
+		t.Error("monitor-only run returned a trace")
+	}
+	if tiles := out.Monitors[0].Iterations()[0].Tiles; len(tiles) != 2 || tiles[0].Work != 7 {
+		t.Errorf("monitor records = %+v, want the task (7 units) and the tile", tiles)
 	}
 }

@@ -39,8 +39,8 @@ func BenchmarkAblationMandelTileSize(b *testing.B) {
 }
 
 // BenchmarkAblationInstrumentation measures the cost of monitoring and
-// tracing relative to a bare run — the overhead EASYPAP accepts to give
-// students feedback.
+// tracing, apart and together, relative to a bare run — the overhead
+// EASYPAP accepts to give students feedback.
 func BenchmarkAblationInstrumentation(b *testing.B) {
 	base := core.Config{
 		Kernel: "mandel", Variant: "omp_tiled", Dim: 512,
@@ -63,6 +63,15 @@ func BenchmarkAblationInstrumentation(b *testing.B) {
 		dir := b.TempDir()
 		for i := 0; i < b.N; i++ {
 			cfg := base
+			cfg.TracePath = filepath.Join(dir, fmt.Sprintf("t%d.evt", i))
+			benchRun(b, cfg)
+		}
+	})
+	b.Run("both", func(b *testing.B) {
+		dir := b.TempDir()
+		for i := 0; i < b.N; i++ {
+			cfg := base
+			cfg.Monitoring = true
 			cfg.TracePath = filepath.Join(dir, fmt.Sprintf("t%d.evt", i))
 			benchRun(b, cfg)
 		}

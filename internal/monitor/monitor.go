@@ -8,7 +8,9 @@
 // loop brackets iterations with StartIteration/EndIteration. The recording
 // path is wait-free per worker (one lane per thread); EndIteration merges
 // lanes into an IterStats snapshot that the window renderers (window.go)
-// and the figure benchmarks consume.
+// and the figure benchmarks consume. The monitor is a run's only tile
+// recorder: the EZPT trace behind EASYVIEW (paper §II-D) is exported from
+// its records (core), so the windows and the trace show the same spans.
 package monitor
 
 import (
@@ -16,14 +18,19 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"easypap/internal/trace"
 )
 
-// TileRec is one completed tile computation within an iteration.
+// TileRec is one completed tile (or task) computation within an
+// iteration.
 type TileRec struct {
 	X, Y, W, H int
 	Worker     int
-	Rank       int   // MPI process rank (0 if not distributed)
-	Start, End int64 // ns relative to the monitor epoch
+	Rank       int             // MPI process rank (0 if not distributed)
+	Start, End int64           // ns relative to the monitor epoch
+	Kind       trace.EventKind // trace.KindTile, or trace.KindTask for task-engine spans
+	Work       int64           // work units reported through AddWork (0 if none)
 }
 
 // Duration returns the time spent computing the tile.
@@ -149,6 +156,9 @@ func (m *Monitor) Workers() int { return m.workers }
 // Dim returns the monitored image dimension.
 func (m *Monitor) Dim() int { return m.dim }
 
+// Epoch returns the monitor's time zero: record times are ns since it.
+func (m *Monitor) Epoch() time.Time { return m.epoch }
+
 // now returns ns since the monitor epoch.
 func (m *Monitor) now() int64 { return int64(time.Since(m.epoch)) }
 
@@ -196,10 +206,26 @@ func (m *Monitor) ActivityGrid() (counts []int, tilesX, tilesY, iters int) {
 
 // StartTile opens a tile span on worker w's lane
 // (monitoring_start_tile(who)).
-func (m *Monitor) StartTile(worker int) {
+func (m *Monitor) StartTile(worker int) { m.start(worker, trace.KindTile) }
+
+// StartTask opens a task span on worker w's lane: the task engine's
+// spans, which EASYVIEW tells apart from plain tiles.
+func (m *Monitor) StartTask(worker int) { m.start(worker, trace.KindTask) }
+
+func (m *Monitor) start(worker int, kind trace.EventKind) {
 	l := &m.lanes[worker]
-	l.pending = TileRec{Worker: worker, Rank: m.rank, Start: m.now()}
+	l.pending = TileRec{Worker: worker, Rank: m.rank, Start: m.now(), Kind: kind}
 	l.open = true
+}
+
+// AddWork adds work units (escape iterations, touched pixels) to the
+// worker's open span; it is a no-op when no span is open. The count
+// lands on the record EndTile closes.
+func (m *Monitor) AddWork(worker int, units int64) {
+	l := &m.lanes[worker]
+	if l.open {
+		l.pending.Work += units
+	}
 }
 
 // EndTile closes the span with the tile rectangle

@@ -1,18 +1,17 @@
-// Package trace records per-tile profiling events during kernel execution
-// and reads them back for post-mortem analysis — the substrate behind
-// EASYPAP's --trace option and the EASYVIEW explorer (paper §II-D).
+// Package trace holds per-tile profiling events for post-mortem analysis
+// — the substrate behind EASYPAP's --trace option and the EASYVIEW
+// explorer (paper §II-D): the EZPT file format, the Trace type and its
+// queries.
 //
 // Events carry exactly the information the paper lists: start/end time,
 // tile coordinates and the executing CPU, plus the iteration number and the
-// MPI rank so multi-process traces can be merged. Recording is wait-free on
-// the hot path: each worker appends to its own buffer; buffers are merged
-// and sorted when the trace is finalized.
+// MPI rank so multi-process traces can be merged. A run records them on
+// the monitor's wait-free per-worker lanes (internal/monitor), and the run
+// loop exports its records as a Trace when tracing is on.
 package trace
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 )
 
@@ -89,116 +88,6 @@ type Meta struct {
 	Schedule   string    `json:"schedule"`
 	Label      string    `json:"label"` // free-form run label
 	Recorded   time.Time `json:"recorded"`
-}
-
-// Recorder accumulates events during a run. The Start/EndTile pair is the
-// hot path and is wait-free per worker: worker w only touches lane w.
-// Construct with NewRecorder, finalize with Trace.
-type Recorder struct {
-	meta  Meta
-	rank  int16
-	epoch time.Time
-	lanes []lane
-	mu    sync.Mutex
-	extra []Event // events recorded via RecordEvent (rare path)
-}
-
-// SetRank labels all subsequently recorded events with an MPI process rank
-// so per-rank traces can be merged into one multi-process trace.
-func (r *Recorder) SetRank(rank int) { r.rank = int16(rank) }
-
-// lane is one worker's private event buffer. Padding avoids false sharing
-// between adjacent workers' append cursors on the hot path.
-type lane struct {
-	events  []Event
-	pending Event // the currently open span, if any
-	open    bool
-	_       [64]byte // padding: keep lanes on distinct cache lines
-}
-
-// NewRecorder creates a recorder for meta.Threads workers. The epoch (time
-// zero of the trace) is the moment of the call.
-func NewRecorder(meta Meta) *Recorder {
-	if meta.Threads <= 0 {
-		meta.Threads = 1
-	}
-	if meta.Ranks <= 0 {
-		meta.Ranks = 1
-	}
-	meta.Recorded = time.Now()
-	return &Recorder{
-		meta:  meta,
-		epoch: time.Now(),
-		lanes: make([]lane, meta.Threads),
-	}
-}
-
-// Now returns the current trace-relative timestamp in nanoseconds.
-func (r *Recorder) Now() int64 { return int64(time.Since(r.epoch)) }
-
-// StartTile opens a tile span on the worker's lane. It mirrors EASYPAP's
-// monitoring_start_tile(who).
-func (r *Recorder) StartTile(worker int) { r.StartSpan(worker, KindTile) }
-
-// StartSpan opens a span of the given kind on the worker's lane (the task
-// engine records KindTask spans so EASYVIEW can tell tasks from plain
-// tiles).
-func (r *Recorder) StartSpan(worker int, kind EventKind) {
-	l := &r.lanes[worker]
-	l.pending = Event{CPU: int16(worker), Rank: r.rank, Kind: kind, Start: r.Now()}
-	l.open = true
-}
-
-// EndTile closes the span opened by StartTile, attaching the tile
-// rectangle and iteration — EASYPAP's monitoring_end_tile(x, y, w, h, who).
-func (r *Recorder) EndTile(x, y, w, h, worker, iter int) {
-	l := &r.lanes[worker]
-	if !l.open {
-		return // unmatched end: ignore rather than corrupt the trace
-	}
-	e := l.pending
-	e.End = r.Now()
-	e.X, e.Y, e.W, e.H = int32(x), int32(y), int32(w), int32(h)
-	e.Iter = int32(iter)
-	l.events = append(l.events, e)
-	l.open = false
-}
-
-// AddWork accumulates performance-counter units into the worker's open
-// span (no-op when no span is open). Kernels call it from inside their
-// tile computation; the count lands on the event EndTile closes.
-func (r *Recorder) AddWork(worker int, units int64) {
-	l := &r.lanes[worker]
-	if l.open {
-		l.pending.Work += units
-	}
-}
-
-// RecordEvent appends a fully formed event (used by the task engine and the
-// MPI layer, which know their own timing). Safe for concurrent use.
-func (r *Recorder) RecordEvent(e Event) {
-	r.mu.Lock()
-	r.extra = append(r.extra, e)
-	r.mu.Unlock()
-}
-
-// Trace finalizes the recording: all lanes are merged and sorted by start
-// time. The recorder can keep recording afterwards (Trace snapshots).
-func (r *Recorder) Trace() *Trace {
-	var all []Event
-	for i := range r.lanes {
-		all = append(all, r.lanes[i].events...)
-	}
-	r.mu.Lock()
-	all = append(all, r.extra...)
-	r.mu.Unlock()
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Start != all[j].Start {
-			return all[i].Start < all[j].Start
-		}
-		return all[i].CPU < all[j].CPU
-	})
-	return &Trace{Meta: r.meta, Events: all}
 }
 
 // Trace is a finalized, immutable recording.

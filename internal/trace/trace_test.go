@@ -6,10 +6,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func testMeta() Meta {
@@ -17,89 +15,6 @@ func testMeta() Meta {
 		Kernel: "mandel", Variant: "omp_tiled", Dim: 512,
 		TileW: 16, TileH: 16, Threads: 4, Ranks: 1,
 		Iterations: 10, Schedule: "dynamic,2", Label: "unit",
-	}
-}
-
-func TestRecorderBasic(t *testing.T) {
-	r := NewRecorder(testMeta())
-	r.StartTile(0)
-	time.Sleep(time.Millisecond)
-	r.EndTile(16, 32, 16, 16, 0, 1)
-	tr := r.Trace()
-	if len(tr.Events) != 1 {
-		t.Fatalf("got %d events, want 1", len(tr.Events))
-	}
-	e := tr.Events[0]
-	if e.X != 16 || e.Y != 32 || e.W != 16 || e.H != 16 {
-		t.Errorf("tile rect = (%d,%d,%d,%d)", e.X, e.Y, e.W, e.H)
-	}
-	if e.CPU != 0 || e.Iter != 1 || e.Kind != KindTile {
-		t.Errorf("event = %+v", e)
-	}
-	if e.Duration() < time.Millisecond {
-		t.Errorf("duration %v too short", e.Duration())
-	}
-	if e.Start > e.End {
-		t.Error("start after end")
-	}
-}
-
-func TestRecorderUnmatchedEndIgnored(t *testing.T) {
-	r := NewRecorder(testMeta())
-	r.EndTile(0, 0, 8, 8, 2, 1) // no StartTile
-	if got := len(r.Trace().Events); got != 0 {
-		t.Errorf("unmatched EndTile produced %d events", got)
-	}
-}
-
-func TestRecorderConcurrentLanes(t *testing.T) {
-	meta := testMeta()
-	meta.Threads = 8
-	r := NewRecorder(meta)
-	var wg sync.WaitGroup
-	const perWorker = 200
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				r.StartTile(w)
-				r.EndTile(w*16, i, 16, 16, w, 1+i%10)
-			}
-		}(w)
-	}
-	wg.Wait()
-	tr := r.Trace()
-	if len(tr.Events) != 8*perWorker {
-		t.Fatalf("got %d events, want %d", len(tr.Events), 8*perWorker)
-	}
-	// Events must be sorted by start time.
-	for i := 1; i < len(tr.Events); i++ {
-		if tr.Events[i].Start < tr.Events[i-1].Start {
-			t.Fatal("events not sorted by start time")
-		}
-	}
-	if tr.CPUCount() != 8 {
-		t.Errorf("CPUCount = %d, want 8", tr.CPUCount())
-	}
-}
-
-func TestRecordEventExtraLane(t *testing.T) {
-	r := NewRecorder(testMeta())
-	r.RecordEvent(Event{Iter: 3, CPU: 1, Kind: KindTask, Start: 10, End: 20})
-	tr := r.Trace()
-	if len(tr.Events) != 1 || tr.Events[0].Kind != KindTask {
-		t.Fatalf("events = %+v", tr.Events)
-	}
-}
-
-func TestRecorderDefaults(t *testing.T) {
-	r := NewRecorder(Meta{})
-	if r.meta.Threads != 1 || r.meta.Ranks != 1 {
-		t.Errorf("defaults not applied: %+v", r.meta)
-	}
-	if r.meta.Recorded.IsZero() {
-		t.Error("Recorded timestamp not set")
 	}
 }
 
@@ -148,19 +63,6 @@ func TestQuickEventCodec(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAddWorkAccumulates(t *testing.T) {
-	r := NewRecorder(testMeta())
-	r.AddWork(0, 5) // no open span: ignored
-	r.StartTile(0)
-	r.AddWork(0, 100)
-	r.AddWork(0, 23)
-	r.EndTile(0, 0, 16, 16, 0, 1)
-	tr := r.Trace()
-	if tr.Events[0].Work != 123 {
-		t.Errorf("work = %d, want 123", tr.Events[0].Work)
 	}
 }
 
@@ -364,15 +266,6 @@ func TestEventKindString(t *testing.T) {
 	}
 	if EventKind(9).String() != "kind(9)" {
 		t.Error("unknown kind formatting")
-	}
-}
-
-func BenchmarkRecordTile(b *testing.B) {
-	r := NewRecorder(testMeta())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.StartTile(0)
-		r.EndTile(0, 0, 16, 16, 0, 1)
 	}
 }
 
