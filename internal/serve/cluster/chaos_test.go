@@ -125,7 +125,8 @@ func (cc *chaosCluster) kill(i int) {
 	}
 }
 
-// waitAlive blocks until every live node sees every member alive.
+// waitAlive blocks until every live node sees every member alive and
+// has heard from it (see waitAllHealthy).
 func (cc *chaosCluster) waitAlive() {
 	cc.t.Helper()
 	waitFor(cc.t, "cluster all-alive", func() bool {
@@ -138,7 +139,7 @@ func (cc *chaosCluster) waitAlive() {
 				return false
 			}
 			for _, m := range mem.Members {
-				if !m.Healthy {
+				if !m.Healthy || m.LastSeen.IsZero() {
 					return false
 				}
 			}

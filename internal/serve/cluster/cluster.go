@@ -88,12 +88,6 @@ type Options struct {
 	// min 2s). Short enough that routing converges fast after a crash,
 	// long enough that one dropped probe never moves keys.
 	SuspectTimeout time.Duration
-	// ProbeBackoffCap bounds the exponential probe backoff applied to
-	// failing members (default 30x ProbeInterval, max 30s): after k
-	// consecutive failures a member is probed every
-	// min(ProbeInterval<<k, cap), so a dead peer costs little and a
-	// recovered one is still noticed within the cap.
-	ProbeBackoffCap time.Duration
 	// Replicate is the replication factor R for cache entries: completed
 	// entries are pushed to the R-1 ring successors of their owner, and
 	// reads fail over to replicas before recomputing. 0 or 1 disables
@@ -128,15 +122,6 @@ func (o Options) withDefaults() (Options, error) {
 			o.SuspectTimeout = 2 * time.Second
 		}
 	}
-	if o.ProbeBackoffCap <= 0 {
-		o.ProbeBackoffCap = 30 * o.ProbeInterval
-		if o.ProbeBackoffCap > 30*time.Second {
-			o.ProbeBackoffCap = 30 * time.Second
-		}
-		if o.ProbeBackoffCap < o.ProbeInterval {
-			o.ProbeBackoffCap = o.ProbeInterval
-		}
-	}
 	if o.RebalanceBPS == 0 {
 		o.RebalanceBPS = 8 << 20
 	}
@@ -158,7 +143,8 @@ type member struct {
 	state       atomic.Int32  // stateAlive | stateSuspect | stateDead (gossip.go)
 	incarnation atomic.Uint64 // owned by the member itself; rumors carry it
 	suspectAt   atomic.Int64  // unix nanos when suspicion began (0 otherwise)
-	lastSeen    atomic.Int64  // unix nanos of the last successful contact
+	lastSeen    atomic.Int64  // unix nanos of the last successful contact (0: it never answered)
+	known       int64         // unix nanos when this node learned of the member (set before it is shared)
 	failures    atomic.Int64  // probe + proxy failures observed (lifetime)
 	probeFails  atomic.Int64  // consecutive probe failures (drives backoff)
 	nextProbe   atomic.Int64  // unix nanos before which the prober skips us
@@ -304,7 +290,7 @@ func (n *Node) addSeed(baseURL string) {
 	// Optimistic start: new members begin alive (the zero state) and the
 	// prober demotes dead peers, so a cluster booting in any order routes
 	// correctly as soon as peers are up.
-	n.members[id] = &member{id: id, url: baseURL}
+	n.members[id] = &member{id: id, url: baseURL, known: time.Now().UnixNano()}
 }
 
 // rebuildRingLocked rebuilds the ring over the non-dead members,
@@ -471,7 +457,7 @@ func (n *Node) probeLoop() {
 // wedged peer costs one goroutine-interval, not a head-of-line stall
 // for the others. Members under probe backoff (consecutive failures)
 // are skipped until their nextProbe deadline — a dead peer is probed
-// geometrically less often, up to ProbeBackoffCap.
+// geometrically less often, up to the backoff cap (see suspect).
 func (n *Node) probeAll() {
 	now := time.Now().UnixNano()
 	_, ms := n.snapshot()

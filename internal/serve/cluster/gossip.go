@@ -150,7 +150,7 @@ func (n *Node) applyRemoteLocked(gm GossipMember, claimed int32) bool {
 		if NodeID(url) != gm.ID {
 			return false // id must be derivable from the URL; drop forgeries
 		}
-		m = &member{id: gm.ID, url: url}
+		m = &member{id: gm.ID, url: url, known: time.Now().UnixNano()}
 		m.state.Store(claimed)
 		m.incarnation.Store(gm.Incarnation)
 		if claimed == stateSuspect {
@@ -260,7 +260,7 @@ func (n *Node) gossipWith(m *member) bool {
 		return false // someone else answering on that address is not m being alive
 	}
 	n.mergeView(peer)
-	m.lastSeen.Store(time.Now().UnixNano())
+	n.markUp(m)
 	return true
 }
 
@@ -270,6 +270,12 @@ func (n *Node) gossipWith(m *member) bool {
 // probe backoff. The suspicion spreads on the next gossip rounds. Probe,
 // proxy, edge and shard-start failures all land here, so a dead node is
 // demoted on first contact rather than on the next probe tick.
+//
+// A member that has never answered is not demoted: its failed contacts
+// only precede its first answer — a seed probed before it listens — and
+// suspicion would make candidates route its keys elsewhere until a
+// later exchange refuted it. If it still has not answered SuspectTimeout
+// after this node learned of it, sweepSuspects declares it dead.
 func (n *Node) suspect(m *member) {
 	if m.self {
 		return
@@ -277,15 +283,15 @@ func (n *Node) suspect(m *member) {
 	m.failures.Add(1)
 	fails := m.probeFails.Add(1)
 	// Exponential probe backoff, capped: after k consecutive failures the
-	// next probe waits min(interval<<k, cap). A flapping peer therefore
-	// costs geometrically less probing, and — because passive failure
-	// only ever yields suspect, never dead — cannot oscillate the ring.
-	backoff := n.opts.ProbeInterval << min(fails, 10)
-	if backoff > n.opts.ProbeBackoffCap {
-		backoff = n.opts.ProbeBackoffCap
-	}
+	// next probe waits min(interval<<k, cap), the cap being 30 intervals
+	// (at most 30s, at least one interval). A flapping peer therefore
+	// costs geometrically less probing, a recovered one is still noticed
+	// within the cap, and — because passive failure only ever yields
+	// suspect, never dead — it cannot oscillate the ring.
+	interval := n.opts.ProbeInterval
+	backoff := min(interval<<min(fails, 10), max(min(30*interval, 30*time.Second), interval))
 	m.nextProbe.Store(time.Now().Add(backoff).UnixNano())
-	if m.state.Load() != stateAlive {
+	if m.state.Load() != stateAlive || m.lastSeen.Load() == 0 {
 		return
 	}
 	n.mu.Lock()
@@ -295,17 +301,28 @@ func (n *Node) suspect(m *member) {
 	n.mu.Unlock()
 }
 
-// sweepSuspects declares dead every member that has been suspect longer
-// than SuspectTimeout, rebuilding the ring once if any fell.
+// overdue reports whether the sweep should declare m dead: a suspect
+// whose suspicion began before deadline, or a member that has failed
+// contacts, has never answered, and was learned of before deadline.
+func overdue(m *member, deadline int64) bool {
+	switch m.state.Load() {
+	case stateSuspect:
+		at := m.suspectAt.Load()
+		return at != 0 && at < deadline
+	case stateAlive:
+		return m.lastSeen.Load() == 0 && m.failures.Load() > 0 && m.known < deadline
+	}
+	return false
+}
+
+// sweepSuspects declares dead every member overdue by SuspectTimeout,
+// rebuilding the ring once if any fell.
 func (n *Node) sweepSuspects() {
 	deadline := time.Now().Add(-n.opts.SuspectTimeout).UnixNano()
 	_, ms := n.snapshot()
 	var fallen []*member
 	for _, m := range ms {
-		if m.self || m.state.Load() != stateSuspect {
-			continue
-		}
-		if at := m.suspectAt.Load(); at != 0 && at < deadline {
+		if !m.self && overdue(m, deadline) {
 			fallen = append(fallen, m)
 		}
 	}
@@ -315,7 +332,7 @@ func (n *Node) sweepSuspects() {
 	n.mu.Lock()
 	changed := false
 	for _, m := range fallen {
-		if m.state.Load() == stateSuspect {
+		if overdue(m, deadline) {
 			n.transitionLocked(m, stateDead, m.incarnation.Load())
 			changed = true
 		}

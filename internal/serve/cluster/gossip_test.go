@@ -115,6 +115,8 @@ func startGossipPair(t *testing.T, suspectTimeout time.Duration) *gossipPair {
 			p.mgrs[i].Close()
 		}
 	})
+	// Every member must have answered: a member that never has is not
+	// suspected on a failed contact (it is dropped after SuspectTimeout).
 	waitFor(t, "2-node cluster alive", func() bool {
 		for _, n := range p.nodes {
 			mem := n.Membership()
@@ -122,7 +124,7 @@ func startGossipPair(t *testing.T, suspectTimeout time.Duration) *gossipPair {
 				return false
 			}
 			for _, m := range mem.Members {
-				if !m.Healthy {
+				if !m.Healthy || m.LastSeen.IsZero() {
 					return false
 				}
 			}
@@ -217,6 +219,100 @@ func TestDeadRejoinViaIncarnationRefutation(t *testing.T) {
 	}
 	if n0.RingVersion() != v0+2 {
 		t.Fatalf("death+rejoin swapped ring %d times, want exactly 2", n0.RingVersion()-v0)
+	}
+}
+
+// TestStartupContactKeepsSeedRoute: a node whose first probe reaches a
+// seed that is not listening yet must not route the seed's keys
+// elsewhere. The seed stays unreachable through the first node's first
+// probe; once the seed answers, a config it owns, submitted at the first
+// node, must be computed on the seed. Held as a suspicion until the next
+// probe (two intervals later), that failure would make the first node
+// compute the config itself, and the seed compute it again when it is
+// submitted there — the cache hit CI's cluster sweep then misses.
+func TestStartupContactKeepsSeedRoute(t *testing.T) {
+	var urls [2]string
+	var swaps [2]*swapHandler
+	for i := range urls {
+		swaps[i] = &swapHandler{}
+		srv := httptest.NewServer(swaps[i])
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	chaos := chaosnet.New(29, nil)
+	chaos.Kill(hostOf(urls[1])) // the seed is not listening yet
+	var mgrs [2]*serve.Manager
+	for i := range mgrs {
+		mgrs[i] = serve.NewManager(serve.Options{Workers: 1, QueueDepth: 8})
+		t.Cleanup(mgrs[i].Close)
+	}
+	first, err := cluster.NewNode(mgrs[0], cluster.Options{
+		Self: urls[0], Peers: urls[:],
+		ProbeInterval: time.Second, ProbeTimeout: 300 * time.Millisecond,
+		HTTP: &http.Client{Transport: chaos},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(first.Close)
+	swaps[0].set(first.Handler())
+	seedID := cluster.NodeID(urls[1])
+	waitFor(t, "the first probe of the seed to fail", func() bool {
+		for _, m := range first.Membership().Members {
+			if m.ID == seedID {
+				return m.Failures > 0
+			}
+		}
+		return false
+	})
+
+	// The seed comes up. It does not probe, so only the first node's
+	// own view of it decides where the config goes.
+	seed, err := cluster.NewNode(mgrs[1], cluster.Options{Self: urls[1], Peers: urls[:], ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(seed.Close)
+	swaps[1].set(seed.Handler())
+	chaos.Revive(hostOf(urls[1]))
+	waitFor(t, "the seed to answer", func() bool {
+		resp, err := http.Get(urls[1] + "/v1/cluster/health")
+		if err != nil {
+			return false
+		}
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusOK
+	})
+
+	ring := cluster.NewRing([]string{first.ID(), seedID}, 0)
+	var cfg core.Config
+	for grain := 4; ; grain *= 2 {
+		cfg = mandelCfg(2, grain)
+		_, _, key, err := cluster.RouteKey(cfg, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ring.Owner(key) == seedID {
+			break
+		}
+		if grain > 64 {
+			t.Fatal("no seed-owned config among the grains tried")
+		}
+	}
+	ctx := context.Background()
+	cl := client.New(urls[0])
+	st, err := cl.Submit(ctx, cfg, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = cl.Wait(ctx, st.ID); err != nil || st.State != serve.JobDone {
+		t.Fatalf("job %s ended %v (%v)", st.ID, st.State, err)
+	}
+	if node, _, _ := cluster.SplitJobID(st.ID); node != seedID {
+		t.Errorf("seed-owned job %s ran on %s, want the seed %s", st.ID, node, seedID)
+	}
+	if a, b := mgrs[0].Stats().Computed, mgrs[1].Stats().Computed; a != 0 || b != 1 {
+		t.Errorf("computed: first node %d, seed %d; want 0 and 1", a, b)
 	}
 }
 

@@ -134,7 +134,7 @@ func (pc *persistCluster) waitHealthy() {
 				break
 			}
 			for _, m := range mem.Members {
-				if !m.Healthy {
+				if !m.Healthy || m.LastSeen.IsZero() {
 					ok = false
 				}
 			}

@@ -467,7 +467,7 @@ func startShardChaosCluster(t *testing.T, n int) *shardChaosCluster {
 				return false
 			}
 			for _, m := range mem.Members {
-				if !m.Healthy {
+				if !m.Healthy || m.LastSeen.IsZero() {
 					return false
 				}
 			}
