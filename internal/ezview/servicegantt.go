@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"easypap/internal/trace"
@@ -46,13 +45,6 @@ func stageColor(stage string) string {
 // edges where a span names a peer node. Spans with errors get a red
 // outline. The caption defaults to "trace <id>".
 func ServiceGanttSVG(spans []trace.Span, opt GanttOptions) string {
-	if opt.Width <= 0 {
-		opt.Width = 1200
-	}
-	if opt.LaneH <= 0 {
-		opt.LaneH = 28
-	}
-
 	// Node rows in first-appearance order — the entry node leads because
 	// its admit span is the earliest.
 	sorted := append([]trace.Span(nil), spans...)
@@ -65,54 +57,15 @@ func ServiceGanttSVG(spans []trace.Span, opt GanttOptions) string {
 			nodes = append(nodes, s.Node)
 		}
 	}
-	height := (len(nodes)+1)*opt.LaneH + 40
-
-	var t0, t1 int64
-	for i, s := range sorted {
-		if i == 0 || s.Start < t0 {
-			t0 = s.Start
-		}
-		if s.End > t1 {
-			t1 = s.End
-		}
-	}
-	if t1 <= t0 {
-		t1 = t0 + 1
-	}
-	const labelW = 120
-	xOf := func(t int64) float64 {
-		return labelW + float64(t-t0)/float64(t1-t0)*float64(opt.Width-labelW-20)
-	}
-	laneY := func(row int) int { return 30 + row*opt.LaneH }
-
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="sans-serif">`+"\n",
-		opt.Width, height)
-	fmt.Fprintf(&b, `<rect width="100%%" height="100%%" fill="#16161c"/>`+"\n")
 	caption := opt.Caption
 	if caption == "" && len(sorted) > 0 {
 		caption = "trace " + sorted[0].TraceID
 	}
-	fmt.Fprintf(&b, `<text x="10" y="20" fill="#ddd" font-size="14">%s</text>`+"\n", xmlEscape(caption))
-
-	// Node labels and lane separators.
-	for i, node := range nodes {
-		y := laneY(i)
-		fmt.Fprintf(&b, `<text x="8" y="%d" fill="#aaa" font-size="12">%s</text>`+"\n",
-			y+opt.LaneH*2/3, xmlEscape(node))
-		fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#2a2a33"/>`+"\n",
-			labelW, y, opt.Width-20, y)
-	}
+	t0, t1 := extent(len(sorted), func(i int) (int64, int64) { return sorted[i].Start, sorted[i].End })
+	g := newGanttSVG(opt, 120, nodes, caption, t0, t1)
 
 	// Span bars with tooltips; errored spans get a red outline.
 	for _, s := range sorted {
-		row := rowOf[s.Node]
-		x := xOf(s.Start)
-		wpx := xOf(s.End) - x
-		if wpx < 0.5 {
-			wpx = 0.5
-		}
-		y := laneY(row) + 2
 		stroke := ""
 		if s.Err != "" {
 			stroke = ` stroke="#f7768e" stroke-width="1.5"`
@@ -124,9 +77,7 @@ func ServiceGanttSVG(spans []trace.Span, opt GanttOptions) string {
 		if s.Err != "" {
 			tip += " [" + s.Err + "]"
 		}
-		fmt.Fprintf(&b,
-			`<rect x="%.1f" y="%d" width="%.1f" height="%d" fill="%s"%s><title>%s</title></rect>`+"\n",
-			x, y, wpx, opt.LaneH-4, stageColor(s.Stage), stroke, xmlEscape(tip))
+		g.bar(rowOf[s.Node], s.Start, s.End, stageColor(s.Stage), stroke, tip)
 	}
 
 	// Hop edges: a span naming a peer that owns a lane draws a dashed
@@ -140,14 +91,13 @@ func ServiceGanttSVG(spans []trace.Span, opt GanttOptions) string {
 		if !ok || s.Peer == s.Node {
 			continue
 		}
-		x := xOf(s.Start)
-		y1 := laneY(rowOf[s.Node]) + opt.LaneH/2
-		y2 := laneY(peerRow) + opt.LaneH/2
-		fmt.Fprintf(&b, `<line x1="%.1f" y1="%d" x2="%.1f" y2="%d" stroke="#7dcfff" stroke-dasharray="3 3"><title>%s: %s → %s</title></line>`+"\n",
+		x := g.x(s.Start)
+		y1 := g.laneY(rowOf[s.Node]) + g.opt.LaneH/2
+		y2 := g.laneY(peerRow) + g.opt.LaneH/2
+		fmt.Fprintf(&g.b, `<line x1="%.1f" y1="%d" x2="%.1f" y2="%d" stroke="#7dcfff" stroke-dasharray="3 3"><title>%s: %s → %s</title></line>`+"\n",
 			x, y1, x, y2, xmlEscape(s.Stage), xmlEscape(s.Node), xmlEscape(s.Peer))
 	}
-	b.WriteString("</svg>\n")
-	return b.String()
+	return g.end()
 }
 
 // SaveServiceGanttSVG writes the service-span chart to path, creating
