@@ -75,48 +75,3 @@ func (s *PNGSink) Written() int { return s.written }
 
 // Close implements FrameSink.
 func (s *PNGSink) Close() error { return nil }
-
-// Memory keeps the last frame of every window in memory — used by tests
-// and by the examples to inspect what would have been displayed.
-type Memory struct {
-	Frames map[string]*img2d.Image // last frame per window
-	Count  int
-}
-
-// NewMemory creates an empty in-memory sink.
-func NewMemory() *Memory { return &Memory{Frames: make(map[string]*img2d.Image)} }
-
-// Frame implements FrameSink by cloning the image (sinks must not retain
-// the original).
-func (m *Memory) Frame(window string, _ int, img *img2d.Image) error {
-	m.Frames[window] = img.Clone()
-	m.Count++
-	return nil
-}
-
-// Close implements FrameSink.
-func (m *Memory) Close() error { return nil }
-
-// Multi fans frames out to several sinks.
-type Multi []FrameSink
-
-// Frame implements FrameSink, stopping at the first error.
-func (m Multi) Frame(window string, iter int, img *img2d.Image) error {
-	for _, s := range m {
-		if err := s.Frame(window, iter, img); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close closes all sinks, returning the first error.
-func (m Multi) Close() error {
-	var first error
-	for _, s := range m {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

@@ -63,33 +63,3 @@ func TestPNGSinkEvery(t *testing.T) {
 		t.Errorf("written = %d, want 3", s.Written())
 	}
 }
-
-func TestMemorySinkClones(t *testing.T) {
-	m := NewMemory()
-	im := img2d.New(4)
-	im.Fill(img2d.Green)
-	if err := m.Frame("tiling", 1, im); err != nil {
-		t.Fatal(err)
-	}
-	im.Fill(img2d.Red) // mutate after handing over
-	if m.Frames["tiling"].Get(0, 0) != img2d.Green {
-		t.Error("Memory sink did not clone the frame")
-	}
-	if m.Count != 1 {
-		t.Errorf("count = %d", m.Count)
-	}
-}
-
-func TestMultiSink(t *testing.T) {
-	a, b := NewMemory(), NewMemory()
-	multi := Multi{a, b}
-	if err := multi.Frame("main", 1, img2d.New(4)); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count != 1 || b.Count != 1 {
-		t.Error("multi sink did not fan out")
-	}
-	if err := multi.Close(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -230,16 +230,16 @@ func EncodeDeltaRecord(window string, iter int, payload []byte) ([]byte, error) 
 	return rec.Encode(), nil
 }
 
-// StreamSink is a FrameSink that appends stream records to an io.Writer —
-// the live-frames backend of the daemon. If the writer also implements
-// Flush() error (e.g. a bufio.Writer or an HTTP response wrapper), every
-// frame is flushed so subscribers see it as soon as it is rendered.
+// StreamSink is a FrameSink that appends EZFRAME records of every
+// window's frames to an io.Writer, encoding each frame inline. The
+// daemon's frames jobs do not use it (their runner sink encodes on
+// helper goroutines and publishes into a hub); it writes a stream from
+// a plain run, such as perfbench's frame-path replay. If the writer also
+// implements Flush() error (e.g. a bufio.Writer or an HTTP response
+// wrapper), every frame is flushed so a reader sees it as soon as it is
+// rendered.
 type StreamSink struct {
 	W io.Writer
-
-	// Windows, when non-empty, selects which windows are streamed
-	// (typically just "main"); others are dropped.
-	Windows []string
 }
 
 // NewStreamSink streams every window's frames to w.
@@ -247,18 +247,6 @@ func NewStreamSink(w io.Writer) *StreamSink { return &StreamSink{W: w} }
 
 // Frame implements FrameSink.
 func (s *StreamSink) Frame(window string, iter int, img *img2d.Image) error {
-	if len(s.Windows) > 0 {
-		keep := false
-		for _, w := range s.Windows {
-			if w == window {
-				keep = true
-				break
-			}
-		}
-		if !keep {
-			return nil
-		}
-	}
 	if err := WriteFrame(s.W, window, iter, img); err != nil {
 		return err
 	}

@@ -63,25 +63,6 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStreamWindowFilter(t *testing.T) {
-	var buf bytes.Buffer
-	sink := &StreamSink{W: &buf, Windows: []string{"main"}}
-	im := gradientImage(8)
-	if err := sink.Frame("main", 1, im); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Frame("tiling", 1, im); err != nil {
-		t.Fatal(err)
-	}
-	r := bufio.NewReader(&buf)
-	if f, err := ReadFrame(r); err != nil || f.Window != "main" {
-		t.Fatalf("first frame %v, %v", f, err)
-	}
-	if _, err := ReadFrame(r); err != io.EOF {
-		t.Errorf("tiling frame was not filtered: %v", err)
-	}
-}
-
 func TestStreamTruncatedRecord(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, "main", 1, gradientImage(8)); err != nil {
