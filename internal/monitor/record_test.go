@@ -37,19 +37,6 @@ func TestRecorderBasic(t *testing.T) {
 	}
 }
 
-func TestRecorderTaskKind(t *testing.T) {
-	m := New(2, 64)
-	m.StartIteration(1)
-	m.StartTask(1)
-	m.EndTile(0, 0, 8, 8, 1)
-	m.StartTile(1)
-	m.EndTile(8, 0, 8, 8, 1)
-	stats := m.EndIteration()
-	if len(stats.Tiles) != 2 || stats.Tiles[0].Kind != trace.KindTask || stats.Tiles[1].Kind != trace.KindTile {
-		t.Fatalf("records = %+v, want a task then a tile", stats.Tiles)
-	}
-}
-
 func TestRecorderConcurrentLanes(t *testing.T) {
 	const workers, perWorker = 8, 200
 	m := New(workers, 512)
