@@ -258,6 +258,11 @@ func (m *Monitor) EndIteration() IterStats {
 		ActiveTiles:   m.curActive,
 		FrontierTotal: m.curFrontierTotal,
 	}
+	n := 0
+	for w := range m.lanes {
+		n += len(m.lanes[w].tiles)
+	}
+	stats.Tiles = make([]TileRec, 0, n)
 	var loadSum float64
 	for w := range m.lanes {
 		load := float64(m.lanes[w].busy) / float64(dur)
