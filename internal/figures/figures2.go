@@ -244,9 +244,11 @@ func Fig10(p Params) (Fig10Result, error) {
 // CoverageResult is the §III-B coverage-map study: how clustered each
 // CPU's tiles are under different scheduling policies.
 type CoverageResult struct {
-	// MeanLocality maps a schedule name to the mean (over CPUs) coverage
-	// locality: mean Manhattan distance of a CPU's tiles to their
-	// centroid, normalized by the grid diagonal. Lower = more clustered.
+	// MeanLocality maps a schedule name to the mean coverage locality
+	// over the CPUs, each weighted by the tiles it computed in the
+	// inspected iterations: a CPU's locality is the mean Manhattan
+	// distance of its tiles to their centroid, normalized by the grid
+	// diagonal. Lower = more clustered.
 	MeanLocality map[string]float64
 }
 
@@ -274,12 +276,18 @@ func CoverageStudy(p Params) (CoverageResult, error) {
 		v := ezview.New(out.Trace)
 		iters := out.Trace.Iterations()
 		lo := max(iters-2, 1) // the paper inspects iteration range [7..9]
+		// Weighting by tiles keeps a CPU that computed none, or a single
+		// one (its own centroid), from counting as perfectly clustered:
+		// a schedule would look local for leaving CPUs idle.
 		var sum float64
+		tiles := 0
 		rows := v.Rows()
 		for _, cpu := range rows {
-			sum += v.CoverageLocality(cpu, lo, iters)
+			n := len(v.TasksOfCPU(cpu, lo, iters))
+			sum += float64(n) * v.CoverageLocality(cpu, lo, iters)
+			tiles += n
 		}
-		res.MeanLocality[pol.String()] = sum / float64(len(rows))
+		res.MeanLocality[pol.String()] = sum / float64(max(tiles, 1))
 		if p.OutDir != "" {
 			cov, err := v.CoverageMap(out.Final, rows[len(rows)/2], lo, iters, 256)
 			if err != nil {

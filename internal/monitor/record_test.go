@@ -37,6 +37,19 @@ func TestRecorderBasic(t *testing.T) {
 	}
 }
 
+func TestRecorderUnmatchedEndIgnored(t *testing.T) {
+	m := New(4, 512)
+	m.StartIteration(1)
+	m.StartTile(0)
+	m.EndTile(0, 0, 8, 8, 2) // no StartTile on worker 2
+	m.EndTile(0, 0, 16, 16, 0)
+	m.EndTile(0, 0, 16, 16, 0) // worker 0's span is already closed
+	stats := m.EndIteration()
+	if len(stats.Tiles) != 1 || stats.Tiles[0].Worker != 0 || stats.Tiles[0].W != 16 {
+		t.Errorf("unmatched EndTiles recorded %+v, want worker 0's one tile", stats.Tiles)
+	}
+}
+
 func TestRecorderConcurrentLanes(t *testing.T) {
 	const workers, perWorker = 8, 200
 	m := New(workers, 512)
