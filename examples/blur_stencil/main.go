@@ -59,7 +59,7 @@ func main() {
 	var borderMean, innerMean time.Duration
 	var borderN, innerN int
 	for _, t := range last.Tiles {
-		if grid.IsBorder(grid.TileAt(t.X, t.Y)) {
+		if grid.IsBorder(grid.TileAt(int(t.X), int(t.Y))) {
 			borderMean += t.Duration()
 			borderN++
 		} else {

@@ -114,7 +114,7 @@ func (ctx *Ctx) ReportActivity(active, total int, tiles []int32) {
 	a := IterActivity{Iter: ctx.Iter(), Active: active, Total: total}
 	ctx.activity = append(ctx.activity, a)
 	if ctx.mon != nil {
-		ctx.mon.RecordActivity(active, total, tiles, ctx.Grid.TilesX, ctx.Grid.TilesY)
+		ctx.mon.RecordActivity(tiles, ctx.Grid.TilesX, ctx.Grid.TilesY)
 	}
 	if ctx.onActivity != nil {
 		ctx.onActivity(a)

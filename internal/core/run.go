@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -294,31 +293,26 @@ func mergeActivity(perRank [][]IterActivity) []IterActivity {
 	return merged
 }
 
-// exportTrace builds the EZPT trace of one rank from its monitor: one
-// event per tile record, ordered by start time, then worker, as
-// EASYVIEW reads them. Record times are ns since the monitor's epoch,
-// which is the trace's start.
+// exportTrace builds the EZPT trace of one rank from its monitor: its
+// iterations' events, concatenated. Each iteration is ordered by start
+// time, then CPU, and one rank's iterations do not overlap in time, so
+// the trace is in that order, as EASYVIEW reads it. Record times are ns
+// since the monitor's epoch, which is the trace's start.
 func exportTrace(cfg Config, mon *monitor.Monitor) *trace.Trace {
-	n := 0
-	for _, it := range mon.Iterations() {
-		n += len(it.Tiles)
-	}
-	events := make([]trace.Event, 0, n)
-	for _, it := range mon.Iterations() {
-		for _, r := range it.Tiles {
-			events = append(events, trace.Event{
-				Iter: int32(it.Iter), CPU: int16(r.Worker), Rank: int16(r.Rank), Kind: r.Kind,
-				Start: r.Start, End: r.End,
-				X: int32(r.X), Y: int32(r.Y), W: int32(r.W), H: int32(r.H), Work: r.Work,
-			})
+	iters := mon.Iterations()
+	var events []trace.Event
+	if len(iters) == 1 {
+		events = iters[0].Tiles // nothing to concatenate: shared, read-only
+	} else {
+		n := 0
+		for _, it := range iters {
+			n += len(it.Tiles)
+		}
+		events = make([]trace.Event, 0, n)
+		for _, it := range iters {
+			events = append(events, it.Tiles...)
 		}
 	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].Start != events[j].Start {
-			return events[i].Start < events[j].Start
-		}
-		return events[i].CPU < events[j].CPU
-	})
 	return &trace.Trace{Meta: trace.Meta{
 		Kernel: cfg.Kernel, Variant: cfg.Variant, Dim: cfg.Dim,
 		TileW: cfg.TileW, TileH: cfg.TileH, Threads: cfg.Threads,

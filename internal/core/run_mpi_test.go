@@ -116,7 +116,7 @@ func TestMPIRunCollectsPerRankMonitors(t *testing.T) {
 			t.Errorf("rank %d recorded %d tiles, want 32", rank, got)
 		}
 		for _, tile := range iters[0].Tiles {
-			if tile.Rank != rank {
+			if int(tile.Rank) != rank {
 				t.Fatalf("tile labeled rank %d on rank %d's monitor", tile.Rank, rank)
 			}
 		}

@@ -10,8 +10,6 @@ package ezview
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"easypap/internal/trace"
@@ -98,13 +96,4 @@ func ServiceGanttSVG(spans []trace.Span, opt GanttOptions) string {
 			x, y1, x, y2, xmlEscape(s.Stage), xmlEscape(s.Node), xmlEscape(s.Peer))
 	}
 	return g.end()
-}
-
-// SaveServiceGanttSVG writes the service-span chart to path, creating
-// parent directories.
-func SaveServiceGanttSVG(path string, spans []trace.Span, opt GanttOptions) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("ezview: %w", err)
-	}
-	return os.WriteFile(path, []byte(ServiceGanttSVG(spans, opt)), 0o644)
 }

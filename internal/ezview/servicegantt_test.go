@@ -1,8 +1,6 @@
 package ezview
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -50,20 +48,6 @@ func TestServiceGanttSVG(t *testing.T) {
 	// Default caption names the trace.
 	if !strings.Contains(svg, "trace t1") {
 		t.Errorf("default caption missing trace id")
-	}
-}
-
-func TestSaveServiceGanttSVG(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "svg", "service.svg")
-	if err := SaveServiceGanttSVG(path, serviceSpans(), GanttOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), "</svg>") {
-		t.Fatalf("saved file is not an SVG")
 	}
 }
 

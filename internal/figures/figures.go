@@ -327,7 +327,7 @@ func Fig9(p Params) (Fig9Result, error) {
 	var borderSum, innerSum time.Duration
 	var borderN, innerN int
 	for _, t := range lastB.Tiles {
-		tile := grid.TileAt(t.X, t.Y)
+		tile := grid.TileAt(int(t.X), int(t.Y))
 		if grid.IsBorder(tile) {
 			borderSum += t.Duration()
 			borderN++

@@ -418,7 +418,7 @@ func Fig13(p Params) (Fig13Result, error) {
 		}
 		totalComputed += len(last.Tiles)
 		for _, t := range last.Tiles {
-			tx, ty := t.X/tile, t.Y/tile
+			tx, ty := int(t.X)/tile, int(t.Y)/tile
 			// Near either diagonal (within 3 tiles)?
 			d1 := abs(tx - ty)
 			d2 := abs(tx + ty - (tiles - 1))

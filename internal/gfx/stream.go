@@ -58,97 +58,6 @@ const (
 	FormatDelta StreamFormat = "delta"
 )
 
-// StreamFrame is one decoded record of a frame stream.
-type StreamFrame struct {
-	Window string // source window ("main", "tiling", "activity-rank2", ...)
-	Iter   int    // 1-based iteration the frame belongs to
-	PNG    []byte // the encoded image
-}
-
-// Decode parses the PNG payload back into an image.
-func (f *StreamFrame) Decode() (*img2d.Image, error) {
-	return img2d.DecodePNG(bytes.NewReader(f.PNG))
-}
-
-// WriteFrame encodes img as PNG and writes one stream record to w.
-// Window names must not contain whitespace (the run loop's names never
-// do).
-func WriteFrame(w io.Writer, window string, iter int, img *img2d.Image) error {
-	if strings.ContainsAny(window, " \t\n") {
-		return fmt.Errorf("gfx: window name %q contains whitespace", window)
-	}
-	var buf bytes.Buffer
-	if err := img.EncodePNG(&buf); err != nil {
-		return fmt.Errorf("gfx: encoding frame %s/%d: %w", window, iter, err)
-	}
-	if _, err := fmt.Fprintf(w, "%s %s %d %d\n", streamMagic, window, iter, buf.Len()); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
-}
-
-// readHeader parses one record header line: magic, window, iter, size.
-// It returns io.EOF at a clean end of stream, io.ErrUnexpectedEOF on a
-// truncated line, ErrMalformedHeader (wrapped) on garbage, and
-// ErrRecordTooLarge (wrapped) when size exceeds MaxRecordPayload.
-func readHeader(r *bufio.Reader) (magic, window string, iter, size int, err error) {
-	line, err := r.ReadString('\n')
-	if err != nil {
-		if err == io.EOF && line == "" {
-			return "", "", 0, 0, io.EOF
-		}
-		if err == io.EOF {
-			return "", "", 0, 0, io.ErrUnexpectedEOF
-		}
-		return "", "", 0, 0, err
-	}
-	if _, serr := fmt.Sscanf(strings.TrimSuffix(line, "\n"), "%s %s %d %d", &magic, &window, &iter, &size); serr != nil {
-		return "", "", 0, 0, fmt.Errorf("%w: %q", ErrMalformedHeader, line)
-	}
-	if size < 0 {
-		return "", "", 0, 0, fmt.Errorf("%w: negative size in %q", ErrMalformedHeader, line)
-	}
-	if size > MaxRecordPayload {
-		return "", "", 0, 0, fmt.Errorf("%w: %d bytes in %q (cap %d)", ErrRecordTooLarge, size, line, MaxRecordPayload)
-	}
-	return magic, window, iter, size, nil
-}
-
-// readPayload reads exactly size bytes, mapping a short read to
-// io.ErrUnexpectedEOF.
-func readPayload(r *bufio.Reader, size int) ([]byte, error) {
-	p := make([]byte, size)
-	if _, err := io.ReadFull(r, p); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	return p, nil
-}
-
-// ReadFrame reads the next full-frame record from a frame stream. It
-// returns io.EOF at a clean end of stream, io.ErrUnexpectedEOF on a
-// truncated record, and errors wrapping ErrMalformedHeader /
-// ErrRecordTooLarge on corrupt headers. Delta-format streams must be read
-// with ReadRecord instead; an EZDELTA record here is a malformed-header
-// error (plain clients never negotiate deltas, so they never see one).
-func ReadFrame(r *bufio.Reader) (*StreamFrame, error) {
-	magic, window, iter, size, err := readHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	if magic != streamMagic {
-		return nil, fmt.Errorf("%w: magic %q", ErrMalformedHeader, magic)
-	}
-	png, err := readPayload(r, size)
-	if err != nil {
-		return nil, err
-	}
-	return &StreamFrame{Window: window, Iter: iter, PNG: png}, nil
-}
-
 // RecordKind distinguishes the record types of a delta-format stream.
 type RecordKind int
 
@@ -171,28 +80,50 @@ type Record struct {
 	Payload []byte // PNG bytes (RecordFull) or delta payload (RecordDelta)
 }
 
-// ReadRecord reads the next record of a (possibly delta-format) stream,
-// accepting both EZFRAME and EZDELTA records. Error contract matches
-// ReadFrame.
+// ReadRecord reads the next record of a frame stream, EZFRAME or
+// EZDELTA. It returns io.EOF at a clean end of stream,
+// io.ErrUnexpectedEOF on a truncated record, and errors wrapping
+// ErrMalformedHeader on a header that does not parse and
+// ErrRecordTooLarge on one announcing more than MaxRecordPayload bytes.
 func ReadRecord(r *bufio.Reader) (*Record, error) {
-	magic, window, iter, size, err := readHeader(r)
+	line, err := r.ReadString('\n')
+	if err == io.EOF && line == "" {
+		return nil, io.EOF
+	}
+	if err == io.EOF {
+		return nil, io.ErrUnexpectedEOF
+	}
 	if err != nil {
 		return nil, err
 	}
-	var kind RecordKind
+	rec := &Record{}
+	var magic string
+	var size int
+	if _, err := fmt.Sscanf(strings.TrimSuffix(line, "\n"), "%s %s %d %d", &magic, &rec.Window, &rec.Iter, &size); err != nil {
+		return nil, fmt.Errorf("%w: %q", ErrMalformedHeader, line)
+	}
+	if size < 0 {
+		return nil, fmt.Errorf("%w: negative size in %q", ErrMalformedHeader, line)
+	}
+	if size > MaxRecordPayload {
+		return nil, fmt.Errorf("%w: %d bytes in %q (cap %d)", ErrRecordTooLarge, size, line, MaxRecordPayload)
+	}
 	switch magic {
 	case streamMagic:
-		kind = RecordFull
+		rec.Kind = RecordFull
 	case deltaMagic:
-		kind = RecordDelta
+		rec.Kind = RecordDelta
 	default:
 		return nil, fmt.Errorf("%w: magic %q", ErrMalformedHeader, magic)
 	}
-	payload, err := readPayload(r, size)
-	if err != nil {
+	rec.Payload = make([]byte, size)
+	if _, err := io.ReadFull(r, rec.Payload); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	return &Record{Kind: kind, Window: window, Iter: iter, Payload: payload}, nil
+	return rec, nil
 }
 
 // Encode returns the record's wire encoding (header line + payload).
@@ -247,7 +178,15 @@ func NewStreamSink(w io.Writer) *StreamSink { return &StreamSink{W: w} }
 
 // Frame implements FrameSink.
 func (s *StreamSink) Frame(window string, iter int, img *img2d.Image) error {
-	if err := WriteFrame(s.W, window, iter, img); err != nil {
+	var png bytes.Buffer
+	if err := img.EncodePNG(&png); err != nil {
+		return fmt.Errorf("gfx: encoding frame %s/%d: %w", window, iter, err)
+	}
+	rec, err := EncodeFrameRecord(window, iter, png.Bytes())
+	if err != nil {
+		return err
+	}
+	if _, err := s.W.Write(rec); err != nil {
 		return err
 	}
 	if f, ok := s.W.(interface{ Flush() error }); ok {

@@ -92,8 +92,9 @@ func goldenSequence() []struct {
 func encodeGoldenSequence(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
+	sink := gfx.NewStreamSink(&buf)
 	for _, f := range goldenSequence() {
-		if err := gfx.WriteFrame(&buf, f.window, f.iter, f.img); err != nil {
+		if err := sink.Frame(f.window, f.iter, f.img); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,21 +199,20 @@ func TestStreamGolden(t *testing.T) {
 			goldenPath, len(got), len(want), structural)
 	}
 
-	// The full-format section must still read with the plain ReadFrame
-	// reader — old clients never see EZDELTA on a default stream, and the
-	// golden's EZFRAME prefix is byte-compatible with pre-delta golden
-	// files.
+	// The full-format section is EZFRAME records only — clients never see
+	// EZDELTA on a default stream, and the golden's EZFRAME prefix is
+	// byte-compatible with pre-delta golden files.
 	r := bufio.NewReader(bytes.NewReader(want))
 	seq := goldenSequence()
 	for i, exp := range seq {
-		f, err := gfx.ReadFrame(r)
+		f, err := gfx.ReadRecord(r)
 		if err != nil {
 			t.Fatalf("decoding golden record %d: %v", i, err)
 		}
-		if f.Window != exp.window || f.Iter != exp.iter {
-			t.Fatalf("record %d = %s/%d, want %s/%d", i, f.Window, f.Iter, exp.window, exp.iter)
+		if f.Kind != gfx.RecordFull || f.Window != exp.window || f.Iter != exp.iter {
+			t.Fatalf("record %d = kind %d %s/%d, want a full %s/%d", i, f.Kind, f.Window, f.Iter, exp.window, exp.iter)
 		}
-		im, err := f.Decode()
+		im, err := img2d.DecodePNG(bytes.NewReader(f.Payload))
 		if err != nil {
 			t.Fatalf("record %d PNG: %v", i, err)
 		}

@@ -37,45 +37,45 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 
 	r := bufio.NewReader(&buf)
-	f1, err := ReadFrame(r)
+	f1, err := ReadRecord(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f1.Window != "main" || f1.Iter != 1 {
-		t.Errorf("frame 1 = %s/%d, want main/1", f1.Window, f1.Iter)
+	if f1.Kind != RecordFull || f1.Window != "main" || f1.Iter != 1 {
+		t.Errorf("frame 1 = kind %d %s/%d, want a full main/1", f1.Kind, f1.Window, f1.Iter)
 	}
-	got, err := f1.Decode()
+	got, err := img2d.DecodePNG(bytes.NewReader(f1.Payload))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Dim() != 16 || got.Get(3, 5) != im1.Get(3, 5) {
 		t.Error("frame 1 pixels did not survive the round trip")
 	}
-	f2, err := ReadFrame(r)
+	f2, err := ReadRecord(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f2.Window != "tiling" || f2.Iter != 2 {
-		t.Errorf("frame 2 = %s/%d, want tiling/2", f2.Window, f2.Iter)
+	if f2.Kind != RecordFull || f2.Window != "tiling" || f2.Iter != 2 {
+		t.Errorf("frame 2 = kind %d %s/%d, want a full tiling/2", f2.Kind, f2.Window, f2.Iter)
 	}
-	if _, err := ReadFrame(r); err != io.EOF {
+	if _, err := ReadRecord(r); err != io.EOF {
 		t.Errorf("expected clean EOF, got %v", err)
 	}
 }
 
 func TestStreamTruncatedRecord(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, "main", 1, gradientImage(8)); err != nil {
+	rec, err := EncodeFrameRecord("main", 1, []byte("a PNG of twenty bytes"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:buf.Len()-10]
-	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(trunc))); err != io.ErrUnexpectedEOF {
+	trunc := rec[:len(rec)-10]
+	if _, err := ReadRecord(bufio.NewReader(bytes.NewReader(trunc))); err != io.ErrUnexpectedEOF {
 		t.Errorf("truncated record: got %v, want ErrUnexpectedEOF", err)
 	}
 }
 
 func TestStreamMalformedHeader(t *testing.T) {
-	if _, err := ReadFrame(bufio.NewReader(strings.NewReader("BOGUS main 1 4\nabcd"))); err == nil {
+	if _, err := ReadRecord(bufio.NewReader(strings.NewReader("BOGUS main 1 4\nabcd"))); err == nil {
 		t.Error("malformed magic accepted")
 	}
 }
@@ -101,15 +101,7 @@ func TestStreamHeaderBattery(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadFrame(bufio.NewReader(strings.NewReader(tc.input)))
-			if err == nil {
-				t.Fatalf("ReadFrame accepted %q", tc.input)
-			}
-			if tc.want != nil && !errors.Is(err, tc.want) {
-				t.Errorf("ReadFrame(%q) = %v, want errors.Is(err, %v)", tc.input, err, tc.want)
-			}
-			// ReadRecord shares the header path and the same discipline.
-			_, err = ReadRecord(bufio.NewReader(strings.NewReader(tc.input)))
+			_, err := ReadRecord(bufio.NewReader(strings.NewReader(tc.input)))
 			if err == nil {
 				t.Fatalf("ReadRecord accepted %q", tc.input)
 			}
@@ -121,17 +113,8 @@ func TestStreamHeaderBattery(t *testing.T) {
 	// A header at exactly the cap is structurally fine (just truncated
 	// here): it must fail with short-payload, not the size cap.
 	atCap := fmt.Sprintf("EZFRAME main 1 %d\nxx", MaxRecordPayload)
-	if _, err := ReadFrame(bufio.NewReader(strings.NewReader(atCap))); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := ReadRecord(bufio.NewReader(strings.NewReader(atCap))); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("at-cap header: got %v, want ErrUnexpectedEOF", err)
-	}
-}
-
-// A plain ReadFrame client pointed at a delta stream fails cleanly on the
-// first EZDELTA record (old clients never negotiate delta, so seeing one
-// is a protocol violation, not a crash).
-func TestReadFrameRejectsDeltaRecord(t *testing.T) {
-	if _, err := ReadFrame(bufio.NewReader(strings.NewReader("EZDELTA main 2 4\nabcd"))); !errors.Is(err, ErrMalformedHeader) {
-		t.Errorf("EZDELTA via ReadFrame: got %v, want ErrMalformedHeader", err)
 	}
 }
 
@@ -161,8 +144,7 @@ func TestRecordEncodeRoundTrip(t *testing.T) {
 }
 
 func TestStreamRejectsWhitespaceWindow(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, "bad window", 1, gradientImage(8)); err == nil {
+	if err := NewStreamSink(io.Discard).Frame("bad window", 1, gradientImage(8)); err == nil {
 		t.Error("whitespace window name accepted")
 	}
 }

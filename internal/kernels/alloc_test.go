@@ -9,11 +9,13 @@ package kernels
 
 import (
 	"context"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
 	"easypap/internal/core"
+	"easypap/internal/sched"
 )
 
 // allocCase is one kernel family's 256² run.
@@ -88,6 +90,30 @@ func TestRunAllocatesLessThanAnImage(t *testing.T) {
 		} else {
 			t.Logf("%s: %d B per warm run (limit %d)", c.name, got, limit)
 		}
+	}
+}
+
+// TestInstrumentedRunAllocs: a monitored and traced run records each
+// tile once, as a trace event on its worker's lane, and sorts each
+// iteration once, so mandel omp_tiled at 512² (one iteration of 1,024
+// tiles on two workers) allocates no more than instrumentedRunAllocs
+// times, its trace file included. The static schedule gives each lane the
+// same 512 tiles in every run, so the lanes grow the same way each time.
+func TestInstrumentedRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a -race build drops pooled buffers on purpose")
+	}
+	const instrumentedRunAllocs = 64
+	cfg := core.Config{Kernel: "mandel", Variant: "omp_tiled", Dim: 512, TileW: 16, TileH: 16,
+		Iterations: 1, Threads: 2, Schedule: sched.StaticPolicy, NoDisplay: true,
+		Monitoring: true, TracePath: filepath.Join(t.TempDir(), "run.evt")}
+	// A collection would empty the image free lists (see bytesPerRun).
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := testing.AllocsPerRun(5, func() { runReleased(t, cfg) })
+	if allocs > instrumentedRunAllocs {
+		t.Errorf("%.0f allocations per instrumented run, want <= %d", allocs, instrumentedRunAllocs)
+	} else {
+		t.Logf("%.0f allocations per instrumented run (budget %d)", allocs, instrumentedRunAllocs)
 	}
 }
 

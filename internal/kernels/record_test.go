@@ -2,24 +2,23 @@ package kernels
 
 import (
 	"fmt"
-	"maps"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"easypap/internal/core"
-	"easypap/internal/monitor"
 	"easypap/internal/trace"
 )
 
 // TestMonitorAndTraceShareTileRecords runs configs with both Monitoring
-// and TracePath set and requires the monitoring windows' records and the
-// EZPT trace to be the same spans, per iteration: start, end, rectangle,
-// worker, rank, kind and work. The kernels' tile hooks record once, on
-// the monitor's lanes, and the trace is exported from those records, so
-// the two instruments cannot disagree. The cases cover work counters
-// (mandel omp_tiled), task spans (mandel task) and per-rank records of an
-// MPI run (life mpi_omp on 2 ranks).
+// and TracePath set and requires, per rank, the EZPT trace's events to be
+// the monitor's iterations' events, in order: start, end, rectangle, CPU,
+// rank, kind and work, ordered by start time, then CPU. The kernels' tile
+// hooks record once, on the monitor's lanes, and the trace is those
+// records, so the two instruments cannot disagree. The cases cover work
+// counters (mandel omp_tiled), task spans (mandel task) and per-rank
+// records of an MPI run (life mpi_omp on 2 ranks).
 func TestMonitorAndTraceShareTileRecords(t *testing.T) {
 	cases := []struct {
 		kernel, variant, arg string
@@ -31,10 +30,6 @@ func TestMonitorAndTraceShareTileRecords(t *testing.T) {
 		{"mandel", "task", "", 1, trace.KindTask, true},
 		{"life", "mpi_omp", "random", 2, trace.KindTile, false},
 	}
-	type span struct {
-		iter int
-		rec  monitor.TileRec
-	}
 	for _, c := range cases {
 		t.Run(c.kernel+"/"+c.variant, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "run.evt")
@@ -42,30 +37,38 @@ func TestMonitorAndTraceShareTileRecords(t *testing.T) {
 				Iterations: 3, Threads: 2, MPIRanks: c.ranks, NoDisplay: true, Arg: c.arg,
 				Monitoring: true, TracePath: path}
 			out := runWith(t, cfg, core.RunOptions{})
+			if len(out.Monitors) != c.ranks {
+				t.Fatalf("%d monitors, want %d", len(out.Monitors), c.ranks)
+			}
 
-			monitored := map[span]int{}
 			for rank, mon := range out.Monitors {
+				var monitored []trace.Event
 				for _, it := range mon.Iterations() {
-					for _, r := range it.Tiles {
-						if r.Rank != rank || r.Kind != c.kind || (r.Work > 0) != c.work {
-							t.Fatalf("rank %d iteration %d: record %+v", rank, it.Iter, r)
+					for _, e := range it.Tiles {
+						if int(e.Iter) != it.Iter || int(e.Rank) != rank || e.Kind != c.kind || (e.Work > 0) != c.work {
+							t.Fatalf("rank %d iteration %d: record %+v", rank, it.Iter, e)
 						}
-						monitored[span{it.Iter, r}]++
+					}
+					monitored = append(monitored, it.Tiles...)
+				}
+				var traced []trace.Event
+				for _, e := range out.Trace.Events {
+					if int(e.Rank) == rank {
+						traced = append(traced, e)
 					}
 				}
-			}
-			traced := map[span]int{}
-			for _, e := range out.Trace.Events {
-				traced[span{int(e.Iter), monitor.TileRec{
-					X: int(e.X), Y: int(e.Y), W: int(e.W), H: int(e.H), Worker: int(e.CPU),
-					Rank: int(e.Rank), Start: e.Start, End: e.End, Kind: e.Kind, Work: e.Work,
-				}}]++
-			}
-			if len(out.Monitors) != c.ranks || len(monitored) == 0 {
-				t.Fatalf("%d monitors with %d records, want %d monitors", len(out.Monitors), len(monitored), c.ranks)
-			}
-			if !maps.Equal(monitored, traced) {
-				t.Fatalf("monitor and trace disagree: %s", firstDiff(monitored, traced))
+				if len(monitored) == 0 {
+					t.Fatalf("rank %d: no records", rank)
+				}
+				if !slices.Equal(monitored, traced) {
+					t.Fatalf("rank %d: monitor and trace disagree: %s", rank, firstDiff(monitored, traced))
+				}
+				for i := 1; i < len(traced); i++ {
+					a, b := traced[i-1], traced[i]
+					if b.Start < a.Start || b.Start == a.Start && b.CPU < a.CPU {
+						t.Fatalf("rank %d: events %d and %d out of (start, CPU) order: %+v, %+v", rank, i-1, i, a, b)
+					}
+				}
 			}
 
 			meta := out.Trace.Meta
@@ -86,17 +89,12 @@ func TestMonitorAndTraceShareTileRecords(t *testing.T) {
 	}
 }
 
-// firstDiff names one span whose count differs between the two sets.
-func firstDiff[K comparable](a, b map[K]int) string {
-	for k, n := range a {
-		if b[k] != n {
-			return fmt.Sprintf("%+v: %d monitored, %d traced", k, n, b[k])
+// firstDiff names the first position where the two event sequences differ.
+func firstDiff(monitored, traced []trace.Event) string {
+	for i := range min(len(monitored), len(traced)) {
+		if monitored[i] != traced[i] {
+			return fmt.Sprintf("event %d: monitored %+v, traced %+v", i, monitored[i], traced[i])
 		}
 	}
-	for k, n := range b {
-		if a[k] != n {
-			return fmt.Sprintf("%+v: %d monitored, %d traced", k, a[k], n)
-		}
-	}
-	return "none"
+	return fmt.Sprintf("%d monitored events, %d traced", len(monitored), len(traced))
 }

@@ -2,23 +2,17 @@ package monitor
 
 import "testing"
 
-// TestRecordActivityIntoIterStats: frontier reports land in the
-// iteration snapshot and accumulate per-tile residency counts.
+// TestRecordActivityIntoIterStats: frontier reports accumulate per-tile
+// residency counts.
 func TestRecordActivityIntoIterStats(t *testing.T) {
 	m := New(2, 64)
 	m.StartIteration(1)
-	m.RecordActivity(3, 16, []int32{0, 5, 10}, 4, 4)
-	s := m.EndIteration()
-	if s.ActiveTiles != 3 || s.FrontierTotal != 16 {
-		t.Fatalf("IterStats activity = %d/%d, want 3/16", s.ActiveTiles, s.FrontierTotal)
-	}
+	m.RecordActivity([]int32{0, 5, 10}, 4, 4)
+	m.EndIteration()
 
 	m.StartIteration(2)
-	m.RecordActivity(2, 16, []int32{5, 10}, 4, 4)
-	s = m.EndIteration()
-	if s.ActiveTiles != 2 {
-		t.Fatalf("second iteration activity = %d, want 2", s.ActiveTiles)
-	}
+	m.RecordActivity([]int32{5, 10}, 4, 4)
+	m.EndIteration()
 
 	counts, tx, ty, iters := m.ActivityGrid()
 	if tx != 4 || ty != 4 || iters != 2 {
@@ -35,15 +29,12 @@ func TestRecordActivityIntoIterStats(t *testing.T) {
 	}
 }
 
-// TestIterationWithoutActivityReportsZero: eager iterations leave the
-// frontier fields at zero (FrontierTotal == 0 means "not reported").
+// TestIterationWithoutActivityReportsZero: eager iterations build no
+// tile-activity grid.
 func TestIterationWithoutActivityReportsZero(t *testing.T) {
 	m := New(1, 32)
 	m.StartIteration(1)
-	s := m.EndIteration()
-	if s.ActiveTiles != 0 || s.FrontierTotal != 0 {
-		t.Fatalf("eager iteration reports activity %d/%d", s.ActiveTiles, s.FrontierTotal)
-	}
+	m.EndIteration()
 	if counts, _, _, _ := m.ActivityGrid(); counts != nil {
 		t.Fatal("eager monitor has a tile-activity grid")
 	}
@@ -57,10 +48,10 @@ func TestFrontierImage(t *testing.T) {
 		t.Fatal("FrontierImage without activity should be nil")
 	}
 	m.StartIteration(1)
-	m.RecordActivity(2, 16, []int32{0, 15}, 4, 4)
+	m.RecordActivity([]int32{0, 15}, 4, 4)
 	m.EndIteration()
 	m.StartIteration(2)
-	m.RecordActivity(1, 16, []int32{15}, 4, 4)
+	m.RecordActivity([]int32{15}, 4, 4)
 	m.EndIteration()
 	img := FrontierImage(m, 64)
 	if img == nil {

@@ -9,32 +9,20 @@
 // path is wait-free per worker (one lane per thread); EndIteration merges
 // lanes into an IterStats snapshot that the window renderers (window.go)
 // and the figure benchmarks consume. The monitor is a run's only tile
-// recorder: the EZPT trace behind EASYVIEW (paper §II-D) is exported from
-// its records (core), so the windows and the trace show the same spans.
+// recorder and its records are EZPT trace events: the trace behind
+// EASYVIEW (paper §II-D) is its iterations' records, concatenated (core),
+// so the windows and the trace show the same spans.
 package monitor
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"easypap/internal/trace"
 )
-
-// TileRec is one completed tile (or task) computation within an
-// iteration.
-type TileRec struct {
-	X, Y, W, H int
-	Worker     int
-	Rank       int             // MPI process rank (0 if not distributed)
-	Start, End int64           // ns relative to the monitor epoch
-	Kind       trace.EventKind // trace.KindTile, or trace.KindTask for task-engine spans
-	Work       int64           // work units reported through AddWork (0 if none)
-}
-
-// Duration returns the time spent computing the tile.
-func (t TileRec) Duration() time.Duration { return time.Duration(t.End - t.Start) }
 
 // IterStats is the per-iteration snapshot displayed by the monitoring
 // windows.
@@ -47,38 +35,10 @@ type IterStats struct {
 	// Idleness is 1 - mean(Loads): the quantity whose cumulated history
 	// the Activity Monitor graphs at the bottom of the window.
 	Idleness float64
-	Tiles    []TileRec
-
-	// ActiveTiles/FrontierTotal are the lazy tile-frontier size of the
-	// iteration as reported through Ctx.ReportActivity: ActiveTiles of
-	// FrontierTotal owned tiles were dispatched. FrontierTotal == 0 means
-	// the kernel does not report activity (eager variants).
-	ActiveTiles   int
-	FrontierTotal int
-}
-
-// MaxLoad and MinLoad return the extreme per-CPU loads.
-func (s IterStats) MaxLoad() float64 {
-	m := 0.0
-	for _, l := range s.Loads {
-		if l > m {
-			m = l
-		}
-	}
-	return m
-}
-
-func (s IterStats) MinLoad() float64 {
-	if len(s.Loads) == 0 {
-		return 0
-	}
-	m := s.Loads[0]
-	for _, l := range s.Loads {
-		if l < m {
-			m = l
-		}
-	}
-	return m
+	// Tiles holds the iteration's tile (and task) records, ordered by
+	// start time, then CPU: the order of the EZPT trace, which is their
+	// concatenation over iterations. Read-only: the trace may share it.
+	Tiles []trace.Event
 }
 
 // Imbalance returns max/mean of per-CPU busy time (1.0 = perfect balance).
@@ -116,18 +76,16 @@ type Monitor struct {
 	// tileActivity[tile] counts the iterations the tile spent in the
 	// frontier; activityIters is how many iterations reported, so the
 	// frontier heat map can normalize.
-	tileActivity     []int
-	tilesX, tilesY   int
-	activityIters    int
-	curActive        int // current iteration's frontier size
-	curFrontierTotal int
+	tileActivity   []int
+	tilesX, tilesY int
+	activityIters  int
 }
 
 // mlane is one worker's private recording lane, padded against false
 // sharing.
 type mlane struct {
-	tiles   []TileRec
-	pending TileRec
+	tiles   []trace.Event
+	pending trace.Event
 	open    bool
 	busy    int64 // accumulated busy ns in the current iteration
 	_       [64]byte
@@ -166,7 +124,6 @@ func (m *Monitor) now() int64 { return int64(time.Since(m.epoch)) }
 func (m *Monitor) StartIteration(iter int) {
 	m.iter = iter
 	m.iterStart = m.now()
-	m.curActive, m.curFrontierTotal = 0, 0
 	for w := range m.lanes {
 		m.lanes[w].busy = 0
 		m.lanes[w].tiles = m.lanes[w].tiles[:0]
@@ -174,12 +131,11 @@ func (m *Monitor) StartIteration(iter int) {
 	}
 }
 
-// RecordActivity records the iteration's tile frontier: active of total
-// owned tiles were dispatched, tiles listing their indices in a tilesX x
-// tilesY decomposition (nil is allowed: counts only). Called by
-// Ctx.ReportActivity between StartIteration and EndIteration.
-func (m *Monitor) RecordActivity(active, total int, tiles []int32, tilesX, tilesY int) {
-	m.curActive, m.curFrontierTotal = active, total
+// RecordActivity adds the iteration's tile frontier to the residency
+// counts: tiles lists the dispatched tiles' indices in a tilesX x tilesY
+// decomposition (nil is allowed: the kernel tracks counts only). Called
+// by Ctx.ReportActivity between StartIteration and EndIteration.
+func (m *Monitor) RecordActivity(tiles []int32, tilesX, tilesY int) {
 	if tilesX <= 0 || tilesY <= 0 {
 		return
 	}
@@ -214,7 +170,7 @@ func (m *Monitor) StartTask(worker int) { m.start(worker, trace.KindTask) }
 
 func (m *Monitor) start(worker int, kind trace.EventKind) {
 	l := &m.lanes[worker]
-	l.pending = TileRec{Worker: worker, Rank: m.rank, Start: m.now(), Kind: kind}
+	l.pending = trace.Event{Iter: int32(m.iter), CPU: int16(worker), Rank: int16(m.rank), Kind: kind, Start: m.now()}
 	l.open = true
 }
 
@@ -237,7 +193,7 @@ func (m *Monitor) EndTile(x, y, w, h, worker int) {
 	}
 	rec := l.pending
 	rec.End = m.now()
-	rec.X, rec.Y, rec.W, rec.H = x, y, w, h
+	rec.X, rec.Y, rec.W, rec.H = int32(x), int32(y), int32(w), int32(h)
 	l.tiles = append(l.tiles, rec)
 	l.busy += rec.End - rec.Start
 	l.open = false
@@ -252,17 +208,15 @@ func (m *Monitor) EndIteration() IterStats {
 		dur = 1
 	}
 	stats := IterStats{
-		Iter:          m.iter,
-		Duration:      time.Duration(dur),
-		Loads:         make([]float64, m.workers),
-		ActiveTiles:   m.curActive,
-		FrontierTotal: m.curFrontierTotal,
+		Iter:     m.iter,
+		Duration: time.Duration(dur),
+		Loads:    make([]float64, m.workers),
 	}
 	n := 0
 	for w := range m.lanes {
 		n += len(m.lanes[w].tiles)
 	}
-	stats.Tiles = make([]TileRec, 0, n)
+	stats.Tiles = make([]trace.Event, 0, n)
 	var loadSum float64
 	for w := range m.lanes {
 		load := float64(m.lanes[w].busy) / float64(dur)
@@ -273,7 +227,10 @@ func (m *Monitor) EndIteration() IterStats {
 		loadSum += load
 		stats.Tiles = append(stats.Tiles, m.lanes[w].tiles...)
 	}
-	sort.Slice(stats.Tiles, func(i, j int) bool { return stats.Tiles[i].Start < stats.Tiles[j].Start })
+	// Stable, so a lane's records keep their order on equal clock reads.
+	slices.SortStableFunc(stats.Tiles, func(a, b trace.Event) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.CPU, b.CPU))
+	})
 	stats.Idleness = 1 - loadSum/float64(m.workers)
 	m.history = append(m.history, stats.Idleness)
 	m.iters = append(m.iters, stats)
@@ -304,9 +261,9 @@ func OwnerGrid(stats IterStats, dim, tilesX, tilesY, workersPerRank int) [][]int
 		return grid
 	}
 	for _, rec := range stats.Tiles {
-		tx, ty := rec.X/tileW, rec.Y/tileH
+		tx, ty := int(rec.X)/tileW, int(rec.Y)/tileH
 		if ty >= 0 && ty < tilesY && tx >= 0 && tx < tilesX {
-			grid[ty][tx] = rec.Rank*workersPerRank + rec.Worker
+			grid[ty][tx] = int(rec.Rank)*workersPerRank + int(rec.CPU)
 		}
 	}
 	return grid
@@ -324,7 +281,7 @@ func HeatGrid(stats IterStats, dim, tilesX, tilesY int) [][]int64 {
 		return grid
 	}
 	for _, rec := range stats.Tiles {
-		tx, ty := rec.X/tileW, rec.Y/tileH
+		tx, ty := int(rec.X)/tileW, int(rec.Y)/tileH
 		if ty >= 0 && ty < tilesY && tx >= 0 && tx < tilesX {
 			grid[ty][tx] = int64(rec.Duration())
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"easypap/internal/img2d"
+	"easypap/internal/trace"
 )
 
 func TestMonitorBasicIteration(t *testing.T) {
@@ -30,9 +31,6 @@ func TestMonitorBasicIteration(t *testing.T) {
 	}
 	if stats.Idleness <= 0 || stats.Idleness >= 1 {
 		t.Errorf("idleness = %v", stats.Idleness)
-	}
-	if stats.MaxLoad() != stats.Loads[0] || stats.MinLoad() != 0 {
-		t.Error("Max/MinLoad wrong")
 	}
 }
 
@@ -65,10 +63,11 @@ func TestMonitorConcurrentWorkers(t *testing.T) {
 	if len(stats.Tiles) != workers*tilesPer {
 		t.Errorf("tiles = %d, want %d", len(stats.Tiles), workers*tilesPer)
 	}
-	// Tiles must be sorted by start time.
+	// Tiles must be sorted by start time, then CPU: the trace's order.
 	for i := 1; i < len(stats.Tiles); i++ {
-		if stats.Tiles[i].Start < stats.Tiles[i-1].Start {
-			t.Fatal("tiles not sorted by start")
+		a, b := stats.Tiles[i-1], stats.Tiles[i]
+		if b.Start < a.Start || b.Start == a.Start && b.CPU < a.CPU {
+			t.Fatalf("tiles %d and %d out of (start, CPU) order: %+v, %+v", i-1, i, a, b)
 		}
 	}
 }
@@ -143,8 +142,8 @@ func fabricate(owners [][]int) IterStats {
 			if w > maxW {
 				maxW = w
 			}
-			stats.Tiles = append(stats.Tiles, TileRec{
-				X: tx * 16, Y: ty * 16, W: 16, H: 16, Worker: w,
+			stats.Tiles = append(stats.Tiles, trace.Event{
+				X: int32(tx * 16), Y: int32(ty * 16), W: 16, H: 16, CPU: int16(w),
 				Start: int64(len(stats.Tiles)), End: int64(len(stats.Tiles)) + 100,
 			})
 		}
@@ -172,7 +171,7 @@ func TestOwnerGridRoundTrip(t *testing.T) {
 }
 
 func TestHeatGrid(t *testing.T) {
-	stats := IterStats{Tiles: []TileRec{
+	stats := IterStats{Tiles: []trace.Event{
 		{X: 0, Y: 0, W: 16, H: 16, Start: 0, End: 500},
 		{X: 16, Y: 0, W: 16, H: 16, Start: 0, End: 100},
 	}}
@@ -286,23 +285,6 @@ func TestCyclicScore(t *testing.T) {
 	}
 }
 
-func TestOwnedFractionAndShare(t *testing.T) {
-	grid := [][]int{
-		{0, 0, -1, -1},
-		{1, -1, -1, -1},
-	}
-	if f := OwnedFraction(grid); f != 3.0/8 {
-		t.Errorf("owned fraction = %v", f)
-	}
-	share := WorkerShare(grid)
-	if share[0] != 2.0/3 || share[1] != 1.0/3 {
-		t.Errorf("share = %v", share)
-	}
-	if OwnedFraction(nil) != 0 {
-		t.Error("empty grid fraction != 0")
-	}
-}
-
 func TestTilingImageColorsByWorker(t *testing.T) {
 	stats := fabricate([][]int{
 		{0, 0, 1, 1},
@@ -325,7 +307,7 @@ func TestTilingImageColorsByWorker(t *testing.T) {
 }
 
 func TestHeatImageBrightness(t *testing.T) {
-	stats := IterStats{Tiles: []TileRec{
+	stats := IterStats{Tiles: []trace.Event{
 		{X: 0, Y: 0, W: 32, H: 32, Start: 0, End: 1000}, // hottest
 		{X: 32, Y: 32, W: 32, H: 32, Start: 0, End: 10}, // cold
 	}, Loads: []float64{1}}

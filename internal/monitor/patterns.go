@@ -115,40 +115,3 @@ func RunLengthHistogram(grid [][]int) map[int]int {
 	}
 	return hist
 }
-
-// OwnedFraction returns the fraction of tiles with an owner — the lazy
-// Game of Life (Fig. 13) computes only a small fraction of the grid.
-func OwnedFraction(grid [][]int) float64 {
-	total, owned := 0, 0
-	for _, row := range grid {
-		for _, w := range row {
-			total++
-			if w >= 0 {
-				owned++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(owned) / float64(total)
-}
-
-// WorkerShare returns the per-worker fraction of owned tiles.
-func WorkerShare(grid [][]int) map[int]float64 {
-	counts := make(map[int]int)
-	owned := 0
-	for _, row := range grid {
-		for _, w := range row {
-			if w >= 0 {
-				counts[w]++
-				owned++
-			}
-		}
-	}
-	out := make(map[int]float64, len(counts))
-	for w, c := range counts {
-		out[w] = float64(c) / float64(max(owned, 1))
-	}
-	return out
-}

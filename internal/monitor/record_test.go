@@ -26,7 +26,7 @@ func TestRecorderBasic(t *testing.T) {
 	if r.X != 16 || r.Y != 32 || r.W != 16 || r.H != 16 {
 		t.Errorf("tile rect = (%d,%d,%d,%d)", r.X, r.Y, r.W, r.H)
 	}
-	if r.Worker != 0 || stats.Iter != 1 || r.Kind != trace.KindTile {
+	if r.CPU != 0 || r.Iter != 1 || stats.Iter != 1 || r.Kind != trace.KindTile {
 		t.Errorf("record = %+v in iteration %d", r, stats.Iter)
 	}
 	if r.Duration() < time.Millisecond {
@@ -45,7 +45,7 @@ func TestRecorderUnmatchedEndIgnored(t *testing.T) {
 	m.EndTile(0, 0, 16, 16, 0)
 	m.EndTile(0, 0, 16, 16, 0) // worker 0's span is already closed
 	stats := m.EndIteration()
-	if len(stats.Tiles) != 1 || stats.Tiles[0].Worker != 0 || stats.Tiles[0].W != 16 {
+	if len(stats.Tiles) != 1 || stats.Tiles[0].CPU != 0 || stats.Tiles[0].W != 16 {
 		t.Errorf("unmatched EndTiles recorded %+v, want worker 0's one tile", stats.Tiles)
 	}
 }
@@ -73,10 +73,10 @@ func TestRecorderConcurrentLanes(t *testing.T) {
 	}
 	perLane := make(map[int]int)
 	for _, r := range stats.Tiles {
-		if r.X != r.Worker*16 || r.Work != int64(r.Worker) {
+		if r.X != int32(r.CPU)*16 || r.Work != int64(r.CPU) {
 			t.Fatalf("record %+v crossed lanes", r)
 		}
-		perLane[r.Worker]++
+		perLane[int(r.CPU)]++
 	}
 	if len(perLane) != workers {
 		t.Errorf("%d lanes recorded, want %d", len(perLane), workers)

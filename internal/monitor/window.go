@@ -8,6 +8,7 @@ package monitor
 
 import (
 	"easypap/internal/img2d"
+	"easypap/internal/trace"
 )
 
 // TilingImage renders the iteration's tile-to-thread assignment at the
@@ -19,7 +20,7 @@ func TilingImage(stats IterStats, dim, size int) *img2d.Image {
 	out := img2d.New(size)
 	out.Fill(img2d.RGB(12, 12, 16))
 	for _, rec := range stats.Tiles {
-		drawTile(out, rec, dim, size, workerColor(rec.Rank, rec.Worker))
+		drawTile(out, rec, dim, size, workerColor(int(rec.Rank), int(rec.CPU)))
 	}
 	return out
 }
@@ -52,14 +53,15 @@ func HeatImage(stats IterStats, dim, size int) *img2d.Image {
 
 // drawTile projects the tile rectangle from image coordinates (dim) into
 // window coordinates (size), fills it and draws a subtle border.
-func drawTile(out *img2d.Image, rec TileRec, dim, size int, fill img2d.Pixel) {
+func drawTile(out *img2d.Image, rec trace.Event, dim, size int, fill img2d.Pixel) {
 	if dim <= 0 {
 		return
 	}
-	x0 := rec.X * size / dim
-	y0 := rec.Y * size / dim
-	x1 := (rec.X + rec.W) * size / dim
-	y1 := (rec.Y + rec.H) * size / dim
+	x, y := int(rec.X), int(rec.Y)
+	x0 := x * size / dim
+	y0 := y * size / dim
+	x1 := (x + int(rec.W)) * size / dim
+	y1 := (y + int(rec.H)) * size / dim
 	if x1 <= x0 {
 		x1 = x0 + 1
 	}

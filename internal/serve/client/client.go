@@ -251,9 +251,11 @@ func (c *Client) Kernels(ctx context.Context) ([]serve.KernelInfo, error) {
 	return ks, nil
 }
 
-// Frames streams the job's frames, invoking fn for each decoded record
-// until the stream ends, fn returns false, or ctx expires.
-func (c *Client) Frames(ctx context.Context, id string, fn func(f *gfx.StreamFrame) bool) error {
+// Frames streams the job's frames, invoking fn for each decoded EZFRAME
+// record until the stream ends, fn returns false, or ctx expires. The
+// full format never carries an EZDELTA record, so one is a malformed
+// stream.
+func (c *Client) Frames(ctx context.Context, id string, fn func(f *gfx.Record) bool) error {
 	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/frames", nil, "")
 	if err != nil {
 		return err
@@ -261,12 +263,15 @@ func (c *Client) Frames(ctx context.Context, id string, fn func(f *gfx.StreamFra
 	defer resp.Body.Close()
 	r := bufio.NewReader(resp.Body)
 	for {
-		f, err := gfx.ReadFrame(r)
+		f, err := gfx.ReadRecord(r)
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
+		}
+		if f.Kind != gfx.RecordFull {
+			return fmt.Errorf("%w: delta record %s/%d in a full-format stream", gfx.ErrMalformedHeader, f.Window, f.Iter)
 		}
 		if !fn(f) {
 			return nil

@@ -490,8 +490,8 @@ func lastFrames(t *testing.T, submit func() (string, *client.Client)) [][]byte {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var pngs [][]byte
-	if err := cl.Frames(ctx, id, func(f *gfx.StreamFrame) bool {
-		pngs = append(pngs, f.PNG)
+	if err := cl.Frames(ctx, id, func(f *gfx.Record) bool {
+		pngs = append(pngs, f.Payload)
 		return true
 	}); err != nil {
 		t.Fatal(err)

@@ -320,14 +320,14 @@ func TestShardedFramesJobStreamsEveryFrame(t *testing.T) {
 	}
 	var want [][]byte
 	for br := bufio.NewReader(&ref); ; {
-		f, err := gfx.ReadFrame(br)
+		f, err := gfx.ReadRecord(br)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, f.PNG)
+		want = append(want, f.Payload)
 	}
 
 	before := shardsExecuted(tc.mgrs)
@@ -343,8 +343,8 @@ func TestShardedFramesJobStreamsEveryFrame(t *testing.T) {
 		t.Fatalf("%d shard ranks executed (%s), want 3", got, plan)
 	}
 	var got [][]byte
-	if err := c.Frames(ctx, st.ID, func(f *gfx.StreamFrame) bool {
-		got = append(got, f.PNG)
+	if err := c.Frames(ctx, st.ID, func(f *gfx.Record) bool {
+		got = append(got, f.Payload)
 		return true
 	}); err != nil {
 		t.Fatal(err)

@@ -73,8 +73,8 @@ func TestDeltaStreamEquivalence(t *testing.T) {
 				img  *img2d.Image
 			}
 			var full []frame
-			if err := cl.Frames(ctx, st.ID, func(f *gfx.StreamFrame) bool {
-				im, err := f.Decode()
+			if err := cl.Frames(ctx, st.ID, func(f *gfx.Record) bool {
+				im, err := img2d.DecodePNG(bytes.NewReader(f.Payload))
 				if err != nil {
 					t.Errorf("full frame %s/%d: %v", f.Window, f.Iter, err)
 					return false

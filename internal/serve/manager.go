@@ -737,13 +737,13 @@ func (m *Manager) Wait(ctx context.Context, id string) (*JobStatus, error) {
 }
 
 // FrameStream returns a reader over the job's frame stream in the
-// requested format (FormatFull: EZFRAME records decodable with
-// gfx.ReadFrame; FormatDelta: keyframes plus EZDELTA patches, decodable
-// with gfx.ReadRecord). Late subscribers replay from the oldest record
-// the hub still retains — the whole stream for short jobs, the bounded
-// tail for long ones. The reader unblocks with ctx's error when ctx is
-// canceled and reaches io.EOF when the job finishes; the caller must
-// Close it to release the subscriber slot.
+// requested format (FormatFull: EZFRAME records; FormatDelta: keyframes
+// plus EZDELTA patches; both decodable with gfx.ReadRecord). Late
+// subscribers replay from the oldest record the hub still retains —
+// the whole stream for short jobs, the bounded tail for long ones. The
+// reader unblocks with ctx's error when ctx is canceled and reaches
+// io.EOF when the job finishes; the caller must Close it to release the
+// subscriber slot.
 func (m *Manager) FrameStream(ctx context.Context, id string, format gfx.StreamFormat) (io.ReadCloser, error) {
 	j, err := m.lookup(id)
 	if err != nil {

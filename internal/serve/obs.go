@@ -174,9 +174,9 @@ func (m *Manager) NodeName() string {
 	return "local"
 }
 
-// RecordSpan files a service span into the ring, stamping the node name
-// (and KindService semantics: wall-clock unix-ns timestamps). The
-// cluster layer calls this for proxy/replicate spans.
+// RecordSpan files a service span (wall-clock unix-ns timestamps) into
+// the ring, stamping the node name. The cluster layer calls this for
+// proxy/replicate spans.
 func (m *Manager) RecordSpan(s trace.Span) {
 	if s.Node == "" {
 		s.Node = m.NodeName()

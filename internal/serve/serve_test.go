@@ -6,6 +6,7 @@ package serve_test
 // latency, warm-pool reuse and the live frame stream.
 
 import (
+	"bytes"
 	"context"
 	"net/http/httptest"
 	"sync"
@@ -14,6 +15,7 @@ import (
 
 	"easypap/internal/core"
 	"easypap/internal/gfx"
+	"easypap/internal/img2d"
 	_ "easypap/internal/kernels" // register the predefined kernels
 	"easypap/internal/serve"
 	"easypap/internal/serve/client"
@@ -230,8 +232,8 @@ func TestFrameStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var frames []*gfx.StreamFrame
-	if err := cl.Frames(ctx, st.ID, func(f *gfx.StreamFrame) bool {
+	var frames []*gfx.Record
+	if err := cl.Frames(ctx, st.ID, func(f *gfx.Record) bool {
 		frames = append(frames, f)
 		return true
 	}); err != nil {
@@ -244,7 +246,7 @@ func TestFrameStreaming(t *testing.T) {
 		if f.Window != "main" || f.Iter != i+1 {
 			t.Errorf("frame %d = %s/%d", i, f.Window, f.Iter)
 		}
-		im, err := f.Decode()
+		im, err := img2d.DecodePNG(bytes.NewReader(f.Payload))
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -276,7 +278,7 @@ func TestFrameStreaming(t *testing.T) {
 	if _, err := cl.Wait(ctx, plain.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Frames(ctx, plain.ID, func(*gfx.StreamFrame) bool { return true }); err == nil {
+	if err := cl.Frames(ctx, plain.ID, func(*gfx.Record) bool { return true }); err == nil {
 		t.Error("frame stream served for a non-frames job")
 	}
 }
@@ -380,7 +382,7 @@ func TestFrameStreamEndsOnQueuedCancel(t *testing.T) {
 	}
 	streamCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
-	if err := cl.Frames(streamCtx, fj.ID, func(*gfx.StreamFrame) bool { return true }); err != nil {
+	if err := cl.Frames(streamCtx, fj.ID, func(*gfx.Record) bool { return true }); err != nil {
 		t.Fatalf("frame stream of a queued-canceled job did not end cleanly: %v", err)
 	}
 	if _, err := cl.Cancel(ctx, blocker.ID); err != nil {

@@ -33,6 +33,10 @@ const (
 // maxReasonableEvents guards the reader against corrupt counts.
 const maxReasonableEvents = 1 << 28
 
+// maxPreallocEvents bounds the events Read reserves room for before they
+// arrive (224 KiB): the header's count is only a claim until then.
+const maxPreallocEvents = 1 << 12
+
 // Write serializes the trace to w.
 func (t *Trace) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -136,7 +140,7 @@ func Read(r io.Reader) (*Trace, error) {
 	if count > maxReasonableEvents {
 		return nil, fmt.Errorf("trace: implausible event count %d", count)
 	}
-	events := make([]Event, 0, count)
+	events := make([]Event, 0, min(count, maxPreallocEvents))
 	rec := make([]byte, eventSize)
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, rec); err != nil {

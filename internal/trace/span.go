@@ -117,21 +117,6 @@ func (r *SpanRing) ForTrace(traceID string) []Span {
 	return out
 }
 
-// ForJob returns all recorded spans for the job id, in start order.
-func (r *SpanRing) ForJob(job string) []Span {
-	r.mu.Lock()
-	all := r.snapshotLocked()
-	r.mu.Unlock()
-	var out []Span
-	for _, s := range all {
-		if s.Job == job {
-			out = append(out, s)
-		}
-	}
-	SortSpans(out)
-	return out
-}
-
 // TraceIDOf returns the trace id recorded for the job, or "" when the
 // job's spans have aged out of the ring.
 func (r *SpanRing) TraceIDOf(job string) string {

@@ -23,9 +23,6 @@ func TestSpanRingQueries(t *testing.T) {
 	if got := r.ForTrace("t1"); len(got) != 2 {
 		t.Fatalf("ForTrace(t1) = %d spans, want 2", len(got))
 	}
-	if got := r.ForJob("j-2"); len(got) != 1 || got[0].Stage != "admit" {
-		t.Fatalf("ForJob(j-2) = %+v", got)
-	}
 	if id := r.TraceIDOf("j-1"); id != "t1" {
 		t.Fatalf("TraceIDOf(j-1) = %q, want t1", id)
 	}

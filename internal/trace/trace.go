@@ -6,8 +6,9 @@
 // Events carry exactly the information the paper lists: start/end time,
 // tile coordinates and the executing CPU, plus the iteration number and the
 // MPI rank so multi-process traces can be merged. A run records them on
-// the monitor's wait-free per-worker lanes (internal/monitor), and the run
-// loop exports its records as a Trace when tracing is on.
+// the monitor's wait-free per-worker lanes (internal/monitor), and with
+// tracing on the run's Trace is the monitor's iterations' events,
+// concatenated.
 package trace
 
 import (
@@ -15,7 +16,7 @@ import (
 	"time"
 )
 
-// EventKind distinguishes tile computations from other instrumented spans.
+// EventKind distinguishes tile computations from dependent tasks.
 type EventKind uint8
 
 const (
@@ -24,13 +25,6 @@ const (
 	KindTile EventKind = iota
 	// KindTask is a dependent task execution (taskdep kernels).
 	KindTask
-	// KindOther is any other instrumented span (e.g. ghost-cell exchange).
-	KindOther
-	// KindService is a service-tier span (admit, queue, compute, proxy,
-	// replicate, ...) recorded by easypapd rather than a kernel. Service
-	// spans live in a SpanRing (see span.go) and use wall-clock unix
-	// timestamps so spans from different nodes merge on one axis.
-	KindService
 )
 
 // String returns a short name for the kind.
@@ -40,10 +34,6 @@ func (k EventKind) String() string {
 		return "tile"
 	case KindTask:
 		return "task"
-	case KindOther:
-		return "other"
-	case KindService:
-		return "service"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -141,9 +131,6 @@ func (t *Trace) PerCPU() map[int][]Event {
 	}
 	return out
 }
-
-// CPUCount returns the number of distinct (rank, cpu) rows.
-func (t *Trace) CPUCount() int { return len(t.PerCPU()) }
 
 // Span returns the earliest start and latest end over all events.
 func (t *Trace) Span() (start, end int64) {

@@ -2,9 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -50,6 +54,30 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back.Events, tr.Events) {
 		t.Error("events altered by round trip")
+	}
+}
+
+// TestReadDoesNotTrustEventCount: the header's event count is a claim
+// the reader cannot check before the events arrive. A 20-byte header
+// claiming 2^20 events (56 MiB of them) followed by none must fail with a
+// read error having allocated little, not the room the claim asks for.
+func TestReadDoesNotTrustEventCount(t *testing.T) {
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	le := binary.LittleEndian
+	buf.Write(le.AppendUint16(nil, formatVersion))
+	buf.Write(le.AppendUint32(nil, 2))
+	buf.WriteString("{}")
+	buf.Write(le.AppendUint64(nil, 1<<20))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(buf.Bytes()))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("Read of a header without its events = %v, want a read error (EOF)", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("Read allocated %d B for a claim it could not check, want < 1 MiB", got)
 	}
 }
 
@@ -261,7 +289,7 @@ func TestCompare(t *testing.T) {
 }
 
 func TestEventKindString(t *testing.T) {
-	if KindTile.String() != "tile" || KindTask.String() != "task" || KindOther.String() != "other" {
+	if KindTile.String() != "tile" || KindTask.String() != "task" {
 		t.Error("kind names wrong")
 	}
 	if EventKind(9).String() != "kind(9)" {
