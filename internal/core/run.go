@@ -300,18 +300,13 @@ func mergeActivity(perRank [][]IterActivity) []IterActivity {
 // since the monitor's epoch, which is the trace's start.
 func exportTrace(cfg Config, mon *monitor.Monitor) *trace.Trace {
 	iters := mon.Iterations()
-	var events []trace.Event
-	if len(iters) == 1 {
-		events = iters[0].Tiles // nothing to concatenate: shared, read-only
-	} else {
-		n := 0
-		for _, it := range iters {
-			n += len(it.Tiles)
-		}
-		events = make([]trace.Event, 0, n)
-		for _, it := range iters {
-			events = append(events, it.Tiles...)
-		}
+	n := 0
+	for _, it := range iters {
+		n += len(it.Tiles)
+	}
+	events := make([]trace.Event, 0, n)
+	for _, it := range iters {
+		events = append(events, it.Tiles...)
 	}
 	return &trace.Trace{Meta: trace.Meta{
 		Kernel: cfg.Kernel, Variant: cfg.Variant, Dim: cfg.Dim,

@@ -126,26 +126,40 @@ func ReadRecord(r *bufio.Reader) (*Record, error) {
 	return rec, nil
 }
 
-// Encode returns the record's wire encoding (header line + payload).
+// Encode returns the record's wire encoding (header line + payload), the
+// record being the encode's only allocation.
 func (rec *Record) Encode() []byte {
+	return append(rec.header(len(rec.Payload)), rec.Payload...)
+}
+
+// header returns the record's header line, "%s %s %d %d\n" of magic,
+// window, iter and payload size, built without fmt in one allocation
+// with room for spare more bytes.
+func (rec *Record) header(spare int) []byte {
 	magic := streamMagic
 	if rec.Kind == RecordDelta {
 		magic = deltaMagic
 	}
-	// The header is "%s %s %d %d\n" of magic, window, iter and size,
-	// built without fmt so the record is the encode's only allocation.
-	buf := make([]byte, 0, len(magic)+len(rec.Window)+len(rec.Payload)+44)
+	buf := make([]byte, 0, len(magic)+len(rec.Window)+44+spare)
 	buf = append(append(append(buf, magic...), ' '), rec.Window...)
 	buf = strconv.AppendInt(append(buf, ' '), int64(rec.Iter), 10)
 	buf = strconv.AppendInt(append(buf, ' '), int64(len(rec.Payload)), 10)
-	return append(append(buf, '\n'), rec.Payload...)
+	return append(buf, '\n')
+}
+
+// checkWindow rejects a window name that would split the header line.
+func checkWindow(window string) error {
+	if strings.ContainsAny(window, " \t\n") {
+		return fmt.Errorf("gfx: window name %q contains whitespace", window)
+	}
+	return nil
 }
 
 // EncodeFrameRecord builds the wire bytes of one EZFRAME record from an
 // already-encoded PNG payload.
 func EncodeFrameRecord(window string, iter int, png []byte) ([]byte, error) {
-	if strings.ContainsAny(window, " \t\n") {
-		return nil, fmt.Errorf("gfx: window name %q contains whitespace", window)
+	if err := checkWindow(window); err != nil {
+		return nil, err
 	}
 	rec := Record{Kind: RecordFull, Window: window, Iter: iter, Payload: png}
 	return rec.Encode(), nil
@@ -154,8 +168,8 @@ func EncodeFrameRecord(window string, iter int, png []byte) ([]byte, error) {
 // EncodeDeltaRecord builds the wire bytes of one EZDELTA record from an
 // encoded delta payload (see EncodeDelta).
 func EncodeDeltaRecord(window string, iter int, payload []byte) ([]byte, error) {
-	if strings.ContainsAny(window, " \t\n") {
-		return nil, fmt.Errorf("gfx: window name %q contains whitespace", window)
+	if err := checkWindow(window); err != nil {
+		return nil, err
 	}
 	rec := Record{Kind: RecordDelta, Window: window, Iter: iter, Payload: payload}
 	return rec.Encode(), nil
@@ -178,15 +192,20 @@ func NewStreamSink(w io.Writer) *StreamSink { return &StreamSink{W: w} }
 
 // Frame implements FrameSink.
 func (s *StreamSink) Frame(window string, iter int, img *img2d.Image) error {
+	if err := checkWindow(window); err != nil {
+		return err
+	}
 	var png bytes.Buffer
 	if err := img.EncodePNG(&png); err != nil {
 		return fmt.Errorf("gfx: encoding frame %s/%d: %w", window, iter, err)
 	}
-	rec, err := EncodeFrameRecord(window, iter, png.Bytes())
-	if err != nil {
+	// The header and the PNG go out as two writes, so the PNG is not
+	// copied into a record buffer as Encode would.
+	rec := Record{Kind: RecordFull, Window: window, Iter: iter, Payload: png.Bytes()}
+	if _, err := s.W.Write(rec.header(0)); err != nil {
 		return err
 	}
-	if _, err := s.W.Write(rec); err != nil {
+	if _, err := s.W.Write(rec.Payload); err != nil {
 		return err
 	}
 	if f, ok := s.W.(interface{ Flush() error }); ok {

@@ -103,7 +103,7 @@ func TestInstrumentedRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a -race build drops pooled buffers on purpose")
 	}
-	const instrumentedRunAllocs = 64
+	const instrumentedRunAllocs = 65
 	cfg := core.Config{Kernel: "mandel", Variant: "omp_tiled", Dim: 512, TileW: 16, TileH: 16,
 		Iterations: 1, Threads: 2, Schedule: sched.StaticPolicy, NoDisplay: true,
 		Monitoring: true, TracePath: filepath.Join(t.TempDir(), "run.evt")}

@@ -37,7 +37,7 @@ type IterStats struct {
 	Idleness float64
 	// Tiles holds the iteration's tile (and task) records, ordered by
 	// start time, then CPU: the order of the EZPT trace, which is their
-	// concatenation over iterations. Read-only: the trace may share it.
+	// concatenation over iterations.
 	Tiles []trace.Event
 }
 
